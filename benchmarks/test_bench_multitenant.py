@@ -55,9 +55,6 @@ def test_bench_multitenant_harness_throughput(benchmark, results_dir):
         results_dir,
         "multitenant",
         {
-            "wall_s": wall_s,
-            "sim_rate": sim_rate,
-            "requests_per_wall_s": requests_per_wall_s,
             "merged": merged,
             "tenants": per_tenant,
         },

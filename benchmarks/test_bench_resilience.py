@@ -59,7 +59,6 @@ def test_bench_resilience_multi_anomaly(benchmark, results_dir):
         results_dir,
         "resilience",
         {
-            "wall_s": wall_s,
             "case_id": outcome.case_id,
             "precision": row["precision"],
             "recall": row["recall"],

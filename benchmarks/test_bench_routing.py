@@ -61,8 +61,6 @@ def test_bench_routing_policy_comparison(benchmark, results_dir):
         results_dir,
         "routing",
         {
-            "wall_s": wall_s,
-            "sim_rate": sim_rate,
             "duration_s": DURATION_S,
             "p99_spread": result.p99_spread(),
             "policies": result.policies,

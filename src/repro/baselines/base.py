@@ -67,14 +67,13 @@ class ResourceController(abc.ABC):
 
         The harness binds one per tenant through :meth:`bind_stages`
         (sharing the tenant's manager and cache); a controller built
-        outside a harness lazily self-binds to a private disabled manager
-        so stage pulls always work and always reproduce the legacy
-        direct-computation path.
+        outside a harness lazily self-binds to a private manager over its
+        own cluster view so stage pulls always work.
         """
         if self._stages is None:
             from repro.controllers.manager import ControllerManager, StageBinding
 
-            manager = ControllerManager(self.engine, enabled=False)
+            manager = ControllerManager(self.engine, cluster=self.cluster)
             binding = StageBinding(
                 coordinator=self.coordinator, view=self.cluster, engine=self.engine
             )

@@ -140,11 +140,7 @@ def _run_interference(args: argparse.Namespace):
             kwargs["victim_load_rps"] = args.load
         if args.application is not None:
             kwargs["victim_application"] = args.application
-    return run_interference(
-        preset=preset,
-        telemetry_mode=getattr(args, "telemetry_mode", None),
-        **kwargs,
-    ).as_dict()
+    return run_interference(preset=preset, **kwargs).as_dict()
 
 
 def _run_resilience(args: argparse.Namespace):
@@ -160,7 +156,6 @@ def _run_resilience(args: argparse.Namespace):
         application=args.application,
         controller=getattr(args, "controller", None),
         scope=getattr(args, "scope", None),
-        telemetry_mode=getattr(args, "telemetry_mode", None),
     )
     return outcome.as_dict()
 
@@ -224,9 +219,6 @@ def _run_sharded_experiment(args: argparse.Namespace):
         if args.application is not None:
             kwargs["victim_application"] = args.application
     spec = builder(**kwargs)
-    telemetry_mode = getattr(args, "telemetry_mode", None)
-    if telemetry_mode is not None:
-        spec = spec.with_overrides(telemetry_mode=telemetry_mode)
     obs_dir = getattr(args, "obs_dir", None)
     observability = bool(getattr(args, "obs", False) or obs_dir)
     if observability:
@@ -366,10 +358,7 @@ def _run_composed(args: argparse.Namespace):
     """Run the composed controller stack (staged framework end to end).
 
     ``--preset`` selects the victim's composition mode (``svm_gated_rl``,
-    the default, or ``priority_chain``); ``--legacy-controllers`` turns
-    the controller-manager memoization off (stage results are
-    byte-identical either way — the flag only changes how often shared
-    stages recompute).
+    the default, or ``priority_chain``).
     """
     from repro.experiments.composed import run_composed
 
@@ -377,7 +366,6 @@ def _run_composed(args: argparse.Namespace):
     kwargs: Dict[str, Any] = {
         "seed": getattr(args, "seed", 0),
         "mode": mode,
-        "controller_manager": not getattr(args, "legacy_controllers", False),
     }
     if args.duration is not None:
         kwargs["duration_s"] = args.duration
@@ -499,13 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for metastable campaigns (default 1)",
     )
     run_parser.add_argument(
-        "--telemetry-mode", default=None, choices=("sketch", "raw"),
-        help="telemetry pipeline for the interference/resilience/sharded "
-        "experiments: sketch (constant-memory streaming sketches, the "
-        "default) or raw (full sample/trace retention, the historical "
-        "byte-compatible behaviour)",
-    )
-    run_parser.add_argument(
         "--obs", action="store_true",
         help="enable run-record observability for the sharded and "
         "metastable experiments (event journal + metrics registry; see "
@@ -515,11 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir", default=None,
         help="write the run record (journal.jsonl, metrics.json/.prom, "
         "summary.json, trace.json) to this directory; implies --obs",
-    )
-    run_parser.add_argument(
-        "--legacy-controllers", action="store_true",
-        help="run the composed experiment with controller-manager stage "
-        "memoization off (byte-identical results, legacy recompute path)",
     )
     run_parser.add_argument("--out", default=None, help="write the JSON result to this path")
 

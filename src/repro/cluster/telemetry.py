@@ -6,19 +6,14 @@ transmit/receive, and perf-counter-derived LLC / DRAM access metrics.  The
 :class:`TelemetryCollector` samples the simulated cluster on a fixed period,
 which the tracing coordinator exposes to the Extractor and the RL agent.
 
-The collector runs in one of two modes:
-
-* ``"raw"`` — the historical pipeline: a bounded deque of slotted
-  :class:`TelemetrySample` objects per container (O(history × containers)
-  memory), with windowed queries answered by scanning the deques.
-* ``"sketch"`` — constant-memory: one fleet-wide set of ring-buffer numpy
-  aggregates (per-bucket count / sum / max of usage and utilization for
-  every container at once, updated vectorized once per sampling tick) plus
-  a per-container P² CPU-utilization quantile estimator, with only a short
-  raw tail retained for ``latest()``-style point queries.  Windowed
-  queries fold the ring buckets — window edges are bucket-aligned, so they
-  over-include by up to one sampling period (the documented sketch
-  accuracy tradeoff).
+The collector's memory is constant in run length: one fleet-wide set of
+ring-buffer numpy aggregates (per-bucket count / sum / max of usage and
+utilization for every container at once, updated vectorized once per
+sampling tick) plus a per-container P² CPU-utilization quantile estimator,
+with only a short raw tail retained for ``latest()``-style point queries.
+Windowed queries fold the ring buckets — window edges are bucket-aligned,
+so they over-include by up to one sampling period (the documented sketch
+accuracy tradeoff).
 """
 
 from __future__ import annotations
@@ -33,10 +28,10 @@ from repro.cluster.resources import RESOURCE_TYPES, ResourceUsage, ResourceVecto
 from repro.sim.engine import SimulationEngine
 from repro.telemetry.p2 import P2Quantile
 
-#: Raw samples kept per container in sketch mode (point queries only).
+#: Raw samples kept per container (point queries only).
 SKETCH_RAW_TAIL = 8
 
-#: Ring buckets in sketch mode; at the default 1 s period this spans 96 s,
+#: Ring buckets; at the default 1 s period this spans 96 s,
 #: comfortably covering FIRM's 60 s reclaim window.
 SKETCH_BUCKETS = 96
 
@@ -112,14 +107,6 @@ class TelemetryCollector:
     period_s:
         Sampling period in seconds (default 1 s, matching the paper's
         near-real-time telemetry granularity).
-    history:
-        Number of samples retained per container (raw mode; sketch mode
-        caps the raw tail at :data:`SKETCH_RAW_TAIL`).
-    mode:
-        ``"raw"`` (full per-sample history, the historical behaviour) or
-        ``"sketch"`` (constant-memory ring aggregates).  Defaults to raw
-        so direct construction keeps its historical semantics; the
-        experiment harness selects the mode from the scenario spec.
     """
 
     def __init__(
@@ -127,36 +114,29 @@ class TelemetryCollector:
         cluster: "Cluster",  # noqa: F821 - forward reference
         engine: SimulationEngine,
         period_s: float = 1.0,
-        history: int = 600,
-        mode: str = "raw",
     ) -> None:
-        if mode not in ("raw", "sketch"):
-            raise ValueError(f"unknown telemetry mode: {mode!r}")
         self.cluster = cluster
         self.engine = engine
         self.period_s = float(period_s)
-        self.mode = mode
-        self.history = int(history) if mode == "raw" else min(int(history), SKETCH_RAW_TAIL)
         self._samples: Dict[str, Deque[TelemetrySample]] = defaultdict(
-            lambda: deque(maxlen=self.history)
+            lambda: deque(maxlen=SKETCH_RAW_TAIL)
         )
         #: Latest sample per container, grouped by service, in first-sample
         #: order — so ``service_utilization`` no longer scans every
         #: container's deque yet folds the same samples in the same order.
         self._latest_by_service: Dict[str, Dict[str, TelemetrySample]] = defaultdict(dict)
         self._running = False
-        if mode == "sketch":
-            self._bucket_s = self.period_s
-            self._buckets = SKETCH_BUCKETS
-            n_resources = len(RESOURCE_TYPES)
-            self._cols: Dict[str, int] = {}
-            self._bucket_ids = np.full(self._buckets, -1, dtype=np.int64)
-            self._counts = np.zeros((self._buckets, 0), dtype=np.int32)
-            self._usage_sum = np.zeros((self._buckets, 0, n_resources), dtype=np.float32)
-            self._usage_max = np.zeros_like(self._usage_sum)
-            self._util_sum = np.zeros_like(self._usage_sum)
-            self._util_max = np.zeros_like(self._usage_sum)
-            self._cpu_p99: Dict[str, P2Quantile] = {}
+        self._bucket_s = self.period_s
+        self._buckets = SKETCH_BUCKETS
+        n_resources = len(RESOURCE_TYPES)
+        self._cols: Dict[str, int] = {}
+        self._bucket_ids = np.full(self._buckets, -1, dtype=np.int64)
+        self._counts = np.zeros((self._buckets, 0), dtype=np.int32)
+        self._usage_sum = np.zeros((self._buckets, 0, n_resources), dtype=np.float32)
+        self._usage_max = np.zeros_like(self._usage_sum)
+        self._util_sum = np.zeros_like(self._usage_sum)
+        self._util_max = np.zeros_like(self._usage_sum)
+        self._cpu_p99: Dict[str, P2Quantile] = {}
 
     # ----------------------------------------------------------------- start
     def start(self) -> None:
@@ -172,26 +152,25 @@ class TelemetryCollector:
     def sample_all(self) -> List[TelemetrySample]:
         """Take one sample of every container; also returns the batch.
 
-        In sketch mode the whole batch lands in the ring aggregates as a
-        single vectorized update (one fancy-indexed add/max per array per
-        tick for the entire fleet).
+        The whole batch lands in the ring aggregates as a single vectorized
+        update (one fancy-indexed add/max per array per tick for the entire
+        fleet).
         """
         batch: List[TelemetrySample] = [
             self._sample_one(container) for container in self.cluster.all_containers()
         ]
-        if self.mode == "sketch" and batch:
+        if batch:
             self._sketch_update(batch)
         return batch
 
     def sample_container(self, container) -> TelemetrySample:
         """Sample a single container and append to its history."""
         sample = self._sample_one(container)
-        if self.mode == "sketch":
-            self._sketch_update([sample])
+        self._sketch_update([sample])
         return sample
 
     def _sample_one(self, container) -> TelemetrySample:
-        """Observe one container and append to its raw history.
+        """Observe one container and append to its raw tail.
 
         The capped demand is computed once and shared between the usage
         and utilization fields (they are derived from the same instant),
@@ -289,13 +268,11 @@ class TelemetryCollector:
         return samples[-1]
 
     def window(self, container_id: str, duration_s: float) -> List[TelemetrySample]:
-        """Retained samples for ``container_id`` in the last ``duration_s`` seconds.
+        """Raw-tail samples for ``container_id`` in the last ``duration_s`` seconds.
 
-        Walks the history backwards and stops at the cutoff instead of
-        scanning the whole deque — samples are appended in time order, so
-        the result is identical to the historical full scan.  In sketch
-        mode only the short raw tail is retained; windowed aggregates come
-        from :meth:`windowed_peak_usage` and friends.
+        Only the last :data:`SKETCH_RAW_TAIL` samples per container are
+        retained; windowed aggregates come from :meth:`windowed_peak_usage`
+        and friends.
         """
         samples = self._samples.get(container_id)
         if not samples:
@@ -315,47 +292,26 @@ class TelemetryCollector:
         """Peak per-resource usage over the trailing window.
 
         Returns ``None`` when fewer than ``min_samples`` observations fall
-        inside the window.  The raw path folds the retained samples exactly
-        as FIRM's reclaim scan always has; the sketch path folds the
-        per-bucket maxima (bucket-aligned window edges).
+        inside the window.  Folds the per-bucket maxima (bucket-aligned
+        window edges).
         """
-        if self.mode == "sketch":
-            col = self._cols.get(container_id)
-            if col is None:
-                return None
-            slots = self._window_slots(duration_s)
-            if not slots:
-                return None
-            if int(self._counts[slots, col].sum()) < min_samples:
-                return None
-            peak = self._usage_max[slots, col, :].max(axis=0)
-            return ResourceVector(
-                {resource: float(peak[i]) for i, resource in enumerate(RESOURCE_TYPES)}
-            )
-        samples = self.window(container_id, duration_s)
-        if len(samples) < min_samples:
+        col = self._cols.get(container_id)
+        if col is None:
             return None
-        peak = {resource: 0.0 for resource in RESOURCE_TYPES}
-        for sample in samples:
-            for resource in RESOURCE_TYPES:
-                peak[resource] = max(peak[resource], sample.usage[resource])
-        return ResourceVector(peak)
+        slots = self._window_slots(duration_s)
+        if not slots:
+            return None
+        if int(self._counts[slots, col].sum()) < min_samples:
+            return None
+        peak = self._usage_max[slots, col, :].max(axis=0)
+        return ResourceVector(
+            {resource: float(peak[i]) for i, resource in enumerate(RESOURCE_TYPES)}
+        )
 
     def cpu_utilization_p99(self, container_id: str) -> float:
-        """Run-long streaming p99 of a container's CPU utilization.
-
-        Served by the per-container P² estimator in sketch mode; in raw
-        mode it is computed from the retained history on demand.
-        """
-        if self.mode == "sketch":
-            estimator = self._cpu_p99.get(container_id)
-            return estimator.value() if estimator is not None else 0.0
-        samples = self._samples.get(container_id)
-        if not samples:
-            return 0.0
-        cpu = RESOURCE_TYPES[0]
-        values = [sample.utilization[cpu] for sample in samples]
-        return float(np.percentile(values, 99.0))
+        """Run-long streaming p99 of a container's CPU utilization (P² estimate)."""
+        estimator = self._cpu_p99.get(container_id)
+        return estimator.value() if estimator is not None else 0.0
 
     def service_utilization(self, service_name: str) -> ResourceVector:
         """Mean utilization across the latest samples of a service's containers.
@@ -382,18 +338,17 @@ class TelemetryCollector:
         """Retained telemetry footprint (samples, indexes, and sketches)."""
         from repro.telemetry.memory import deep_sizeof
 
-        roots: List[object] = [self._samples, self._latest_by_service]
-        if self.mode == "sketch":
-            roots.extend(
-                (
-                    self._cols,
-                    self._bucket_ids,
-                    self._counts,
-                    self._usage_sum,
-                    self._usage_max,
-                    self._util_sum,
-                    self._util_max,
-                    self._cpu_p99,
-                )
+        return deep_sizeof(
+            (
+                self._samples,
+                self._latest_by_service,
+                self._cols,
+                self._bucket_ids,
+                self._counts,
+                self._usage_sum,
+                self._usage_max,
+                self._util_sum,
+                self._util_max,
+                self._cpu_p99,
             )
-        return deep_sizeof(tuple(roots))
+        )

@@ -15,13 +15,8 @@ advances past the instant it was filled at, and eagerly on cluster scale
 events (replicas appearing or disappearing change what every stage
 observes).  Within one control window every subscribing controller —
 including the members of a composed stack — therefore shares a single
-computation of each stage.
-
-With the manager disabled (``enabled=False``, the legacy default) every
-``pull`` computes directly, reproducing the monolithic loops'
-call sequences exactly; because stages are pure reads, enabling the
-manager changes only *how often* the work runs, never its result — the
-pinned determinism families assert byte-identical output both ways.
+computation of each stage.  Stages are pure reads, so memoization
+changes only *how often* the work runs, never its result.
 """
 
 from __future__ import annotations
@@ -143,12 +138,9 @@ class ControllerManager:
     ----------
     engine:
         The simulation engine (its clock keys cache validity).
-    enabled:
-        Off (default) reproduces the legacy direct-computation path; on
-        memoizes per ``(stage, tenant, params)`` per instant.
     cluster:
-        When given and enabled, a scale listener is registered so
-        replica churn invalidates both caches immediately.
+        When given, a scale listener is registered so replica churn
+        invalidates both caches immediately.
     obs:
         Optional observability sink; cache misses journal ``stage_run``
         records and bump the ``controller.stage_runs`` counter.
@@ -161,20 +153,18 @@ class ControllerManager:
     def __init__(
         self,
         engine,
-        enabled: bool = False,
         cluster=None,
         obs=None,
         cluster_cache: Optional[StageCache] = None,
     ) -> None:
         self.engine = engine
-        self.enabled = bool(enabled)
         self.obs = obs
         self.cache = StageCache()
         self.cluster_cache = cluster_cache if cluster_cache is not None else StageCache()
         self.stats: Dict[str, int] = {"computed": 0, "hits": 0}
         # Validate the registered stage DAG up front (raises on cycles).
         self.order = stage_order()
-        if self.enabled and cluster is not None:
+        if cluster is not None:
             add_listener = getattr(cluster, "add_scale_listener", None)
             if add_listener is not None:
                 add_listener(self._on_scale_event)
@@ -190,11 +180,6 @@ class ControllerManager:
     def pull(self, name: str, binding: StageBinding, **params):
         """The result of stage ``name`` for this tenant at this instant."""
         stage = get_stage(name)
-        ctx = StageContext(self, binding)
-        if not self.enabled:
-            # Legacy path: compute per pull, no cache — exactly the call
-            # sequence the monolithic loops issued.
-            return stage.compute(ctx, **params)
         cache = self.cluster_cache if stage.scope == "cluster" else self.cache
         cache.sync(self.engine.now)
         tenant_key = None if stage.scope == "cluster" else binding.key
@@ -202,7 +187,7 @@ class ControllerManager:
         if key in cache.entries:
             self.stats["hits"] += 1
             return cache.entries[key]
-        result = stage.compute(ctx, **params)
+        result = stage.compute(StageContext(self, binding), **params)
         cache.entries[key] = result
         self.stats["computed"] += 1
         if self.obs is not None:

@@ -13,9 +13,9 @@ controllers sharing one tenant computes it once per control window.
 Stage implementations are **pure reads** of the coordinator/cluster state:
 no RNG draws, no engine scheduling, no cluster mutation.  That is the
 whole determinism contract — a memoized result is byte-identical to a
-recomputation at the same instant, so enabling the manager can never
-change experiment output (the pinned determinism suite enforces this for
-every scenario family).
+recomputation at the same instant, so memoization can never change
+experiment output (the pinned determinism suite enforces this for every
+scenario family).
 
 Stages are registered by :func:`register_stage` and looked up by name;
 ``requires`` declares the dependency edges :func:`stage_order` topologically

@@ -138,7 +138,7 @@ class CriticalComponentExtractor:
 
         One vectorized :meth:`IncrementalSVM.classify` call replaces the
         per-instance ``classify_one`` loop; decisions are per-row, so the
-        answers match the loop.  Sketch mode feeds this directly with
+        answers match the loop.  The Extractor feeds this directly with
         features computed from the coordinator's windowed sketches.
         """
         features = list(features)

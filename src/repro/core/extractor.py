@@ -76,17 +76,12 @@ class Extractor:
         self.component_extractor = CriticalComponentExtractor(svm=svm)
 
     # -------------------------------------------------------------- analysis
-    @property
-    def _sketch_mode(self) -> bool:
-        """Whether the coordinator serves windowed features from sketches."""
-        return getattr(self.coordinator, "telemetry_mode", "raw") == "sketch"
-
     def _sketch_features(self, paths: Sequence[CriticalPath]) -> List[InstanceFeatures]:
         """Windowed (RI, CI) features for every instance on the given CPs.
 
-        Sketch mode: the coordinator's per-instance co-moments and sojourn
-        histograms answer in O(instances × buckets), independent of how
-        many traces the window saw — no per-request alignment scans.
+        The coordinator's per-instance co-moments and sojourn histograms
+        answer in O(instances × buckets), independent of how many traces
+        the window saw — no per-request alignment scans.
         """
         instances = sorted({span.instance for path in paths for span in path.spans})
         return self.coordinator.instance_features(
@@ -108,10 +103,9 @@ class Extractor:
         result carries no candidates so the controller can skip mitigation
         and consider scaling down instead.
 
-        Critical paths always come from retained traces (the reservoir
-        sample in sketch mode); the per-instance features feeding the SVM
-        come from the coordinator's windowed sketches in sketch mode and
-        from the retained traces themselves in raw mode.
+        Critical paths come from the retained traces (the reservoir
+        sample); the per-instance features feeding the SVM come from the
+        coordinator's windowed sketches.
         """
         return self.localize(self.detect(), force=force)
 
@@ -140,11 +134,8 @@ class Extractor:
         if paths is None:
             paths = self.path_extractor.extract_all(traces)
         result.critical_paths = list(paths)
-        if self._sketch_mode:
-            features = self._sketch_features(result.critical_paths)
-            result.candidates = self.component_extractor.select(features)
-        else:
-            result.candidates = self.component_extractor.extract(result.critical_paths, traces)
+        features = self._sketch_features(result.critical_paths)
+        result.candidates = self.component_extractor.select(features)
         return result
 
     # -------------------------------------------------------------- training
@@ -153,19 +144,12 @@ class Extractor:
         traces = self.coordinator.recent_traces(self.window_s)
         if not traces:
             return 0.0
-        paths = self.path_extractor.extract_all(traces)
-        if self._sketch_mode:
-            features = self._sketch_features(paths)
-            if not features:
-                return 0.0
-            labels = [
-                1 if feature.service in culprit_services else 0 for feature in features
-            ]
-            matrix = np.vstack([feature.as_vector() for feature in features])
-            return self.component_extractor.svm.partial_fit(matrix, labels)
-        return self.component_extractor.train_from_ground_truth(
-            paths, traces, culprit_services
-        )
+        features = self._sketch_features(self.path_extractor.extract_all(traces))
+        if not features:
+            return 0.0
+        labels = [1 if feature.service in culprit_services else 0 for feature in features]
+        matrix = np.vstack([feature.as_vector() for feature in features])
+        return self.component_extractor.svm.partial_fit(matrix, labels)
 
     # ----------------------------------------------------------------- extras
     def rank_instances(self) -> List[tuple]:
@@ -173,13 +157,10 @@ class Extractor:
         traces = self.coordinator.recent_traces(self.window_s)
         if not traces:
             return []
-        paths = self.path_extractor.extract_all(traces)
-        if self._sketch_mode:
-            features = self._sketch_features(paths)
-            if not features:
-                return []
-            matrix = np.vstack([feature.as_vector() for feature in features])
-            scores = self.component_extractor.svm.decision_function(matrix)
-            ranked = sorted(zip(features, scores), key=lambda pair: pair[1], reverse=True)
-            return [(feature, float(score)) for feature, score in ranked]
-        return self.component_extractor.rank(paths, traces)
+        features = self._sketch_features(self.path_extractor.extract_all(traces))
+        if not features:
+            return []
+        matrix = np.vstack([feature.as_vector() for feature in features])
+        scores = self.component_extractor.svm.decision_function(matrix)
+        ranked = sorted(zip(features, scores), key=lambda pair: pair[1], reverse=True)
+        return [(feature, float(score)) for feature, score in ranked]

@@ -442,9 +442,8 @@ class FIRMController(ResourceController):
     def _windowed_peak_usage(self, container, telemetry):
         """Peak per-resource usage over the reclaim window (None if no data).
 
-        Delegates to the collector, which answers from retained samples in
-        raw mode (the historical fold, unchanged) or from the ring-buffer
-        per-bucket maxima in sketch mode.
+        Delegates to the collector, which answers from its ring-buffer
+        per-bucket maxima.
         """
         if telemetry is None:
             return None

@@ -7,9 +7,7 @@ in ``svm_gated_rl`` mode (FIRM's RL estimator behind the critic-trust /
 admission-calm gate, AIMD as the heuristic fallback, online DDPG
 fine-tuning while serving), co-located with an aggressor tenant running a
 ``priority_chain`` composition of the same members.  The same spec backs
-the ``controller_stack`` perf macro (run once with the controller-manager
-off and once on, so the shared per-window detection win is measured on
-byte-identical workloads) and the ``controllers-smoke`` CI step.
+the ``controller_stack`` perf macro and the ``controllers-smoke`` CI step.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ def composed_stack_spec(
     seed: int = 0,
     mode: str = "svm_gated_rl",
     online_learning: bool = True,
-    controller_manager: bool = False,
 ) -> ScenarioSpec:
     """The canonical composed-controller-stack scenario.
 
@@ -42,7 +39,6 @@ def composed_stack_spec(
         seed=seed,
         duration_s=duration_s,
         cluster_nodes=(2, 0),
-        controller_manager=controller_manager,
         tenants=[
             TenantSpec(
                 name="victim",
@@ -81,7 +77,6 @@ def run_composed(
     seed: int = 0,
     mode: str = "svm_gated_rl",
     online_learning: bool = True,
-    controller_manager: bool = True,
 ) -> Dict[str, Any]:
     """Run the composed stack and report the gate's behaviour.
 
@@ -96,7 +91,6 @@ def run_composed(
         seed=seed,
         mode=mode,
         online_learning=online_learning,
-        controller_manager=controller_manager,
     )
     harness = ExperimentHarness.from_spec(spec)
     result = harness.run(
@@ -131,7 +125,6 @@ def run_composed(
         tenants[tenant.display_name] = entry
     return {
         "scenario_id": spec.scenario_id,
-        "controller_manager": controller_manager,
         "summary": result.summary(),
         "per_tenant": result.per_tenant_summary(),
         "controllers": tenants,

@@ -21,8 +21,9 @@ a thin layer over this harness.
 SLO accounting is streaming and per tenant: the harness observes each
 trace through the owning tenant's tracing-coordinator completion hook the
 moment the request finishes, so heavy-traffic runs do not need to retain
-every trace until the end and traces evicted from the bounded
-:class:`~repro.tracing.store.TraceStore` are still counted.
+every trace until the end and traces the
+:class:`~repro.tracing.store.TraceStore` reservoir discards are still
+counted.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from repro.obs.run import Observability
 from repro.routing.dispatchers import DISPATCH_VARIANTS
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SeededRNG
+from repro.telemetry.digest import merge_telemetry_digests
 from repro.tracing.coordinator import TracingCoordinator
 from repro.tracing.trace import Trace
 from repro.workload.generators import WorkloadGenerator
@@ -178,8 +180,8 @@ class ExperimentResult:
         #: dataclass-to-JSON conversion of single-tenant results is
         #: byte-for-byte identical to the pre-multi-tenant output.
         self.tenant_results: Dict[str, TenantResult] = {}
-        #: Run-level mergeable latency digest (sketch telemetry mode only;
-        #: None in raw mode).  Kept off the dataclass fields for the same
+        #: Run-level mergeable latency digest (None until the run
+        #: finishes).  Kept off the dataclass fields for the same
         #: JSON-compatibility reason as ``tenant_results``.  For sharded
         #: runs the merge layer replaces this with the ascending-shard-order
         #: fold of the per-shard digests.
@@ -249,16 +251,10 @@ class ExperimentHarness:
         scheduler: Optional[Scheduler] = None,
         node_specs: Optional[List[NodeSpec]] = None,
         request_counter=None,
-        telemetry_mode: str = "raw",
         observability: bool = False,
-        controller_manager: bool = False,
     ) -> None:
         self.engine = engine
         self.rng = rng
-        #: Whether controller stages are memoized per window by each
-        #: tenant's ControllerManager (off = legacy direct computation,
-        #: byte-identical results either way — stages are pure reads).
-        self.controller_manager = bool(controller_manager)
         #: Cache shared by every tenant's manager for cluster-scoped
         #: stages (service names are globally unique, so one computation
         #: serves all tenants).
@@ -267,11 +263,6 @@ class ExperimentHarness:
         #: None when disabled — every instrumentation site checks for None
         #: so the disabled path stays byte-identical to pre-obs behaviour.
         self.obs: Optional[Observability] = Observability() if observability else None
-        #: Telemetry pipeline mode shared by the collector and every
-        #: tenant's coordinator: "raw" (full history, the historical
-        #: behaviour and the default for direct construction) or "sketch"
-        #: (constant-memory windowed sketches + reservoir trace retention).
-        self.telemetry_mode = telemetry_mode
         #: Optional request-id counter shared by every tenant runtime; the
         #: sharded engine gives each shard harness its own so in-process
         #: shard sessions number requests like freshly spawned processes.
@@ -279,7 +270,7 @@ class ExperimentHarness:
         self.cluster = Cluster(engine, rng, node_specs=node_specs, scheduler=scheduler)
         if self.obs is not None:
             self.cluster.router.enable_observability(self.obs, engine)
-        self.telemetry = TelemetryCollector(self.cluster, engine, mode=telemetry_mode)
+        self.telemetry = TelemetryCollector(self.cluster, engine)
         #: All tenants, in deployment order.  Single-tenant harnesses hold
         #: exactly one untenanted entry whose wiring matches the classic
         #: harness; its members are also reachable through the legacy
@@ -292,12 +283,7 @@ class ExperimentHarness:
     # ------------------------------------------------------- tenant plumbing
     def _add_primary_tenant(self, app: ServiceGraph) -> TenantRuntime:
         """Wire the classic untenanted tenant (single-tenant harness)."""
-        coordinator = TracingCoordinator(
-            self.engine,
-            telemetry=self.telemetry,
-            telemetry_mode=self.telemetry_mode,
-            rng=self.rng,
-        )
+        coordinator = TracingCoordinator(self.engine, telemetry=self.telemetry, rng=self.rng)
         runtime = ApplicationRuntime(
             app, self.cluster, coordinator, self.engine,
             request_counter=self.request_counter,
@@ -347,7 +333,6 @@ class ExperimentHarness:
             self.engine,
             telemetry=self.telemetry,
             tenant=name,
-            telemetry_mode=self.telemetry_mode,
             rng=tenant_rng,
         )
         runtime = ApplicationRuntime(
@@ -525,9 +510,7 @@ class ExperimentHarness:
         scheduler: Optional[Scheduler] = None,
         node_specs: Optional[List[NodeSpec]] = None,
         request_counter=None,
-        telemetry_mode: str = "raw",
         observability: bool = False,
-        controller_manager: bool = False,
     ) -> "ExperimentHarness":
         """Build a harness for one of the four benchmark applications."""
         engine = SimulationEngine()
@@ -535,8 +518,7 @@ class ExperimentHarness:
         app = build_application(application)
         harness = cls(
             app, engine, rng, scheduler=scheduler, node_specs=node_specs,
-            request_counter=request_counter, telemetry_mode=telemetry_mode,
-            observability=observability, controller_manager=controller_manager,
+            request_counter=request_counter, observability=observability,
         )
         harness.runtime.deploy()
         harness.telemetry.start()
@@ -567,9 +549,7 @@ class ExperimentHarness:
             scheduler=cls._scheduler_from_spec(spec, SeededRNG(spec.seed)),
             node_specs=cls._node_specs_from_spec(spec),
             request_counter=request_counter,
-            telemetry_mode=spec.telemetry_mode,
             observability=spec.observability,
-            controller_manager=spec.controller_manager,
         )
         harness.spec = spec
         cls._apply_dispatch_policy(harness, spec)
@@ -604,9 +584,7 @@ class ExperimentHarness:
             scheduler=cls._scheduler_from_spec(spec, rng),
             node_specs=cls._node_specs_from_spec(spec),
             request_counter=request_counter,
-            telemetry_mode=spec.telemetry_mode,
             observability=spec.observability,
-            controller_manager=spec.controller_manager,
         )
         harness.spec = spec
         cls._apply_dispatch_policy(harness, spec)
@@ -685,7 +663,6 @@ class ExperimentHarness:
         """A per-tenant ControllerManager sharing the cluster stage cache."""
         return ControllerManager(
             self.engine,
-            enabled=self.controller_manager,
             cluster=self.cluster,
             obs=self.obs,
             cluster_cache=self._cluster_stage_cache,
@@ -1050,12 +1027,9 @@ class ExperimentHarness:
         )
         if self.is_multi_tenant:
             result.tenant_results = tenant_results
-        if self.telemetry_mode == "sketch":
-            from repro.telemetry.digest import merge_telemetry_digests
-
-            result.telemetry_digest = merge_telemetry_digests(
-                [t[0].coordinator.telemetry_digest() for t in trackers]
-            )
+        result.telemetry_digest = merge_telemetry_digests(
+            [t[0].coordinator.telemetry_digest() for t in trackers]
+        )
         if self.obs is not None:
             result.journal = self.obs.journal.as_dicts()
             result.metrics = self.obs.registry

@@ -250,7 +250,6 @@ class InterferenceResult:
 def run_interference(
     spec: Optional[ScenarioSpec] = None,
     preset: str = "aggressor_victim",
-    telemetry_mode: Optional[str] = None,
     **preset_kwargs,
 ) -> InterferenceResult:
     """Quantify cross-tenant interference for a multi-tenant scenario.
@@ -258,9 +257,7 @@ def run_interference(
     Runs the co-located scenario, then re-runs each tenant *alone* on an
     identically sized cluster with the same seed, and reports per-tenant
     degradation.  Either pass a multi-tenant ``spec`` directly or name a
-    preset (see :data:`PRESETS`) plus its keyword arguments.  An explicit
-    ``telemetry_mode`` (``"sketch"``/``"raw"``) overrides the spec's
-    telemetry pipeline mode.
+    preset (see :data:`PRESETS`) plus its keyword arguments.
     """
     if spec is None:
         try:
@@ -269,8 +266,6 @@ def run_interference(
             known = ", ".join(sorted(PRESETS))
             raise ValueError(f"unknown interference preset {preset!r}; known: {known}")
         spec = builder(**preset_kwargs)
-    if telemetry_mode is not None:
-        spec = spec.with_overrides(telemetry_mode=telemetry_mode)
     if not spec.tenants:
         raise ValueError("run_interference needs a multi-tenant scenario spec")
 

@@ -110,10 +110,6 @@ class ResilienceCase:
         Optional (x86, ppc64) topology override; None keeps the paper's
         15-node default (multi-tenant cases default to a small shared
         cluster where interference is visible).
-    telemetry_mode:
-        Telemetry pipeline mode: ``"sketch"`` (the default; constant-
-        memory sketches feed the detector) or ``"raw"`` (full
-        sample/trace retention, the historical behaviour).
     """
 
     application: str = "social_network"
@@ -131,16 +127,11 @@ class ResilienceCase:
     significant_intensity: float = 0.5
     train_svm: bool = False
     cluster_nodes: Optional[Tuple[int, int]] = None
-    telemetry_mode: str = "sketch"
 
     def __post_init__(self) -> None:
         if self.campaign not in CAMPAIGN_KINDS:
             known = ", ".join(CAMPAIGN_KINDS)
             raise ValueError(f"unknown campaign kind {self.campaign!r}; known: {known}")
-        if self.telemetry_mode not in ("raw", "sketch"):
-            raise ValueError(
-                f"telemetry_mode must be 'raw' or 'sketch', got {self.telemetry_mode!r}"
-            )
         self.scope = AnomalyScope(self.scope).value
 
     @property
@@ -296,7 +287,6 @@ def resilience_scenario_spec(case: ResilienceCase) -> ScenarioSpec:
         return ScenarioSpec(
             seed=case.seed,
             duration_s=duration,
-            telemetry_mode=case.telemetry_mode,
             cluster_nodes=case.cluster_nodes or (2, 0),
             tenants=[
                 TenantSpec(
@@ -324,7 +314,6 @@ def resilience_scenario_spec(case: ResilienceCase) -> ScenarioSpec:
         campaign=campaign,
         replicas=replicas,
         cluster_nodes=case.cluster_nodes,
-        telemetry_mode=case.telemetry_mode,
     )
 
 
@@ -391,19 +380,14 @@ class LocalizationScorer:
         if not traces:
             return
         paths = self.path_extractor.extract_all(traces)
-        if coordinator.telemetry_mode == "sketch":
-            # Windowed (RI, CI) from the coordinator's per-instance
-            # sketches, restricted to instances on the window's CPs.
-            instances = sorted(
-                {span.instance for path in paths for span in path.spans}
-            )
-            features = coordinator.instance_features(
-                self.window_s,
-                instances=instances,
-                min_samples=component_extractor.min_samples,
-            )
-        else:
-            features = component_extractor.compute_features(paths, traces)
+        # Windowed (RI, CI) from the coordinator's per-instance sketches,
+        # restricted to instances on the window's CPs.
+        instances = sorted({span.instance for path in paths for span in path.spans})
+        features = coordinator.instance_features(
+            self.window_s,
+            instances=instances,
+            min_samples=component_extractor.min_samples,
+        )
         if not features:
             return
         truth = set()
@@ -438,16 +422,8 @@ class LocalizationScorer:
             )
         )
         if self.train_svm:
-            if coordinator.telemetry_mode == "sketch":
-                labels = [
-                    1 if feature.service in truth_targets else 0
-                    for feature in features
-                ]
-                component_extractor.svm.partial_fit(matrix, labels)
-            else:
-                component_extractor.train_from_ground_truth(
-                    paths, traces, sorted(truth_targets)
-                )
+            labels = [1 if feature.service in truth_targets else 0 for feature in features]
+            component_extractor.svm.partial_fit(matrix, labels)
 
     def micro_averages(self) -> Tuple[float, float]:
         """Micro-averaged (precision, recall) over all scored windows."""

@@ -205,15 +205,6 @@ class ScenarioSpec:
         right after deployment, so load-balancing policies have a replica
         set to choose over from the first request.  Multi-tenant scenarios
         use the per-tenant field instead.
-    telemetry_mode:
-        ``"sketch"`` (default) runs the constant-memory telemetry pipeline:
-        ring-buffer windowed statistics, P² quantile estimators, and
-        reservoir-sampled trace retention.  ``"raw"`` restores the
-        historical full-history pipeline byte-identically (full per-sample
-        telemetry deques, FIFO trace store, per-query windowed scans) —
-        the compatibility flag for trace-distribution studies and
-        regression baselines.  The mode is deliberately excluded from
-        ``scenario_id`` so sweep keys stay stable.
     observability:
         When true, the harness carries a per-run
         :class:`~repro.obs.run.Observability` bundle — a structured event
@@ -222,8 +213,8 @@ class ScenarioSpec:
         and the result exposes them as ``result.journal`` /
         ``result.metrics``.  Off by default: with it off no
         instrumentation site records anything, so every pinned
-        determinism family stays byte-identical.  Like
-        ``telemetry_mode``, excluded from ``scenario_id``.
+        determinism family stays byte-identical.  Excluded from
+        ``scenario_id``.
     """
 
     application: str = "social_network"
@@ -247,14 +238,7 @@ class ScenarioSpec:
     dispatch_staleness_s: float = 0.25
     admission: Optional[Any] = None
     replicas: Optional[Dict[str, int]] = None
-    telemetry_mode: str = "sketch"
     observability: bool = False
-    #: Memoize controller stages per control window through each tenant's
-    #: ControllerManager.  Stages are pure reads, so results are
-    #: byte-identical either way (pinned by the determinism suite);
-    #: excluded from scenario_id for the same reason telemetry_mode and
-    #: observability are.
-    controller_manager: bool = False
 
     @property
     def is_multi_tenant(self) -> bool:

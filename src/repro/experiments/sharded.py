@@ -371,7 +371,7 @@ def merge_shard_results(plan: ShardPlan, outcomes: Sequence[ShardOutcome]) -> Ex
     result.tenant_results = tenant_results
     # Per-shard telemetry digests fold in ascending shard order; the bins
     # merge by integer addition, so the merged sketch is independent of the
-    # shard grouping (and None when the run used raw telemetry mode).
+    # shard grouping.
     result.telemetry_digest = merge_telemetry_digests(
         [o.result.telemetry_digest for o in ordered_outcomes]
     )

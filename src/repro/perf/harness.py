@@ -61,7 +61,7 @@ class BenchmarkResult:
     #: comparable across machines).
     normalized_events: float
     #: Benchmark-specific extra measurements (e.g. the telemetry_fleet
-    #: per-mode retained footprint).  Never part of the regression gate.
+    #: retained footprint).  Never part of the regression gate.
     extras: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
@@ -130,27 +130,13 @@ def _telemetry_memory_mb(harness) -> float:
     coordinator's traces, sketches, and reservoir — the structures the
     streaming-sketch pipeline bounds — via their ``memory_bytes()``
     deep-size walks.  Unlike ``ru_maxrss`` (process-monotonic high-water
-    mark) this measures what is actually *held alive* per mode, so two
-    runs in one process stay comparable.
+    mark) this measures what is actually *held alive*, so two runs in
+    one process stay comparable.
     """
     total = harness.telemetry.memory_bytes()
     for tenant in harness.tenants:
         total += tenant.coordinator.memory_bytes()
     return total / (1024.0 * 1024.0)
-
-
-def _memory_extras(specs, harnesses) -> Dict[str, object]:
-    """The telemetry-footprint extras for a measure_memory benchmark."""
-    per_mode: Dict[str, float] = {}
-    for spec, harness in zip(specs, harnesses):
-        mode = getattr(spec, "telemetry_mode", "raw")
-        per_mode[mode] = round(_telemetry_memory_mb(harness), 4)
-    extras: Dict[str, object] = {"telemetry_trace_mb": per_mode}
-    sketch = per_mode.get("sketch")
-    raw = per_mode.get("raw")
-    if sketch and raw:
-        extras["memory_reduction_x"] = round(raw / sketch, 2)
-    return extras
 
 
 def _overhead_extras(specs, per_spec) -> Dict[str, object]:
@@ -172,27 +158,6 @@ def _overhead_extras(specs, per_spec) -> Dict[str, object]:
         extras["overhead_pct"] = round(
             (rates["off"] - rates["on"]) / rates["off"] * 100.0, 2
         )
-    return extras
-
-
-def _stage_extras(specs, per_spec) -> Dict[str, object]:
-    """The shared-detection extras for a measure_stages benchmark.
-
-    ``per_spec`` pairs each spec with its ``(wall_s, events)`` measured
-    inside the shared timed window; the extras report events/sec with the
-    controller-manager off (``legacy``, per-pull stage recomputation) vs
-    on (``managed``, per-window memoization) and the resulting speedup.
-    """
-    rates: Dict[str, float] = {}
-    for spec, (wall, events) in zip(specs, per_spec):
-        mode = "managed" if getattr(spec, "controller_manager", False) else "legacy"
-        rates[mode] = events / max(wall, 1e-9)
-    extras: Dict[str, object] = {
-        "events_per_s_legacy": round(rates.get("legacy", 0.0), 1),
-        "events_per_s_managed": round(rates.get("managed", 0.0), 1),
-    }
-    if rates.get("legacy") and rates.get("managed"):
-        extras["speedup_x"] = round(rates["managed"] / rates["legacy"], 3)
     return extras
 
 
@@ -268,11 +233,11 @@ def _run_benchmark(
     if benchmark.measure_memory and not sharded:
         # Outside the timed window: the deep-size walk is O(retained
         # objects) and must not pollute the throughput measurement.
-        extras = _memory_extras(specs, harnesses)
+        extras["telemetry_trace_mb"] = round(
+            sum(_telemetry_memory_mb(harness) for harness in harnesses), 4
+        )
     if benchmark.measure_overhead and not sharded:
         extras.update(_overhead_extras(specs, per_spec))
-    if benchmark.measure_stages and not sharded:
-        extras.update(_stage_extras(specs, per_spec))
     return BenchmarkResult(
         name=benchmark.name,
         description=benchmark.description,

@@ -24,10 +24,9 @@ different slice of the stack:
   on the sharded engine (``shards=2``): per-tenant event shards in worker
   processes synchronized by conservative time windows
   (:mod:`repro.experiments.sharded`);
-* ``telemetry_fleet`` — one replicated social_network fleet run twice,
-  in ``sketch`` and ``raw`` telemetry modes, reporting the retained
-  telemetry+trace footprint of each (``telemetry_trace_mb`` /
-  ``memory_reduction_x`` extras) next to throughput — the memory story
+* ``telemetry_fleet`` — one replicated social_network fleet (every
+  service x3), reporting the retained telemetry+trace footprint
+  (``telemetry_trace_mb`` extra) next to throughput — the memory story
   of the streaming-sketch pipeline (:mod:`repro.telemetry`);
 * ``obs_overhead`` — one controlled scenario with an anomaly campaign
   run twice, observability off then on, reporting per-mode events/sec
@@ -35,11 +34,8 @@ different slice of the stack:
   / ``overhead_pct`` extras) — the cost story of the run-record
   observability layer (:mod:`repro.obs`), pinned ≤ 5% by test;
 * ``controller_stack`` — the composed two-tenant controller stack
-  (SVM-gated RL + priority chain) run twice, controller-manager off
-  then on, reporting per-mode events/sec and the shared per-window
-  detection speedup (``events_per_s_legacy`` / ``events_per_s_managed``
-  / ``speedup_x`` extras) — the staged-controller framework's win
-  (:mod:`repro.controllers`).
+  (SVM-gated RL + priority chain) with per-window stage memoization —
+  the staged-controller framework's shape (:mod:`repro.controllers`).
 
 Benchmarks are defined declaratively through
 :class:`~repro.experiments.scenario.ScenarioSpec` so the timed code path
@@ -82,24 +78,17 @@ class MacroBenchmark:
         window, mirroring how the unsharded path keeps ``from_spec``
         untimed.
     measure_memory:
-        Measure the retained telemetry+trace footprint of every scenario
-        after its run (collector + per-tenant coordinator/store, via
-        their ``memory_bytes()`` methods) and attach per-mode
-        ``telemetry_trace_mb`` / ``memory_reduction_x`` extras to the
-        result.  Measurement happens outside the timed window, so it
-        never perturbs throughput numbers.  Unsharded benchmarks only.
+        Measure the retained telemetry+trace footprint of the scenarios
+        after their runs (collector + per-tenant coordinator/store, via
+        their ``memory_bytes()`` methods) and attach the total as the
+        ``telemetry_trace_mb`` extra.  Measurement happens outside the
+        timed window, so it never perturbs throughput numbers.
+        Unsharded benchmarks only.
     measure_overhead:
         Time every scenario separately (in addition to the combined
         timed window) and attach ``events_per_s_off`` /
         ``events_per_s_on`` / ``overhead_pct`` extras comparing the
         specs with ``observability`` off vs on.  The benchmark's
-        ``build_specs`` must return one spec of each mode.  Unsharded
-        benchmarks only.
-    measure_stages:
-        Like ``measure_overhead``, but comparing ``controller_manager``
-        off (legacy per-pull stage recomputation) vs on (per-window
-        memoization): attaches ``events_per_s_legacy`` /
-        ``events_per_s_managed`` / ``speedup_x`` extras.  The benchmark's
         ``build_specs`` must return one spec of each mode.  Unsharded
         benchmarks only.
     """
@@ -112,7 +101,6 @@ class MacroBenchmark:
     shards: int = 1
     measure_memory: bool = False
     measure_overhead: bool = False
-    measure_stages: bool = False
 
     def specs(self, quick: bool = False) -> List[ScenarioSpec]:
         """The scenario specs for one run of this benchmark."""
@@ -156,24 +144,20 @@ def _routing_ewma_sweep(duration_s: float) -> List[ScenarioSpec]:
 
 
 def _telemetry_fleet(duration_s: float) -> List[ScenarioSpec]:
-    # The same replicated fleet twice — sketch then raw — so the memory
-    # extras compare the two telemetry pipelines on an identical
-    # scenario.  3x replication triples the container fleet the
-    # collector samples, which is exactly where the raw per-container
-    # histories dominate the footprint.
+    # 3x replication triples the container fleet the collector samples,
+    # which is where per-container telemetry state would dominate the
+    # footprint if it grew with run length.
     from repro.experiments.routing import replicated_services
 
-    base = ScenarioSpec(
-        application="social_network",
-        seed=0,
-        duration_s=duration_s,
-        load_rps=120.0,
-        controller="none",
-        replicas=replicated_services("social_network", 3),
-    )
     return [
-        base.with_overrides(telemetry_mode="sketch"),
-        base.with_overrides(telemetry_mode="raw"),
+        ScenarioSpec(
+            application="social_network",
+            seed=0,
+            duration_s=duration_s,
+            load_rps=120.0,
+            controller="none",
+            replicas=replicated_services("social_network", 3),
+        )
     ]
 
 
@@ -206,15 +190,12 @@ def _obs_overhead(duration_s: float) -> List[ScenarioSpec]:
 
 
 def _controller_stack(duration_s: float) -> List[ScenarioSpec]:
-    # The composed two-tenant controller stack twice — controller-manager
-    # off then on — so the stage extras measure the shared per-window
-    # detection win on byte-identical workloads.  Composed stacks pull
-    # detection at the gate and again inside the FIRM member, which is
-    # exactly the redundancy the manager memoizes away.
+    # Composed stacks pull detection at the gate and again inside the
+    # FIRM member, which is exactly the redundancy the per-tenant
+    # controller manager memoizes away.
     from repro.experiments.composed import composed_stack_spec
 
-    base = composed_stack_spec(duration_s=duration_s, seed=0)
-    return [base, base.with_overrides(controller_manager=True)]
+    return [composed_stack_spec(duration_s=duration_s, seed=0)]
 
 
 def _resilience_campaign(duration_s: float) -> List[ScenarioSpec]:
@@ -269,7 +250,7 @@ MACRO_BENCHMARKS: Dict[str, MacroBenchmark] = {
         ),
         MacroBenchmark(
             name="telemetry_fleet",
-            description="replicated social_network fleet, sketch vs raw telemetry modes",
+            description="replicated social_network fleet (every service x3), retained telemetry",
             full_duration_s=60.0,
             quick_duration_s=6.0,
             build_specs=_telemetry_fleet,
@@ -285,11 +266,10 @@ MACRO_BENCHMARKS: Dict[str, MacroBenchmark] = {
         ),
         MacroBenchmark(
             name="controller_stack",
-            description="composed controller stack, controller-manager off vs on",
+            description="composed controller stack (SVM-gated RL + priority chain)",
             full_duration_s=15.0,
             quick_duration_s=5.0,
             build_specs=_controller_stack,
-            measure_stages=True,
         ),
         MacroBenchmark(
             name="sharded_multitenant",

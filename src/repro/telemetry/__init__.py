@@ -1,9 +1,9 @@
 """Streaming-sketch telemetry primitives.
 
-The raw telemetry pipeline retains one slotted sample object per container
-per sampling period and every trace until eviction; that is O(history) per
-container and O(capacity) traces — the ROADMAP's scaling wall.  This
-package holds the constant-memory replacements:
+Retaining one sample object per container per sampling period and every
+trace until eviction costs O(history) per container and O(capacity)
+traces.  This package holds the constant-memory primitives the telemetry
+collector and tracing coordinator are built from:
 
 * :mod:`repro.telemetry.p2` — the P² incremental quantile estimator
   (Jain & Chlamtac 1985): five markers, O(1) memory, no sample retention;
@@ -22,13 +22,8 @@ package holds the constant-memory replacements:
   leaves (O(1) but unmergeable) for sketches that must fold across
   shards — the backend of the observability registry's histograms;
 * :mod:`repro.telemetry.memory` — honest retained-footprint accounting
-  used by the ``telemetry_fleet`` perf macro and the memory-reduction
+  used by the ``telemetry_fleet`` perf macro and the constant-memory
   regression test.
-
-Consumers select the pipeline through ``telemetry_mode``: ``"sketch"``
-(the default on the experiment path) keeps sketches plus a sharply shrunk
-raw tail, ``"raw"`` restores the historical full-history pipeline
-byte-identically.
 """
 
 from repro.telemetry.digest import TelemetryDigest, merge_telemetry_digests

@@ -8,7 +8,7 @@ a windowed query merges at most ``ceil(window / bucket_s) + 1`` slots.
 Window edges are bucket-aligned: a query for the last ``duration_s``
 seconds covers every bucket overlapping ``[now - duration_s, now]``, which
 over-includes by up to one bucket width — the documented accuracy tradeoff
-of sketch mode (raw mode keeps exact sample-level cutoffs).
+of constant-memory telemetry.
 
 Three aggregates cover every consumer:
 

@@ -6,28 +6,21 @@ as they complete, the telemetry collector reports per-container samples,
 and the Extractor / RL agent query the coordinator for recent traces,
 latency distributions, SLO-violation status, and workload statistics.
 
-Like the telemetry collector, the coordinator runs in one of two modes:
-
-* ``"raw"`` (historical) — every trace is retained up to the FIFO store
-  capacity and windowed statistics are recomputed from the retained traces
-  on every query.
-* ``"sketch"`` — constant-memory: windowed latency quantiles come from
-  per-request-type ring-buffer log-histograms, arrival rates and request
-  composition from ring-buffer counters, and the Extractor's per-instance
-  features (relative importance, congestion intensity) from per-instance
-  windowed co-moments and sojourn histograms, all fed incrementally as
-  traces finish.  The trace store switches to reservoir retention, keeping
-  a deterministic uniform sample of finished traces for structural queries
-  (critical paths) plus a run-level mergeable latency digest for
-  cross-shard aggregation.
+Statistics are constant-memory: windowed latency quantiles come from
+per-request-type ring-buffer log-histograms keyed on completion time,
+arrival rates and request composition from ring-buffer counters keyed on
+arrival time, and the Extractor's per-instance features (relative
+importance, congestion intensity) from per-instance windowed co-moments
+and sojourn histograms, all fed incrementally as traces finish.  The trace
+store keeps a deterministic reservoir sample of finished traces for
+structural queries (critical paths), and a run-level mergeable latency
+digest serves cross-shard aggregation.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from collections import defaultdict
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.telemetry import TelemetryCollector
 from repro.sim.engine import SimulationEngine
@@ -40,16 +33,8 @@ from repro.telemetry.window import (
     WindowedHistogram,
 )
 from repro.tracing.span import Span
-from repro.tracing.store import TraceStore
+from repro.tracing.store import DEFAULT_RESERVOIR_CAPACITY, TraceStore
 from repro.tracing.trace import Trace
-
-#: Traces kept by the reservoir in sketch mode.  Sized so the reservoir
-#: — the one sketch-mode structure whose footprint is per-trace, not
-#: O(1) — stays a small constant multiple of the sketches themselves
-#: while leaving localization windows ~100 traces to extract critical
-#: paths from (an 8 s window at 40 rps offers ~320; a uniform sample
-#: of a 4-window campaign retains ~a third of them).
-DEFAULT_RESERVOIR_CAPACITY = 512
 
 #: Ring geometry for windowed latency / arrival sketches: 0.5 s buckets ×
 #: 256 slots = 128 s of history, covering every windowed query in the tree.
@@ -66,7 +51,7 @@ _INSTANCE_BUCKETS = 32
 
 
 class _InstanceSketch:
-    """Windowed per-instance feature state (sketch mode only)."""
+    """Windowed per-instance feature state."""
 
     __slots__ = ("service", "sojourn", "comoments")
 
@@ -92,68 +77,47 @@ class TracingCoordinator:
         Shared simulation engine (provides the clock for windowed queries).
     telemetry:
         Optional telemetry collector to expose alongside traces.
-    store_capacity:
-        Bound on the number of retained traces (FIFO mode).
     tenant:
         Optional tenant identity.  In a multi-tenant harness each tenant
         gets its own coordinator over the shared engine, so the coordinator
         only ever sees (and tags) its tenant's traces — SLO accounting,
         arrival-rate estimation, and the Extractor's queries are therefore
         per-tenant by construction while telemetry stays shared.
-    telemetry_mode:
-        ``"raw"`` (historical; the default for direct construction) or
-        ``"sketch"`` (constant-memory windowed sketches + reservoir trace
-        retention).  The experiment harness selects this from the spec.
     rng:
         Seeded RNG providing the ``"trace-reservoir"`` substream for
-        deterministic reservoir retention (sketch mode).  Substreams are
-        independent, so drawing from it perturbs no other stream.
+        deterministic reservoir retention (seed 0 when omitted).
+        Substreams are independent, so drawing from it perturbs no other
+        stream.
     reservoir_capacity:
-        Traces kept by the reservoir in sketch mode.
+        Finished traces kept by the reservoir.
     """
 
     def __init__(
         self,
         engine: SimulationEngine,
         telemetry: Optional[TelemetryCollector] = None,
-        store_capacity: int = 50_000,
         tenant: Optional[str] = None,
-        telemetry_mode: str = "raw",
         rng: Optional[SeededRNG] = None,
         reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
     ) -> None:
-        if telemetry_mode not in ("raw", "sketch"):
-            raise ValueError(f"unknown telemetry mode: {telemetry_mode!r}")
         self.engine = engine
         self.telemetry = telemetry
         self.tenant = tenant
-        self.telemetry_mode = telemetry_mode
-        if telemetry_mode == "sketch":
-            cursor = (rng if rng is not None else SeededRNG(0)).cursor("trace-reservoir")
-            self.store = TraceStore(
-                capacity=store_capacity,
-                retention="reservoir",
-                sampler=ReservoirSampler(reservoir_capacity, cursor),
-            )
-            self._latency_sketch: Dict[str, WindowedHistogram] = {}
-            self._latency_all = WindowedHistogram(
-                bucket_s=_LATENCY_BUCKET_S, buckets=_LATENCY_BUCKETS
-            )
-            self._arrival_sketch: Dict[str, WindowedCounter] = {}
-            self._instance_sketch: Dict[str, _InstanceSketch] = {}
-            self._digest: Optional[TelemetryDigest] = TelemetryDigest()
-        else:
-            self.store = TraceStore(capacity=store_capacity)
-            self._digest = None
+        cursor = (rng if rng is not None else SeededRNG(0)).cursor("trace-reservoir")
+        self.store = TraceStore(ReservoirSampler(reservoir_capacity, cursor))
+        self._latency_sketch: Dict[str, WindowedHistogram] = {}
+        self._latency_all = WindowedHistogram(
+            bucket_s=_LATENCY_BUCKET_S, buckets=_LATENCY_BUCKETS
+        )
+        self._arrival_sketch: Dict[str, WindowedCounter] = {}
+        self._instance_sketch: Dict[str, _InstanceSketch] = {}
+        self._digest = TelemetryDigest()
         #: SLO latency per request type (ms); registered by the runtime.
         self.slo_latency_ms: Dict[str, float] = {}
         #: Service names each request type's call plan actually touches
         #: (when registered), letting controllers resolve per-instance SLOs
         #: from the requests routed through the instance's service.
         self.slo_request_services: Dict[str, Tuple[str, ...]] = {}
-        #: Completion timestamps per request type, for arrival-rate estimation
-        #: (raw mode; sketch mode uses ring counters instead).
-        self._arrivals: Deque[Tuple[float, str]] = deque(maxlen=100_000)
         #: Hooks invoked with each trace as it finishes (completes or drops).
         #: Streaming observers (e.g. the harness's SLO accounting) use these
         #: instead of scanning the bounded store after the fact, so traces
@@ -188,15 +152,12 @@ class TracingCoordinator:
         trace = Trace(request_id, request_type, tenant=self.tenant)
         trace.arrival_time = arrival_time
         self.store.add(trace)
-        if self.telemetry_mode == "sketch":
-            counter = self._arrival_sketch.get(request_type)
-            if counter is None:
-                counter = self._arrival_sketch[request_type] = WindowedCounter(
-                    bucket_s=_LATENCY_BUCKET_S, buckets=_LATENCY_BUCKETS
-                )
-            counter.add(arrival_time)
-        else:
-            self._arrivals.append((arrival_time, request_type))
+        counter = self._arrival_sketch.get(request_type)
+        if counter is None:
+            counter = self._arrival_sketch[request_type] = WindowedCounter(
+                bucket_s=_LATENCY_BUCKET_S, buckets=_LATENCY_BUCKETS
+            )
+        counter.add(arrival_time)
         return trace
 
     def record_span(self, trace: Trace, span: Span) -> None:
@@ -206,16 +167,14 @@ class TracingCoordinator:
     def complete_trace(self, trace: Trace, completion_time: float) -> None:
         """Mark the request's response as sent to the client."""
         trace.mark_complete(completion_time)
-        if self.telemetry_mode == "sketch":
-            self._sketch_completion(trace, completion_time)
+        self._sketch_completion(trace, completion_time)
         self.store.note_finished(trace)
         self._fire_completion(trace)
 
     def drop_trace(self, trace: Trace) -> None:
         """Mark the request as dropped."""
         trace.mark_dropped()
-        if self._digest is not None:
-            self._digest.observe_drop()
+        self._digest.observe_drop()
         self.store.note_finished(trace)
         self._fire_completion(trace)
 
@@ -274,10 +233,10 @@ class TracingCoordinator:
     ) -> List[Trace]:
         """Completed traces that arrived in the last ``window_s`` seconds.
 
-        In sketch mode this is the reservoir-retained subset — a uniform
-        sample of the run's finished traces restricted to the window — so
-        structural consumers (critical paths) see representative traces
-        while scalar statistics come from the sketches.
+        This is the reservoir-retained subset — a uniform sample of the
+        run's finished traces restricted to the window — so structural
+        consumers (critical paths) see representative traces while scalar
+        statistics come from the sketches.
         """
         since = self.engine.now - window_s
         return self.store.completed_traces(request_type=request_type, since=since)
@@ -285,57 +244,41 @@ class TracingCoordinator:
     def latency_percentile_ms(
         self, percentile: float, window_s: float, request_type: Optional[str] = None
     ) -> float:
-        """Latency percentile (ms) over the recent window (0 when empty)."""
-        if self.telemetry_mode == "sketch":
-            if request_type is None:
-                histogram = self._latency_all
-            else:
-                histogram = self._latency_sketch.get(request_type)
-                if histogram is None:
-                    return 0.0
-            return histogram.quantile(percentile, self.engine.now, window_s)
-        latencies = [t.end_to_end_latency_ms for t in self.recent_traces(window_s, request_type)]
-        if not latencies:
-            return 0.0
-        return float(np.percentile(latencies, percentile))
+        """Latency percentile (ms) of requests completed in the recent window.
+
+        Returns 0 when the window is empty.
+        """
+        if request_type is None:
+            histogram = self._latency_all
+        else:
+            histogram = self._latency_sketch.get(request_type)
+            if histogram is None:
+                return 0.0
+        return histogram.quantile(percentile, self.engine.now, window_s)
 
     def arrival_rate(self, window_s: float, request_type: Optional[str] = None) -> float:
         """Request arrival rate (requests/second) over the recent window."""
         if window_s <= 0:
             return 0.0
-        if self.telemetry_mode == "sketch":
-            now = self.engine.now
-            if request_type is not None:
-                counter = self._arrival_sketch.get(request_type)
-                count = counter.window_count(now, window_s) if counter is not None else 0
-            else:
-                count = sum(
-                    counter.window_count(now, window_s)
-                    for counter in self._arrival_sketch.values()
-                )
-            return count / window_s
-        since = self.engine.now - window_s
-        count = sum(
-            1
-            for time, rtype in self._arrivals
-            if time >= since and (request_type is None or rtype == request_type)
-        )
+        now = self.engine.now
+        if request_type is not None:
+            counter = self._arrival_sketch.get(request_type)
+            count = counter.window_count(now, window_s) if counter is not None else 0
+        else:
+            count = sum(
+                counter.window_count(now, window_s)
+                for counter in self._arrival_sketch.values()
+            )
         return count / window_s
 
     def request_composition(self, window_s: float) -> Dict[str, float]:
         """Fraction of arrivals per request type over the recent window."""
-        since = self.engine.now - window_s
-        counts: Dict[str, int] = defaultdict(int)
-        if self.telemetry_mode == "sketch":
-            now = self.engine.now
-            for rtype, counter in self._arrival_sketch.items():
-                count = counter.window_count(now, window_s)
-                if count:
-                    counts[rtype] = count
-        else:
-            for time, rtype in self._arrivals:
-                if time >= since:
-                    counts[rtype] += 1
+        now = self.engine.now
+        counts: Dict[str, int] = {}
+        for rtype, counter in self._arrival_sketch.items():
+            count = counter.window_count(now, window_s)
+            if count:
+                counts[rtype] = count
         total = sum(counts.values())
         if total == 0:
             return {}
@@ -390,14 +333,14 @@ class TracingCoordinator:
                 result[span.instance].append(span.sojourn_time_ms)
         return dict(result)
 
-    # -------------------------------------------------------- sketch queries
+    # ------------------------------------------------------ feature queries
     def instance_features(
         self,
         window_s: float,
         instances: Optional[List[str]] = None,
         min_samples: int = 5,
     ):
-        """Per-instance SVM features from the windowed sketches (sketch mode).
+        """Per-instance SVM features from the windowed sketches.
 
         Returns a list of
         :class:`~repro.core.critical_component.InstanceFeatures` — relative
@@ -408,8 +351,6 @@ class TracingCoordinator:
         """
         from repro.core.critical_component import InstanceFeatures
 
-        if self.telemetry_mode != "sketch":
-            raise RuntimeError("instance_features requires sketch telemetry mode")
         now = self.engine.now
         names = instances if instances is not None else sorted(self._instance_sketch)
         features: List[InstanceFeatures] = []
@@ -433,8 +374,8 @@ class TracingCoordinator:
             )
         return features
 
-    def telemetry_digest(self) -> Optional[TelemetryDigest]:
-        """The run-level mergeable latency digest (None in raw mode)."""
+    def telemetry_digest(self) -> TelemetryDigest:
+        """The run-level mergeable latency digest."""
         return self._digest
 
     # ---------------------------------------------------------------- memory
@@ -442,15 +383,11 @@ class TracingCoordinator:
         """Retained trace + sketch footprint of this coordinator."""
         from repro.telemetry.memory import deep_sizeof
 
-        roots: List[object] = [self._arrivals]
-        if self.telemetry_mode == "sketch":
-            roots.extend(
-                (
-                    self._latency_sketch,
-                    self._latency_all,
-                    self._arrival_sketch,
-                    self._instance_sketch,
-                    self._digest,
-                )
-            )
-        return self.store.memory_bytes() + deep_sizeof(tuple(roots))
+        roots = (
+            self._latency_sketch,
+            self._latency_all,
+            self._arrival_sketch,
+            self._instance_sketch,
+            self._digest,
+        )
+        return self.store.memory_bytes() + deep_sizeof(roots)

@@ -4,23 +4,15 @@ The paper stores execution history graphs in Neo4j; here a bounded
 in-memory store indexes traces by request id, request type, and completion
 time so the Extractor can query "recent traces of type X" efficiently.
 
-Retention comes in two flavours:
+In-flight traces are always retained; *finished* traces (completed or
+dropped) pass through a SeededRNG-driven
+:class:`~repro.telemetry.reservoir.ReservoirSampler`, so the store keeps a
+uniform random sample of the whole run's traces in a small fixed budget.
+Windowed aggregates (latency quantiles, drop rates) come from the
+coordinator's sketches; the reservoir exists for structural queries —
+critical paths, execution-graph inspection — that need whole traces.
 
-* ``"fifo"`` (historical) — the oldest traces are evicted once the
-  capacity bound is exceeded.  Eviction is O(1) amortized: the per-type id
-  indexes are deques that accumulate stale ids and are compacted lazily
-  once more than half an index is stale, instead of the old O(n)
-  ``list.remove`` per evicted trace.
-* ``"reservoir"`` — in-flight traces are always retained; *finished*
-  traces (completed or dropped) pass through a SeededRNG-driven
-  :class:`~repro.telemetry.reservoir.ReservoirSampler`, so the store keeps
-  a uniform random sample of the whole run's traces in a small fixed
-  budget.  This is the sketch-mode trace pipeline: windowed aggregates
-  (latency quantiles, drop rates) come from the coordinator's sketches,
-  and the reservoir exists for structural queries — critical paths,
-  execution-graph inspection — that need whole traces.
-
-Dropped-request accounting is incremental in both modes: a sorted index of
+Dropped-request accounting is incremental: a sorted index of
 dropped-trace arrival times answers ``dropped_count(since)`` by bisection
 instead of scanning every stored trace per call.
 """
@@ -28,52 +20,46 @@ instead of scanning every stored trace per call.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import OrderedDict, defaultdict
-from typing import Deque, Dict, List, Optional, Set
+from collections import defaultdict
+from typing import Dict, List, Optional, Set
 
-from collections import deque
-
+from repro.sim.rng import SeededRNG
 from repro.telemetry.reservoir import ReservoirSampler
 from repro.tracing.trace import Trace
+
+#: Finished traces kept by the reservoir.  Sized so the reservoir — the
+#: one telemetry structure whose footprint is per-trace, not O(1) — stays
+#: a small constant multiple of the sketches themselves while leaving
+#: localization windows ~100 traces to extract critical paths from (an
+#: 8 s window at 40 rps offers ~320; a uniform sample of a 4-window
+#: campaign retains ~a third of them).
+DEFAULT_RESERVOIR_CAPACITY = 512
 
 #: Stale ids tolerated in a per-type index before it is worth compacting.
 _COMPACT_MIN_STALE = 32
 
 
 class TraceStore:
-    """Bounded, time-indexed store of completed and in-flight traces.
+    """Time-indexed store of in-flight traces plus a reservoir of finished ones.
 
     Parameters
     ----------
-    capacity:
-        Maximum number of traces retained in fifo mode; the oldest traces
-        are evicted first when the bound is exceeded.  Ignored in
-        reservoir mode, where the reservoir capacity (plus in-flight
-        traces) is the bound.
-    retention:
-        ``"fifo"`` (historical) or ``"reservoir"`` (uniform sample of
-        finished traces; requires ``sampler``).
     sampler:
         The reservoir deciding which finished traces are retained.  Its
         randomness must come from a named SeededRNG substream so retention
-        is deterministic per seed.
+        is deterministic per seed; the default keeps
+        :data:`DEFAULT_RESERVOIR_CAPACITY` traces drawn from seed 0's
+        ``"trace-reservoir"`` substream.
     """
 
-    def __init__(
-        self,
-        capacity: int = 50_000,
-        retention: str = "fifo",
-        sampler: Optional[ReservoirSampler] = None,
-    ) -> None:
-        if retention not in ("fifo", "reservoir"):
-            raise ValueError(f"unknown retention policy: {retention!r}")
-        if retention == "reservoir" and sampler is None:
-            raise ValueError("reservoir retention requires a sampler")
-        self.capacity = int(capacity)
-        self.retention = retention
+    def __init__(self, sampler: Optional[ReservoirSampler] = None) -> None:
+        if sampler is None:
+            sampler = ReservoirSampler(
+                DEFAULT_RESERVOIR_CAPACITY, SeededRNG(0).cursor("trace-reservoir")
+            )
         self.sampler = sampler
-        self._traces: "OrderedDict[str, Trace]" = OrderedDict()
-        self._by_type: Dict[str, Deque[str]] = defaultdict(deque)
+        self._traces: Dict[str, Trace] = {}
+        self._by_type: Dict[str, List[str]] = defaultdict(list)
         self._stale_by_type: Dict[str, int] = defaultdict(int)
         #: Request ids of stored traces known to be dropped, plus their
         #: arrival times sorted for bisected windowed counts.
@@ -89,21 +75,16 @@ class TraceStore:
         self._by_type[trace.request_type].append(trace.request_id)
         if trace.dropped:
             self._record_drop(trace)
-        if self.retention == "fifo":
-            self._evict_if_needed()
 
     def note_finished(self, trace: Trace) -> None:
         """Tell the store a trace finished (completed or dropped).
 
         The coordinator calls this exactly once per trace.  It keeps the
-        dropped-count index current and, in reservoir mode, offers the
-        finished trace to the sampler — discarding whichever trace the
-        reservoir no longer holds.
+        dropped-count index current and offers the finished trace to the
+        sampler — discarding whichever trace the reservoir no longer holds.
         """
         if trace.dropped:
             self._record_drop(trace)
-        if self.retention != "reservoir":
-            return
         displaced = self.sampler.offer(trace.request_id)
         if displaced is not None:
             self._discard(displaced)
@@ -136,27 +117,12 @@ class TraceStore:
         ids = self._by_type[request_type]
         if stale >= _COMPACT_MIN_STALE and stale * 2 > len(ids):
             live = self._traces
-            self._by_type[request_type] = deque(
-                rid for rid in ids if rid in live
-            )
+            self._by_type[request_type] = [rid for rid in ids if rid in live]
             self._stale_by_type[request_type] = 0
-
-    def _evict_if_needed(self) -> None:
-        while len(self._traces) > self.capacity:
-            request_id, trace = self._traces.popitem(last=False)
-            self._forget_drop(trace)
-            # FIFO eviction follows insertion order, so the evicted id sits
-            # at the head of its type index and pops in O(1); the stale
-            # counter is only a fallback for mixed retention histories.
-            ids = self._by_type[trace.request_type]
-            if ids and ids[0] == request_id:
-                ids.popleft()
-            else:
-                self._mark_stale(trace.request_type)
 
     # ---------------------------------------------------------------- queries
     def get(self, request_id: str) -> Optional[Trace]:
-        """Fetch a trace by request id (None when absent or evicted)."""
+        """Fetch a trace by request id (None when absent or discarded)."""
         return self._traces.get(request_id)
 
     def __len__(self) -> int:

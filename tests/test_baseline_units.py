@@ -88,7 +88,8 @@ class TestAIMDConfig:
     def test_additive_increase_on_violation(self, wiring):
         cluster, coordinator, orchestrator, engine = wiring
         trace = coordinator.begin_trace("r1", "main", arrival_time=engine.now)
-        coordinator.complete_trace(trace, engine.now + 10.0)  # gross violation
+        engine.run_until(engine.now + 10.0)
+        coordinator.complete_trace(trace, engine.now)  # gross violation
         engine.run_until(engine.now + 1.0)
         aimd = AIMDController(cluster, coordinator, orchestrator, engine)
         before = cluster.all_containers()[0].limits[Resource.CPU]

@@ -121,7 +121,7 @@ class TestStageOrder:
 class TestMemoization:
     def test_enabled_manager_computes_once_per_instant(self):
         engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=True)
+        manager = ControllerManager(engine)
         runtime = _runtime(manager)
         coordinator = runtime.binding.coordinator
         first = runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
@@ -132,7 +132,7 @@ class TestMemoization:
 
     def test_distinct_params_are_distinct_entries(self):
         engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=True)
+        manager = ControllerManager(engine)
         runtime = _runtime(manager)
         runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
         runtime.pull("slo_verdict", window_s=4.0, percentile=99.0)
@@ -141,7 +141,7 @@ class TestMemoization:
 
     def test_distinct_tenants_are_distinct_entries(self):
         engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=True)
+        manager = ControllerManager(engine)
         first = _runtime(manager, key="a")
         second = _runtime(manager, key="b")
         first.pull("slo_verdict", window_s=2.0, percentile=99.0)
@@ -152,7 +152,7 @@ class TestMemoization:
 
     def test_cache_expires_when_clock_advances(self):
         engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=True)
+        manager = ControllerManager(engine)
         runtime = _runtime(manager)
         runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
         engine.now = 1.0
@@ -160,22 +160,12 @@ class TestMemoization:
         assert runtime.binding.coordinator.calls == 2
         assert manager.stats == {"computed": 2, "hits": 0}
 
-    def test_disabled_manager_recomputes_every_pull(self):
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=False)
-        runtime = _runtime(manager)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        assert runtime.binding.coordinator.calls == 2
-        assert manager.stats == {"computed": 0, "hits": 0}
-        assert not manager.cache.entries
-
     def test_scale_event_invalidates_within_instant(self):
         listeners = []
         cluster = SimpleNamespace(add_scale_listener=listeners.append)
         engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=True, cluster=cluster)
-        assert listeners, "enabled manager must register a scale listener"
+        manager = ControllerManager(engine, cluster=cluster)
+        assert listeners, "the manager must register a scale listener"
         runtime = _runtime(manager)
         runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
         listeners[0]("someService", None, True)
@@ -184,19 +174,11 @@ class TestMemoization:
         assert manager.cache.invalidations == 1
         assert manager.cluster_cache.invalidations == 1
 
-    def test_disabled_manager_registers_no_listener(self):
-        listeners = []
-        cluster = SimpleNamespace(add_scale_listener=listeners.append)
-        ControllerManager(SimpleNamespace(now=0.0), enabled=False, cluster=cluster)
-        assert not listeners
-
     def test_cluster_scope_shared_across_tenants(self):
         engine = SimpleNamespace(now=0.0)
         view = CountingView()
-        manager_a = ControllerManager(engine, enabled=True)
-        manager_b = ControllerManager(
-            engine, enabled=True, cluster_cache=manager_a.cluster_cache
-        )
+        manager_a = ControllerManager(engine)
+        manager_b = ControllerManager(engine, cluster_cache=manager_a.cluster_cache)
         runtime_a = _runtime(manager_a, view=view, key="a")
         runtime_b = _runtime(manager_b, view=view, key="b")
         assert runtime_a.pull("service_cpu_utilization", service="svc") is None

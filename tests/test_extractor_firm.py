@@ -8,6 +8,7 @@ from repro.anomaly.campaigns import AnomalyCampaign
 from repro.baselines.aimd import AIMDController
 from repro.baselines.kubernetes_hpa import KubernetesAutoscaler
 from repro.cluster.resources import Resource
+from repro.core.extractor import Extractor
 from repro.core.firm import FIRMConfig
 from repro.experiments.harness import ExperimentHarness
 
@@ -43,25 +44,25 @@ class TestExtractor:
 
     def test_detects_violation_under_anomaly(self):
         harness = _harness_with_anomaly(controller=None)
-        firm_like = harness.attach_firm(FIRMConfig(train_online=False))
-        firm_like.stop()  # detection only; no mitigation
+        extractor = Extractor(harness.coordinator)  # detection only; no mitigation
         harness.run(duration_s=40.0)
-        assert firm_like.extractor.detect()
+        assert harness.orchestrator.history == []
+        assert extractor.detect()
 
     def test_analyse_returns_critical_paths(self):
         harness = _harness_with_anomaly(controller=None)
-        firm = harness.attach_firm(FIRMConfig(train_online=False))
-        firm.stop()
+        extractor = Extractor(harness.coordinator)
         harness.run(duration_s=40.0)
-        result = firm.extractor.analyse(force=True)
+        assert harness.orchestrator.history == []
+        result = extractor.analyse(force=True)
         assert len(result.critical_paths) > 0
 
     def test_localizes_culprit_service(self):
         harness = _harness_with_anomaly(controller=None, intensity=0.95)
-        firm = harness.attach_firm(FIRMConfig(train_online=False))
-        firm.stop()
+        extractor = Extractor(harness.coordinator)
         harness.run(duration_s=40.0)
-        result = firm.extractor.analyse(force=True)
+        assert harness.orchestrator.history == []
+        result = extractor.analyse(force=True)
         # The anomaly targets the post-storage memcached's node; the flagged
         # services should include a service hosted there (often the target
         # itself or a co-located memory-sensitive service).

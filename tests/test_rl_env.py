@@ -125,7 +125,8 @@ class TestReward:
         env, coordinator, _, engine = environment
         healthy = env.reward()
         trace = coordinator.begin_trace("r1", "main", arrival_time=engine.now)
-        coordinator.complete_trace(trace, engine.now + 10.0)
+        engine.run_until(engine.now + 10.0)
+        coordinator.complete_trace(trace, engine.now)
         engine.run_until(engine.now + 1.0)
         violating = env.reward()
         assert violating < healthy

@@ -155,6 +155,27 @@ class TestScenarioSpec:
         assert harness.workload is not None
         assert harness.spec is spec
 
+    def test_build_matches_from_spec(self):
+        """``build`` and ``from_spec`` wire the same pipeline for one app and seed."""
+        from test_shard_determinism import _fingerprint
+
+        spec = ScenarioSpec(
+            application="hotel_reservation",
+            seed=3,
+            duration_s=8.0,
+            load_rps=20.0,
+            controller="aimd",
+        )
+        built = ExperimentHarness.build(spec.application, spec.seed)
+        built.attach_workload(load_rps=spec.load_rps)
+        built.attach_controller(spec.controller)
+        from_spec = ExperimentHarness.from_spec(spec)
+        results = [harness.run(duration_s=spec.duration_s) for harness in (built, from_spec)]
+        assert _fingerprint(results[0]) == _fingerprint(results[1])
+        digests = [result.telemetry_digest for result in results]
+        assert digests[0] is not None
+        assert digests[0].as_dict() == digests[1].as_dict()
+
     def test_with_overrides(self):
         spec = ScenarioSpec(seed=1, controller="firm")
         other = spec.with_overrides(seed=2)
@@ -168,40 +189,15 @@ class TestScenarioSpec:
 
 
 class TestStreamingSLOAccounting:
-    def test_evicted_traces_still_counted(self):
-        """Traces evicted from the bounded store must stay in SLO accounting.
-
-        FIFO capacity eviction is raw-mode retention semantics; sketch
-        mode bounds the store with a reservoir instead (covered below).
-        """
-        harness = ExperimentHarness.from_spec(
-            ScenarioSpec(
-                application="hotel_reservation",
-                seed=1,
-                load_rps=25.0,
-                telemetry_mode="raw",
-            )
-        )
-        harness.coordinator.store.capacity = 20
-        result = harness.run(duration_s=15.0)
-        assert len(harness.coordinator.store) <= 20
-        assert result.slo.completed > 20
-
     def test_reservoir_discarded_traces_still_counted(self):
-        """Sketch mode: the reservoir bounds retention, not SLO accounting."""
-        from repro.tracing.coordinator import DEFAULT_RESERVOIR_CAPACITY
+        """The reservoir bounds trace retention, not SLO accounting."""
+        from repro.tracing.store import DEFAULT_RESERVOIR_CAPACITY
 
         harness = ExperimentHarness.from_spec(
-            ScenarioSpec(
-                application="hotel_reservation",
-                seed=1,
-                load_rps=25.0,
-                telemetry_mode="sketch",
-            )
+            ScenarioSpec(application="hotel_reservation", seed=1, load_rps=25.0)
         )
         result = harness.run(duration_s=15.0)
         store = harness.coordinator.store
-        assert store.retention == "reservoir"
         # Retained = reservoir residents plus still-in-flight traces.
         assert len(store) <= DEFAULT_RESERVOIR_CAPACITY + 64
         # Accounting saw every completion, not just the retained sample.

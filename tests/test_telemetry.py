@@ -11,7 +11,7 @@ from repro.cluster.telemetry import TelemetryCollector
 @pytest.fixture
 def telemetry_setup(cluster, engine, cpu_profile):
     instances = cluster.deploy_service(cpu_profile, replicas=2)
-    collector = TelemetryCollector(cluster, engine, period_s=1.0, history=10)
+    collector = TelemetryCollector(cluster, engine, period_s=1.0)
     return collector, instances, engine
 
 

@@ -137,14 +137,6 @@ class TestTraceStore:
         store.add(trace)
         assert len(store) == 1
 
-    def test_eviction_over_capacity(self):
-        store = TraceStore(capacity=3)
-        for index in range(5):
-            store.add(Trace(f"r{index}", "main"))
-        assert len(store) == 3
-        assert store.get("r0") is None
-        assert store.get("r4") is not None
-
     def test_completed_traces_filters_incomplete(self):
         store = TraceStore()
         complete = Trace("r1", "main")
