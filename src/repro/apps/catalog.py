@@ -460,8 +460,22 @@ APPLICATIONS: Dict[str, Callable[[], ServiceGraph]] = {
 }
 
 
+class UnknownApplicationError(KeyError, ValueError):
+    """An application name missing from :data:`APPLICATIONS`.
+
+    A ``KeyError`` for registry lookups and a ``ValueError`` like the
+    other unknown-name errors (controllers, scopes, routing policies), so
+    the CLI reports it as one clean line.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 def build_application(name: str) -> ServiceGraph:
     """Build one of the four benchmark applications by name."""
     if name not in APPLICATIONS:
-        raise KeyError(f"unknown application {name!r}; choose from {sorted(APPLICATIONS)}")
+        raise UnknownApplicationError(
+            f"unknown application {name!r}; choose from {sorted(APPLICATIONS)}"
+        )
     return APPLICATIONS[name]()

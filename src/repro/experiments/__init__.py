@@ -3,9 +3,11 @@
 Each module regenerates one table or figure from the evaluation; the
 per-experiment index in ``DESIGN.md`` maps paper artefacts to modules and
 benchmark targets.  Scenarios are described by
-:class:`~repro.experiments.scenario.ScenarioSpec` and grids of them run —
-serially or across worker processes — through
-:mod:`repro.experiments.sweep`.
+:class:`~repro.experiments.scenario.ScenarioSpec`; the named spec builders
+live in :data:`~repro.experiments.sweep.PRESETS`, and grids of specs run —
+serially or across worker processes, scored — through
+:func:`~repro.experiments.sweep.expand_grid` and
+:func:`~repro.experiments.sweep.run_sweep`.
 """
 
 from repro.experiments.harness import (
@@ -14,26 +16,19 @@ from repro.experiments.harness import (
     TenantResult,
     TenantRuntime,
 )
-from repro.experiments.resilience import (
-    ResilienceCase,
-    ResilienceOutcome,
-    resilience_sweep_grid,
-    run_resilience,
-    run_resilience_sweep,
-)
 from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
+from repro.experiments.sweep import PRESETS, SweepOutcome, expand_grid, run_sweep
 
 __all__ = [
     "ExperimentHarness",
     "ExperimentResult",
-    "ResilienceCase",
-    "ResilienceOutcome",
+    "PRESETS",
+    "SweepOutcome",
     "TenantResult",
     "TenantRuntime",
     "ScenarioSpec",
     "TenantSpec",
+    "expand_grid",
     "run_scenario",
-    "resilience_sweep_grid",
-    "run_resilience",
-    "run_resilience_sweep",
+    "run_sweep",
 ]

@@ -141,7 +141,7 @@ def noisy_neighbor_ramp(
 
 
 def identical_tenants(
-    count: int,
+    count: int = 2,
     application: str = "hotel_reservation",
     load_rps: float = 25.0,
     controller: str = "none",
@@ -185,13 +185,6 @@ def identical_tenants(
             for index in range(count)
         ],
     )
-
-
-PRESETS = {
-    "aggressor_victim": aggressor_victim,
-    "noisy_neighbor_ramp": noisy_neighbor_ramp,
-    "identical_tenants": identical_tenants,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +250,17 @@ def run_interference(
     Runs the co-located scenario, then re-runs each tenant *alone* on an
     identically sized cluster with the same seed, and reports per-tenant
     degradation.  Either pass a multi-tenant ``spec`` directly or name a
-    preset (see :data:`PRESETS`) plus its keyword arguments.
+    preset (see :data:`repro.experiments.sweep.PRESETS`) plus its keyword
+    arguments.
     """
     if spec is None:
-        try:
-            builder = PRESETS[preset]
-        except KeyError:
+        from repro.experiments.sweep import PRESETS, check_kwargs
+
+        builder = PRESETS.get(preset)
+        if builder is None:
             known = ", ".join(sorted(PRESETS))
-            raise ValueError(f"unknown interference preset {preset!r}; known: {known}")
+            raise ValueError(f"unknown preset {preset!r}; known: {known}")
+        check_kwargs(builder, preset_kwargs, preset)
         spec = builder(**preset_kwargs)
     if not spec.tenants:
         raise ValueError("run_interference needs a multi-tenant scenario spec")

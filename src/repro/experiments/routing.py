@@ -12,7 +12,10 @@ Join-the-Idle-Queue work in PAPERS.md):
 * :func:`routing_interference_spec` — the ``aggressor_victim``
   noisy-neighbour preset with every tenant routed by the policy under
   test, so the victim's tail directly reflects routing quality under
-  cross-tenant contention.
+  cross-tenant contention;
+* :func:`routed_tenants` — the consolidation shape (N identical
+  replicated tenants under per-tenant anomalies) routed by one policy,
+  the cell of policy x controller x tenant-count sweeps.
 
 :func:`run_routing` runs one of those scenario shapes once per policy —
 identical seed, workload, campaign, and controller, so the routing policy
@@ -27,7 +30,7 @@ from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.apps.catalog import build_application
-from repro.experiments.interference import aggressor_victim
+from repro.experiments.interference import aggressor_victim, identical_tenants
 from repro.experiments.scenario import (
     ScenarioSpec,
     random_campaign_builder,
@@ -67,7 +70,7 @@ def replicated_services(application: str, replicas: int) -> Dict[str, int]:
 
 
 def routing_anomaly_spec(
-    policy: str,
+    policy: str = "least_in_flight",
     application: str = "hotel_reservation",
     controller: str = "none",
     load_rps: float = 40.0,
@@ -105,7 +108,7 @@ def routing_anomaly_spec(
 
 
 def routing_interference_spec(
-    policy: str,
+    policy: str = "least_in_flight",
     victim_application: str = "hotel_reservation",
     aggressor_application: str = "social_network",
     victim_load_rps: float = 30.0,
@@ -146,6 +149,53 @@ def routing_interference_spec(
     return spec.with_overrides(
         routing=resolve_policy_name(policy), tenants=[victim, spec.tenants[1]]
     )
+
+
+def routed_tenants(
+    policy: str = "least_in_flight",
+    controller: str = "none",
+    count: int = 1,
+    application: str = "hotel_reservation",
+    seed: int = 0,
+    load_rps: float = 25.0,
+    duration_s: float = 30.0,
+    cluster_nodes: Optional[Tuple[int, int]] = (3, 0),
+    placement: Optional[str] = None,
+    anomaly_rate_per_s: float = 0.25,
+    replicas_per_service: int = 3,
+) -> ScenarioSpec:
+    """``count`` identical tenants, every one routed by ``policy``.
+
+    The :func:`~repro.experiments.interference.identical_tenants`
+    consolidation shape with the spec-level ``routing`` field set.  By
+    default every tenant's services are replicated
+    (``replicas_per_service``) over a small multi-node cluster and hit by
+    per-tenant resource anomalies, so replicas of one service run at
+    different speeds and the routing policy has real choices to make —
+    the regime where policies separate.  Routing draws come from
+    dedicated RNG substreams, so cells of different policies still share
+    identical arrivals, service times, and campaigns.
+    """
+    canonical = resolve_policy_name(policy)
+    spec = identical_tenants(
+        int(count),
+        application=application,
+        load_rps=load_rps,
+        controller=controller,
+        duration_s=duration_s,
+        seed=int(seed),
+        cluster_nodes=cluster_nodes,
+        placement=placement,
+        anomaly_rate_per_s=anomaly_rate_per_s,
+    )
+    if replicas_per_service > 1:
+        replicas = replicated_services(application, replicas_per_service)
+        spec = spec.with_overrides(
+            tenants=[
+                tenant.with_overrides(replicas=dict(replicas)) for tenant in spec.tenants
+            ]
+        )
+    return spec.with_overrides(routing=canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +258,15 @@ def run_routing(
     campaign, all drawn from substreams untouched by routing draws — so
     differences in the reported numbers are attributable to routing alone.
     """
+    from repro.experiments.sweep import PRESETS, check_kwargs
+
     if preset not in ROUTING_PRESETS:
         known = ", ".join(ROUTING_PRESETS)
         raise ValueError(f"unknown routing preset {preset!r}; known: {known}")
-    builders = {
-        "anomaly": routing_anomaly_spec,
-        "interference": routing_interference_spec,
-    }
-    builder = builders[preset]
+    builder = PRESETS[f"routing_{preset}"]
     if duration_s is not None:
         preset_kwargs["duration_s"] = duration_s
+    check_kwargs(builder, preset_kwargs, f"routing_{preset}")
 
     # Resolve (and dedupe — aliases collapse to one canonical name) every
     # policy up front, so a typo fails before any scenario is simulated.

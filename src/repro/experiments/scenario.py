@@ -215,6 +215,13 @@ class ScenarioSpec:
         instrumentation site records anything, so every pinned
         determinism family stays byte-identical.  Excluded from
         ``scenario_id``.
+    score_window_s:
+        When set, the sweep worker (:func:`repro.experiments.sweep.run_sweep`)
+        scores the run's localization every ``score_window_s`` simulated
+        seconds against the injector's ground truth of the tenant that
+        carries the campaign (see
+        :class:`~repro.experiments.resilience.LocalizationScorer`).
+        Scoring only observes the run.  Excluded from ``scenario_id``.
     """
 
     application: str = "social_network"
@@ -239,6 +246,7 @@ class ScenarioSpec:
     admission: Optional[Any] = None
     replicas: Optional[Dict[str, int]] = None
     observability: bool = False
+    score_window_s: Optional[float] = None
 
     @property
     def is_multi_tenant(self) -> bool:

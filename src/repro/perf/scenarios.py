@@ -130,17 +130,19 @@ def _multitenant_aggressor_victim(duration_s: float) -> List[ScenarioSpec]:
 
 
 def _routing_ewma_sweep(duration_s: float) -> List[ScenarioSpec]:
-    from repro.experiments.sweep import routing_sweep_grid
+    from repro.experiments.routing import routed_tenants
 
-    return routing_sweep_grid(
-        policies=["ewma_latency"],
-        controllers=["none"],
-        tenant_counts=[1],
-        application="social_network",
-        seeds=[0],
-        load_rps=40.0,
-        duration_s=duration_s,
-    )
+    return [
+        routed_tenants(
+            policy="ewma_latency",
+            controller="none",
+            count=1,
+            application="social_network",
+            seed=0,
+            load_rps=40.0,
+            duration_s=duration_s,
+        )
+    ]
 
 
 def _telemetry_fleet(duration_s: float) -> List[ScenarioSpec]:
@@ -199,15 +201,60 @@ def _controller_stack(duration_s: float) -> List[ScenarioSpec]:
 
 
 def _resilience_campaign(duration_s: float) -> List[ScenarioSpec]:
-    from repro.experiments.resilience import campaign_macro_spec
+    # Dense random service-wide anomalies (~1 arrival/s) over a replicated
+    # social network: every injection resolves, pressures, and later
+    # releases multiple nodes, and scale events trigger target
+    # re-resolution — the anomaly subsystem's hot paths, timed end to end.
+    from functools import partial
 
-    return [campaign_macro_spec(duration_s, seed=0)]
+    from repro.experiments.routing import replicated_services
+    from repro.experiments.scenario import random_campaign_builder
+
+    return [
+        ScenarioSpec(
+            application="social_network",
+            seed=0,
+            duration_s=duration_s,
+            load_rps=40.0,
+            controller="none",
+            replicas=replicated_services("social_network", 2),
+            campaign_builder=partial(
+                random_campaign_builder,
+                duration_s=duration_s,
+                rate_per_s=1.0,
+                resource_only=True,
+                scope="service_wide",
+                # Arrivals must start inside even the 5 s quick-mode
+                # window, or the CI perf gate would time an anomaly-free
+                # scenario.
+                start_s=0.5,
+            ),
+        )
+    ]
 
 
 def _dispatch_admission(duration_s: float) -> List[ScenarioSpec]:
-    from repro.experiments.metastable import metastable_macro_spec
+    # A replicated social network behind three stale-JIQ dispatchers with
+    # the full survival kit attached and a transient anomaly early in the
+    # run: every request crosses the dispatcher views and the admission
+    # gate, failures exercise the retry/hedge paths, and the breaker and
+    # token-bucket bookkeeping run hot.
+    from repro.experiments.metastable import metastable
 
-    return [metastable_macro_spec(duration_s, seed=0)]
+    return [
+        metastable(
+            seed=0,
+            duration_s=duration_s,
+            admission="survival_kit",
+            dispatchers=3,
+            dispatch_variant="jiq",
+            # Arrivals must hit the anomaly inside even the 5 s quick-mode
+            # window, or the CI perf gate would time an anomaly-free run.
+            anomaly_start_s=0.5,
+            anomaly_duration_s=min(5.0, duration_s / 3.0),
+            score_window_s=None,
+        )
+    ]
 
 
 MACRO_BENCHMARKS: Dict[str, MacroBenchmark] = {

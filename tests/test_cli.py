@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import EXPERIMENTS, _to_jsonable, build_parser, main
+from repro.experiments.sweep import PRESETS
 
 
 class TestParser:
@@ -27,23 +29,35 @@ class TestParser:
             parser.parse_args([])
 
     def test_run_defaults(self):
-        # Omitted flags parse to None; main() resolves them to the
-        # historical defaults (90 s / 50 rps / social_network) for classic
-        # experiments so the interference presets can keep their own.
+        # Omitted options parse to "no overrides": the experiment or preset
+        # runs with its own defaults.
         parser = build_parser()
         args = parser.parse_args(["run", "table6"])
-        assert args.experiment == "table6"
-        assert args.duration is None
-        assert args.load is None
-        assert args.application is None
+        assert args.name == "table6"
+        assert args.set is None
+        assert args.shards == 1
+        assert args.workers is None
+
+    @pytest.mark.parametrize(
+        "verb, options",
+        [
+            ("run", {"--set", "--shards", "--shard-mode", "--workers", "--obs-dir", "--out"}),
+            ("sweep", {"--grid", "--set", "--workers", "--out"}),
+        ],
+    )
+    def test_run_and_sweep_take_only_generic_options(self, verb, options, capsys):
+        with pytest.raises(SystemExit):
+            main([verb, "-h"])
+        listed = set(re.findall(r"(--[a-z][a-z-]*)", capsys.readouterr().out))
+        assert listed - {"--help"} == options
 
 
 class TestExecution:
     def test_run_table6_prints_json(self, capsys):
-        assert main(["run", "table6"]) == 0
+        assert main(["run", "table6", "--set", "samples=200"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert isinstance(payload, list)
-        assert any(row["operation"] == "partition_cpu" for row in payload)
+        assert payload["partition_cpu"]["operation"] == "partition_cpu"
+        assert payload["partition_cpu"]["samples"] == 200
 
     def test_run_table6_writes_file(self, tmp_path, capsys):
         out = tmp_path / "table6.json"
@@ -52,16 +66,20 @@ class TestExecution:
         assert len(payload) == 7
 
     def test_all_experiments_registered(self):
-        expected = {"fig1", "fig3", "fig4", "fig5", "fig9", "fig10", "fig11", "composed", "interference", "metastable", "resilience", "routing", "sharded", "table1", "table6", "summary"}
+        expected = {
+            "fig1", "fig3", "fig4", "fig5", "fig9", "fig10", "fig11", "composed",
+            "interference", "metastable_campaign", "routing", "table1", "table6", "summary",
+        }
         assert set(EXPERIMENTS) == expected
+        assert not set(EXPERIMENTS) & set(PRESETS)
 
-    def test_run_resilience_reports_localization_and_mitigation(self, capsys):
+    def test_resilience_preset_reports_localization_and_mitigation(self, capsys):
         assert main([
-            "run", "resilience", "--preset", "multi_anomaly",
-            "--duration", "14", "--load", "15", "--application", "hotel_reservation",
+            "run", "resilience", "--set", "duration_s=14", "--set", "load_rps=15",
+            "--set", "application=hotel_reservation",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["campaign"] == "multi_anomaly"
+        assert payload["application"] == "hotel_reservation"
         assert 0.0 <= payload["precision"] <= 1.0
         assert 0.0 <= payload["recall"] <= 1.0
         assert payload["windows_scored"] > 0
@@ -70,9 +88,9 @@ class TestExecution:
 
     def test_sweep_campaigns_runs_resilience_grid(self, capsys):
         assert main([
-            "sweep", "--campaigns", "random", "--controllers", "none",
-            "--application", "hotel_reservation", "--seeds", "0",
-            "--loads", "12", "--duration", "12",
+            "sweep", "resilience", "--grid", "campaign=random", "--grid", "controller=none",
+            "--set", "application=hotel_reservation", "--set", "load_rps=12",
+            "--set", "duration_s=12",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 1
@@ -82,11 +100,39 @@ class TestExecution:
         assert "precision" in row and "recall" in row
 
 
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "scenario", "--set", "bogus=1"], "accepted: application"),
+            (["run", "fig1", "--set", "bogus=1"], "accepted: duration_s"),
+            (["sweep", "scenario", "--grid", "bogus=1,2"], "accepted: application"),
+            (["sweep", "resilience", "--set", "window_s=4"], "accepted: application"),
+            (["run", "scenario", "--set", "seed"], "expected KEY=VALUE"),
+            (["run", "scenario", "--set", "controller=warp"], "unknown controller"),
+            (["run", "resilience", "--set", "scope=galaxy"], "galaxy"),
+            (["run", "routed_tenants", "--set", "policy=bogus"], "unknown routing policy"),
+            (
+                ["run", "metastable", "--set", "admission=survival_kit", "--set", "application=nope"],
+                "unknown application 'nope'",
+            ),
+            (["run", "table6", "--shards", "2"], "apply to presets only"),
+            (["run", "scenario", "--workers", "2"], "--workers applies to experiments"),
+        ],
+    )
+    def test_user_errors_exit_2_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert err.count("\n") == 1
+
+
 class TestObservabilityCli:
     def test_sharded_payload_pins_sync_stats(self, capsys):
         assert main([
-            "run", "sharded", "--preset", "aggressor_victim",
-            "--duration", "5", "--shards", "2", "--shard-mode", "inprocess",
+            "run", "aggressor_victim", "--set", "duration_s=5",
+            "--shards", "2", "--shard-mode", "inprocess",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["shards"] == 2
@@ -99,8 +145,8 @@ class TestObservabilityCli:
     def test_obs_run_record_and_inspect(self, tmp_path, capsys):
         record_dir = tmp_path / "record"
         assert main([
-            "run", "sharded", "--preset", "aggressor_victim",
-            "--duration", "5", "--shards", "2", "--shard-mode", "inprocess",
+            "run", "aggressor_victim", "--set", "duration_s=5",
+            "--shards", "2", "--shard-mode", "inprocess",
             "--obs-dir", str(record_dir),
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -115,9 +161,9 @@ class TestObservabilityCli:
         assert "causal timeline" in report or "no anomaly injections" in report
 
     def test_unknown_preset_exits_cleanly(self, capsys):
-        assert main(["run", "sharded", "--preset", "nope"]) == 2
+        assert main(["run", "interference", "--set", "preset=nope"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown interference preset")
+        assert err.startswith("error: unknown preset 'nope'")
 
     def test_inspect_missing_record_exits_cleanly(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "missing")]) == 2

@@ -10,135 +10,138 @@ import pytest
 from repro.cli import main
 from repro.experiments.metastable import (
     METASTABLE_CAMPAIGNS,
-    MetastableCase,
-    build_metastable_campaign,
-    metastable_campaign_cases,
-    metastable_macro_spec,
-    metastable_scenario_spec,
-    metastable_sweep_grid,
+    QUICK,
+    metastable,
+    metastable_campaign_grid,
     run_metastable_campaign,
-    run_metastable_case,
-    run_metastable_sweep,
+)
+from repro.experiments.scenario import _admission_name
+from repro.experiments.sweep import expand_grid, run_sweep
+from repro.perf.scenarios import MACRO_BENCHMARKS
+
+#: A tiny cell: 6 simulated seconds, the trigger at 1 s for 2 s.
+QUICK_CELL = dict(
+    seed=3,
+    duration_s=6.0,
+    load_rps=40.0,
+    anomaly_start_s=1.0,
+    anomaly_duration_s=2.0,
+    score_window_s=2.0,
 )
 
 
-def _quick_case(**overrides) -> MetastableCase:
-    base = dict(
-        seed=3,
-        duration_s=6.0,
-        load_rps=40.0,
-        anomaly_start_s=1.0,
-        anomaly_duration_s=2.0,
-        window_s=2.0,
-    )
-    base.update(overrides)
-    return MetastableCase(**base)
+def _quick_cell(**overrides):
+    return metastable(**{**QUICK_CELL, **overrides})
+
+
+def _campaign_specs(campaign, quick=False, **fixed):
+    return expand_grid(metastable, metastable_campaign_grid(campaign, quick=quick), **fixed)
 
 
 # ---------------------------------------------------------------------------
-# Case data and spec expansion
+# Cell construction
 # ---------------------------------------------------------------------------
 
 class TestCase:
     def test_unknown_admission_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown admission preset"):
-            MetastableCase(admission="nope")
+            metastable(admission="nope")
 
     def test_nonpositive_anomaly_duration_rejected(self):
         with pytest.raises(ValueError, match="anomaly_duration_s"):
-            MetastableCase(anomaly_duration_s=0.0)
+            metastable(anomaly_duration_s=0.0)
 
     def test_case_id_carries_the_grid_axes(self):
-        case = MetastableCase(
+        spec = metastable(
             admission="shed_only", rate_limit_rps=60.0,
             dispatchers=3, dispatch_variant="p2c", dispatch_staleness_s=0.5,
         )
-        assert "admission=shed_only" in case.case_id
-        assert "rate=60" in case.case_id
-        assert "dispatchers=3:p2c@0.5" in case.case_id
+        assert "admission=shed_only@60rps" in spec.scenario_id
+        assert "dispatchers=3:p2c@0.5" in spec.scenario_id
 
     def test_rate_override_derives_from_preset(self):
-        case = MetastableCase(admission="shed_only", rate_limit_rps=33.0)
-        resolved = case.resolved_admission()
+        resolved = metastable(admission="shed_only", rate_limit_rps=33.0).admission
         assert resolved.rate_limit_rps == 33.0
         assert "33" in resolved.name
-        # The preset itself stays untouched.
-        assert MetastableCase(admission="shed_only").resolved_admission().rate_limit_rps != 33.0
+        # Without an override the spec keeps the preset's name.
+        assert metastable(admission="shed_only").admission == "shed_only"
+        assert metastable().admission == "none"
 
     def test_spec_expansion_wires_everything(self):
-        case = _quick_case(admission="survival_kit", dispatchers=2)
-        spec = metastable_scenario_spec(case)
+        spec = _quick_cell(admission="survival_kit", dispatchers=2)
         assert spec.dispatchers == 2
         assert spec.admission is not None
         assert spec.campaign is not None
         assert spec.replicas  # replicated fleet for the dispatchers
-        assert spec.duration_s == case.duration_s
+        assert spec.duration_s == QUICK_CELL["duration_s"]
+        assert spec.score_window_s == QUICK_CELL["score_window_s"]
 
     def test_campaign_is_one_transient_service_wide_burst(self):
-        case = _quick_case()
-        campaign = build_metastable_campaign(case)
+        campaign = _quick_cell().campaign
         assert len(campaign.specs) == 1
         injection = campaign.specs[0]
-        assert injection.start_s == case.anomaly_start_s
-        assert injection.duration_s == case.anomaly_duration_s
+        assert injection.start_s == QUICK_CELL["anomaly_start_s"]
+        assert injection.duration_s == QUICK_CELL["anomaly_duration_s"]
+        assert injection.scope.value == "service_wide"
 
     def test_macro_spec_keeps_anomaly_inside_quick_window(self):
-        spec = metastable_macro_spec(5.0, seed=0)
+        (spec,) = MACRO_BENCHMARKS["dispatch_admission"].build_specs(5.0)
         assert spec.duration_s == 5.0
         injection = spec.campaign.specs[0]
         assert injection.start_s + injection.duration_s <= 5.0
         assert spec.dispatchers == 3
-        assert spec.admission.name == "survival_kit"
+        assert spec.admission == "survival_kit"
+        assert spec.score_window_s is None
 
 
 # ---------------------------------------------------------------------------
-# Campaign expansion
+# Campaign grids
 # ---------------------------------------------------------------------------
 
 class TestCampaigns:
     def test_unknown_campaign_rejected(self):
         with pytest.raises(ValueError, match="unknown metastable campaign"):
-            metastable_campaign_cases("nope")
+            metastable_campaign_grid("nope")
 
     def test_retry_storm_compares_the_three_presets(self):
-        cases = metastable_campaign_cases("retry_storm", seed=1)
-        assert [case.admission for case in cases] == [
+        specs = _campaign_specs("retry_storm", seed=1)
+        assert [_admission_name(spec.admission) for spec in specs] == [
             "none", "naive_retries", "survival_kit",
         ]
-        assert all(case.seed == 1 for case in cases)
+        assert all(spec.seed == 1 for spec in specs)
 
     def test_shed_vs_violate_sweeps_the_rate_limit(self):
-        cases = metastable_campaign_cases("shed_vs_violate")
-        assert all(case.admission == "shed_only" for case in cases)
-        rates = [case.rate_limit_rps for case in cases]
+        specs = _campaign_specs("shed_vs_violate")
+        assert all(spec.admission.name.startswith("shed_only@") for spec in specs)
+        rates = [spec.admission.rate_limit_rps for spec in specs]
         assert rates == sorted(rates)
         assert len(set(rates)) == len(rates)
 
     def test_staleness_grid_crosses_dispatchers_and_staleness(self):
-        cases = metastable_campaign_cases("staleness_grid")
-        cells = {(case.dispatchers, case.dispatch_staleness_s) for case in cases}
+        specs = _campaign_specs("staleness_grid")
+        cells = {(spec.dispatchers, spec.dispatch_staleness_s) for spec in specs}
         assert (1, 0.0) in cells  # the omniscient control point
-        assert len(cells) == len(cases)
+        assert len(cells) == len(specs)
 
     def test_quick_mode_shrinks_durations_and_grids(self):
-        full = metastable_campaign_cases("shed_vs_violate")
-        quick = metastable_campaign_cases("shed_vs_violate", quick=True)
+        full = _campaign_specs("shed_vs_violate")
+        quick = _campaign_specs("shed_vs_violate", quick=True, **QUICK)
         assert len(quick) < len(full)
         assert quick[0].duration_s < full[0].duration_s
 
     def test_overrides_reach_every_case(self):
-        cases = metastable_campaign_cases("retry_storm", load_rps=33.0)
-        assert all(case.load_rps == 33.0 for case in cases)
+        specs = _campaign_specs("retry_storm", load_rps=33.0)
+        assert all(spec.load_rps == 33.0 for spec in specs)
 
-    def test_sweep_grid_is_preset_major(self):
-        cases = metastable_sweep_grid(
-            presets=("none", "survival_kit"), seeds=(0, 1), load_rps=25.0
+    def test_admission_grid_is_preset_major(self):
+        specs = expand_grid(
+            metastable, {"admission": ("none", "survival_kit"), "seed": (0, 1)}, load_rps=25.0
         )
-        assert [(c.admission, c.seed) for c in cases] == [
+        assert [(_admission_name(s.admission), s.seed) for s in specs] == [
             ("none", 0), ("none", 1), ("survival_kit", 0), ("survival_kit", 1),
         ]
         with pytest.raises(ValueError, match="unknown admission preset"):
-            metastable_sweep_grid(presets=("nope",))
+            expand_grid(metastable, {"admission": ("nope",)})
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +150,10 @@ class TestCampaigns:
 
 class TestExecution:
     def test_outcome_row_shape_and_determinism(self):
-        case = _quick_case(admission="survival_kit")
-        first = run_metastable_case(case)
-        second = run_metastable_case(case)
+        spec = _quick_cell(admission="survival_kit")
+        first, second = run_sweep([spec, spec])
         row = first.as_dict()
-        assert row["case_id"] == case.case_id
+        assert row["scenario_id"] == spec.scenario_id
         assert row["windows_scored"] >= 1
         assert 0.0 <= row["precision"] <= 1.0
         assert 0.0 <= row["recall"] <= 1.0
@@ -160,32 +162,45 @@ class TestExecution:
         assert row == second.as_dict()
 
     def test_post_trigger_violation_bounded_by_total(self):
-        outcome = run_metastable_case(_quick_case(admission="naive_retries"))
+        (outcome,) = run_sweep([_quick_cell(admission="naive_retries")])
         assert 0.0 <= outcome.post_trigger_violation_s
         assert outcome.post_trigger_violation_s <= outcome.slo_violation_seconds
 
+    def test_naive_retries_amplify(self):
+        (outcome,) = run_sweep([_quick_cell(admission="naive_retries")])
+        assert outcome.amplification > 1.0
+        assert outcome.admission_stats["retries"] > 0
+
     def test_no_admission_case_reports_no_stats(self):
-        outcome = run_metastable_case(_quick_case(admission="none"))
-        assert outcome.admission is None
+        (outcome,) = run_sweep([_quick_cell(admission="none")])
+        assert outcome.admission_stats is None
         assert outcome.amplification == 1.0
 
+    def test_windows_align_with_the_score_window(self):
+        (outcome,) = run_sweep([_quick_cell()])
+        assert outcome.windows
+        for window in outcome.windows:
+            assert window.end_s - window.start_s == pytest.approx(QUICK_CELL["score_window_s"])
+
     def test_parallel_sweep_matches_serial(self):
-        cases = metastable_sweep_grid(
-            presets=("none", "naive_retries"),
-            base=_quick_case(),
+        specs = expand_grid(
+            metastable, {"admission": ("none", "naive_retries")}, **QUICK_CELL
         )
-        serial = [o.as_dict() for o in run_metastable_sweep(cases, workers=1)]
-        parallel = [o.as_dict() for o in run_metastable_sweep(cases, workers=2)]
+        serial = [o.as_dict() for o in run_sweep(specs, workers=1)]
+        parallel = [o.as_dict() for o in run_sweep(specs, workers=2)]
         assert serial == parallel
 
     def test_campaign_scoreboard_carries_verdict(self):
         board = run_metastable_campaign(
             "retry_storm", seed=3, quick=True,
             duration_s=6.0, load_rps=40.0,
-            anomaly_start_s=1.0, anomaly_duration_s=2.0, window_s=2.0,
+            anomaly_start_s=1.0, anomaly_duration_s=2.0, score_window_s=2.0,
         )
         assert board["campaign"] == "retry_storm"
         assert len(board["cases"]) == 3
+        assert [row["admission"] for row in board["cases"]] == [
+            "none", "naive_retries", "survival_kit",
+        ]
         verdict = board["verdict"]
         assert verdict["axis"] == "admission"
         assert set(verdict["violation_seconds"]) == {
@@ -195,7 +210,7 @@ class TestExecution:
 
     def test_all_campaigns_are_expandable(self):
         for campaign in METASTABLE_CAMPAIGNS:
-            assert metastable_campaign_cases(campaign, quick=True)
+            assert _campaign_specs(campaign, quick=True)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +220,9 @@ class TestExecution:
 class TestCli:
     def test_run_metastable_campaign_mode(self, capsys):
         code = main([
-            "run", "metastable", "--preset", "retry_storm", "--quick",
-            "--duration", "6", "--load", "40", "--seed", "3",
+            "run", "metastable_campaign", "--set", "campaign=retry_storm",
+            "--set", "quick=True", "--set", "duration_s=6", "--set", "load_rps=40",
+            "--set", "seed=3",
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -216,8 +232,10 @@ class TestCli:
     def test_run_metastable_single_case_with_run_record(self, tmp_path, capsys):
         record_dir = tmp_path / "record"
         code = main([
-            "run", "metastable", "--admission", "naive_retries", "--quick",
-            "--duration", "6", "--load", "40", "--obs-dir", str(record_dir),
+            "run", "metastable", "--set", "admission=naive_retries",
+            "--set", "duration_s=6", "--set", "load_rps=40",
+            "--set", "anomaly_start_s=2.5", "--set", "anomaly_duration_s=5",
+            "--obs-dir", str(record_dir),
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -227,19 +245,20 @@ class TestCli:
         assert (record_dir / "metrics.json").exists()
 
     def test_run_metastable_unknown_campaign_exits_cleanly(self, capsys):
-        assert main(["run", "metastable", "--preset", "nope"]) == 2
+        assert main(["run", "metastable_campaign", "--set", "campaign=nope"]) == 2
         assert "unknown metastable campaign" in capsys.readouterr().err
 
     def test_sweep_admission_grid(self, capsys):
         code = main([
-            "sweep", "--admission", "none,shed_only", "--seeds", "3",
-            "--loads", "40", "--duration", "6",
+            "sweep", "metastable", "--grid", "admission=none,shed_only",
+            "--set", "seed=3", "--set", "load_rps=40", "--set", "duration_s=6",
         ])
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert [row["admission"] for row in rows] == ["none", "shed_only"]
         assert all("slo_violation_seconds" in row for row in rows)
+        assert all("precision" in row for row in rows)
 
     def test_sweep_admission_unknown_preset_exits_cleanly(self, capsys):
-        assert main(["sweep", "--admission", "nope"]) == 2
+        assert main(["sweep", "metastable", "--grid", "admission=nope"]) == 2
         assert "unknown admission preset" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from repro.experiments.interference import (
     run_interference,
 )
 from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
-from repro.experiments.sweep import run_sweep, tenant_sweep_grid
+from repro.experiments.sweep import expand_grid, run_sweep
 from repro.metrics.slo import SLOTracker, merge_slo_trackers
 
 
@@ -274,9 +274,9 @@ class TestMultiTenantDeterminism:
         assert first.per_tenant_summary() == second.per_tenant_summary()
 
     def test_serial_matches_parallel_sweep(self):
-        specs = tenant_sweep_grid(
-            tenant_counts=(1, 2),
-            seeds=(0,),
+        specs = expand_grid(
+            identical_tenants,
+            {"count": (1, 2)},
             duration_s=8.0,
             load_rps=15.0,
             controller="none",
@@ -291,9 +291,7 @@ class TestMultiTenantDeterminism:
 
     def test_tenant_sweep_outcome_rows(self):
         outcome = run_sweep(
-            tenant_sweep_grid(
-                tenant_counts=(2,), seeds=(0,), duration_s=5.0, load_rps=10.0
-            ),
+            expand_grid(identical_tenants, {"count": (2,)}, duration_s=5.0, load_rps=10.0),
             workers=1,
         )[0]
         row = outcome.as_dict()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
-from repro.experiments.sweep import run_sweep, sweep_grid
+from repro.experiments.sweep import expand_grid, run_sweep, scenario_cell
 from repro.sim.engine import SimulationEngine
 
 # --------------------------------------------------------------------------
@@ -179,11 +179,11 @@ class TestExperimentByteIdentity:
         assert _scenario_fingerprint(spec) == _scenario_fingerprint(spec)
 
     def test_serial_and_parallel_sweeps_byte_identical(self):
-        specs = sweep_grid(
-            applications=("social_network",),
-            controllers=("none", "aimd"),
-            seeds=(0, 1),
-            loads_rps=(25.0,),
+        specs = expand_grid(
+            scenario_cell,
+            {"controller": ("none", "aimd"), "seed": (0, 1)},
+            application="social_network",
+            load_rps=25.0,
             duration_s=5.0,
         )
         serial = [outcome.as_dict() for outcome in run_sweep(specs, workers=1)]

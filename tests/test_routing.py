@@ -11,11 +11,12 @@ from repro.cluster.instance import ServiceProfile
 from repro.cluster.orchestrator import Orchestrator
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.routing import (
+    routed_tenants,
     routing_interference_spec,
     run_routing,
 )
 from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
-from repro.experiments.sweep import routing_sweep_grid, run_sweep
+from repro.experiments.sweep import expand_grid, run_sweep
 from repro.routing import (
     DEFAULT_POLICY,
     RoutingPolicy,
@@ -447,11 +448,13 @@ class TestSpecThreading:
 
 class TestRoutingSweep:
     def test_grid_shape_policy_major(self):
-        specs = routing_sweep_grid(
-            policies=("least_in_flight", "jiq"),
-            controllers=("none", "aimd"),
-            tenant_counts=(1, 2),
-            seeds=(0,),
+        specs = expand_grid(
+            routed_tenants,
+            {
+                "policy": ("least_in_flight", "jiq"),
+                "controller": ("none", "aimd"),
+                "count": (1, 2),
+            },
             duration_s=5.0,
         )
         assert len(specs) == 8
@@ -463,11 +466,12 @@ class TestRoutingSweep:
         assert all(t.replicas for s in specs for t in s.tenants)
 
     def test_serial_matches_parallel(self):
-        specs = routing_sweep_grid(
-            policies=("least_in_flight", "round_robin", "p2c", "ewma"),
-            controllers=("none", "aimd"),
-            tenant_counts=(1,),
-            seeds=(0,),
+        specs = expand_grid(
+            routed_tenants,
+            {
+                "policy": ("least_in_flight", "round_robin", "p2c", "ewma"),
+                "controller": ("none", "aimd"),
+            },
             duration_s=5.0,
             load_rps=10.0,
         )
@@ -502,10 +506,10 @@ class TestRoutingCLI:
         out = tmp_path / "routing.json"
         code = main([
             "run", "routing",
-            "--preset", "anomaly",
-            "--policies", "least_in_flight,round_robin",
-            "--duration", "5",
-            "--load", "10",
+            "--set", "preset=anomaly",
+            "--set", "policies=['least_in_flight', 'round_robin']",
+            "--set", "duration_s=5",
+            "--set", "load_rps=10",
             "--out", str(out),
         ])
         assert code == 0
@@ -518,13 +522,13 @@ class TestRoutingCLI:
 
         out = tmp_path / "sweep.json"
         code = main([
-            "sweep",
-            "--routing", "least_in_flight,jiq",
-            "--controllers", "none",
-            "--seeds", "0",
-            "--loads", "8",
-            "--duration", "4",
-            "--application", "hotel_reservation",
+            "sweep", "routed_tenants",
+            "--grid", "policy=least_in_flight,jiq",
+            "--set", "controller=none",
+            "--set", "seed=0",
+            "--set", "load_rps=8",
+            "--set", "duration_s=4",
+            "--set", "application=hotel_reservation",
             "--out", str(out),
         ])
         assert code == 0
@@ -540,5 +544,5 @@ class TestRoutingCLI:
 
         # Scenario-resolution errors exit 2 with a clean message instead
         # of an uncaught traceback.
-        assert main(["sweep", "--routing", "bogus", "--controllers", "none"]) == 2
+        assert main(["sweep", "routed_tenants", "--grid", "policy=bogus"]) == 2
         assert "unknown routing policy" in capsys.readouterr().err

@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.core.firm import FIRMController
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.scenario import ScenarioSpec, run_scenario
-from repro.experiments.sweep import run_sweep, sweep_grid
+from repro.experiments.sweep import expand_grid, run_sweep, scenario_cell
 
 
 class TestControllerRegistry:
@@ -234,11 +234,11 @@ class TestStreamingSLOAccounting:
 
 class TestSweep:
     def _grid(self):
-        return sweep_grid(
-            applications=("hotel_reservation",),
-            controllers=("none", "aimd"),
-            seeds=(0, 1),
-            loads_rps=(15.0,),
+        return expand_grid(
+            scenario_cell,
+            {"controller": ("none", "aimd"), "seed": (0, 1)},
+            application="hotel_reservation",
+            load_rps=15.0,
             duration_s=8.0,
         )
 
@@ -274,12 +274,12 @@ class TestSweepCLI:
     def test_sweep_subcommand_runs_and_writes(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main([
-            "sweep",
-            "--application", "hotel_reservation",
-            "--controllers", "none,aimd",
-            "--seeds", "0",
-            "--loads", "12",
-            "--duration", "6",
+            "sweep", "scenario",
+            "--set", "application=hotel_reservation",
+            "--grid", "controller=none,aimd",
+            "--set", "seed=0",
+            "--set", "load_rps=12",
+            "--set", "duration_s=6",
             "--workers", "1",
             "--out", str(out),
         ])
