@@ -66,13 +66,6 @@ class ApplicationRuntime:
     tenant:
         Optional tenant identity; spans produced by this runtime are tagged
         with it so per-tenant analysis can filter a shared trace stream.
-    request_counter:
-        Optional request-id counter overriding the process-wide default.
-        Request ids never influence simulation results, but the sharded
-        engine hands every shard its own counter so an in-process shard
-        session numbers requests exactly like a shard in a freshly spawned
-        worker process would (the process-wide counter is per-interpreter
-        state).
     """
 
     def __init__(
@@ -83,7 +76,6 @@ class ApplicationRuntime:
         engine: SimulationEngine,
         default_limits: Optional[ResourceLimits] = None,
         tenant: Optional[str] = None,
-        request_counter: Optional["itertools.count"] = None,
     ) -> None:
         self.app = app
         self.cluster = cluster
@@ -97,7 +89,6 @@ class ApplicationRuntime:
         #: :meth:`submit_request` routes through it.
         self.admission = None
         self._deployed = False
-        self._request_ids = request_counter if request_counter is not None else _request_ids
 
     # -------------------------------------------------------------- deploy
     def deploy(self) -> None:
@@ -166,7 +157,7 @@ class ApplicationRuntime:
 
     def next_request_id(self, request_type_name: str, label: Optional[str] = None) -> str:
         """Mint the next request id (ids never influence simulation results)."""
-        request_id = f"{self.app.name}-{request_type_name}-{next(self._request_ids)}"
+        request_id = f"{self.app.name}-{request_type_name}-{next(_request_ids)}"
         if label is not None:
             request_id = f"{request_id}-{label}"
         return request_id

@@ -10,7 +10,7 @@ Usage::
     python -m repro.cli run resilience --set campaign=random --set duration_s=30
     python -m repro.cli run metastable --set admission=naive_retries --obs-dir record/
     python -m repro.cli run metastable_campaign --set campaign=retry_storm --set quick=True
-    python -m repro.cli run aggressor_victim --shards 2 --shard-mode inprocess
+    python -m repro.cli run aggressor_victim --set duration_s=10 --obs-dir record/
     python -m repro.cli sweep scenario --grid controller=firm,aimd --grid seed=0,1 \
         --set application=hotel_reservation --workers 2
     python -m repro.cli sweep resilience --grid campaign=single_sweep,random \
@@ -21,10 +21,10 @@ Usage::
 
 ``run <name>`` calls an experiment function (:data:`EXPERIMENTS`) with the
 ``--set`` values as keyword arguments, or builds one spec from a preset
-(:data:`repro.experiments.sweep.PRESETS`) and runs it scored — on the
-sharded engine when ``--shards`` > 1.  ``sweep <preset>`` crosses the
-``--grid`` axes (comma-separated values, first axis outermost) with the
-``--set`` values fixed, and prints one scored row per cell.  Values parse
+(:data:`repro.experiments.sweep.PRESETS`) and runs it scored.  ``sweep
+<preset>`` crosses the ``--grid`` axes (comma-separated values, first axis
+outermost) with the ``--set`` values fixed, and prints one scored row per
+cell.  Values parse
 as Python literals (``12``, ``0.5``, ``False``, ``(2, 0)``) and fall back
 to plain strings.  A key the callable does not accept exits 2 with the
 list of accepted keys.
@@ -43,7 +43,7 @@ import json
 import sys
 from collections import Counter
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.experiments.composed import run_composed
 from repro.experiments.fig1_motivation import run_fig1
@@ -147,14 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--set", action="append", metavar="KEY=VALUE", help=set_help)
     run_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="event shards for a multi-tenant preset (1 = single engine, scored)",
-    )
-    run_parser.add_argument(
-        "--shard-mode", default=None, choices=("process", "inprocess"),
-        help="shard execution mode (default process; inprocess runs shards serially)",
-    )
-    run_parser.add_argument(
         "--workers", type=int, default=None,
         help="worker processes, for experiments that take a workers argument",
     )
@@ -237,19 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats", type=int, default=1,
         help="median-of-N runs per benchmark (use >=3 for baselines and CI gates)",
     )
-    perf_parser.add_argument(
-        "--scaling", action="store_true",
-        help="measure the shard-scaling curve (events/s per shard count) "
-        "instead of the macro benchmarks, and write scaling.json",
-    )
-    perf_parser.add_argument(
-        "--shard-counts", default=None,
-        help="comma-separated shard counts for --scaling (default 1,2,4)",
-    )
-    perf_parser.add_argument(
-        "--scaling-out", default=None,
-        help="scaling artifact path (default: benchmarks/results/scaling.json)",
-    )
     perf_parser.add_argument("--out", default=None, help="write the JSON report to this path")
     return parser
 
@@ -282,26 +261,22 @@ def _run(args: argparse.Namespace) -> Any:
     """``repro.cli run <name>``: one experiment, or one scored preset spec."""
     kwargs = _assignments(args.set)
     if args.name in EXPERIMENTS:
-        if args.shards != 1 or args.shard_mode or args.obs_dir:
-            raise ValueError("--shards, --shard-mode and --obs-dir apply to presets only")
+        if args.obs_dir:
+            raise ValueError("run records (--obs-dir) apply to presets only")
         if args.workers is not None:
             kwargs["workers"] = args.workers
         experiment = EXPERIMENTS[args.name]
         check_kwargs(experiment, kwargs, args.name)
         return experiment(**kwargs)
     if args.workers is not None:
-        raise ValueError("--workers applies to experiments; presets shard with --shards")
+        raise ValueError("--workers applies to experiments; sweep a preset to run it in parallel")
     builder = PRESETS[args.name]
     check_kwargs(builder, kwargs, args.name)
     spec = builder(**kwargs)
     if args.obs_dir:
         spec = spec.with_overrides(observability=True)
-    harness = None
-    if args.shards > 1:
-        payload, result = _run_sharded(spec, args.shards, args.shard_mode)
-    else:
-        outcome, result, harness = score_spec(spec)
-        payload = outcome.as_dict()
+    outcome, result, harness = score_spec(spec)
+    payload = outcome.as_dict()
     if args.obs_dir:
         from repro.obs.run import write_run_record
 
@@ -313,32 +288,6 @@ def _run(args: argparse.Namespace) -> Any:
         }
         print(f"wrote run record {args.obs_dir}", file=sys.stderr)
     return payload
-
-
-def _run_sharded(spec, shards: int, mode: Optional[str]):
-    """Run a multi-tenant spec on the sharded engine; ``(payload, result)``."""
-    from repro.experiments.sharded import ShardedScenarioRunner
-
-    if spec.score_window_s is not None:
-        raise ValueError("scored specs run unsharded; --set score_window_s=None to shard")
-    runner = ShardedScenarioRunner(spec, shards, mode=mode or "process")
-    try:
-        runner.prepare()
-        result = runner.execute()
-    finally:
-        runner.close()
-    payload = {
-        "scenario_id": spec.scenario_id,
-        "shards": shards,
-        "mode": runner.mode,
-        "window_s": runner.plan.window_s,
-        "barriers": runner.sync_stats.barriers,
-        "skipped_windows": runner.sync_stats.skipped_windows,
-        "processed_events": runner.processed_events,
-        "summary": result.summary(),
-        "tenants": result.per_tenant_summary(),
-    }
-    return payload, result
 
 
 def _sweep(args: argparse.Namespace) -> List[Dict[str, Any]]:
@@ -364,31 +313,6 @@ def _run_perf(args: argparse.Namespace) -> int:
         run_perf,
         save_report,
     )
-
-    if getattr(args, "scaling", False):
-        from repro.perf.harness import DEFAULT_SCALING_PATH, run_shard_scaling, save_scaling
-
-        counts = (
-            _csv_list(args.shard_counts, int) if args.shard_counts else (1, 2, 4)
-        )
-        curve = run_shard_scaling(shard_counts=counts, quick=args.quick)
-        for point in curve["points"]:
-            print(
-                f"[perf] shards={point['shards']}: {point['events_per_s']:,.0f} "
-                f"events/s over {point['wall_s']:.2f}s wall",
-                file=sys.stderr,
-            )
-        scaling_path = args.scaling_out if args.scaling_out else DEFAULT_SCALING_PATH
-        save_scaling(curve, scaling_path)
-        print(f"wrote scaling curve {scaling_path}", file=sys.stderr)
-        text = json.dumps(curve, indent=2, default=str)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"wrote {args.out}")
-        else:
-            print(text)
-        return 0
 
     report = run_perf(
         quick=args.quick,

@@ -28,12 +28,7 @@ from typing import Callable, Dict, List, Optional
 from repro.cluster.container import Container
 from repro.cluster.instance import MicroserviceInstance, ServiceProfile
 from repro.cluster.node import Node, NodeSpec
-from repro.cluster.resources import (
-    RESOURCE_TYPES,
-    Resource,
-    ResourceLimits,
-    ResourceVector,
-)
+from repro.cluster.resources import Resource, ResourceLimits, ResourceVector
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SeededRNG
 
@@ -305,42 +300,6 @@ class Cluster:
             return 0.0
         values = [node.utilization()[Resource.CPU] for node in self.nodes]
         return float(sum(values) / len(values))
-
-    # --------------------------------------------------------------- sharding
-    def node_demand_snapshot(self) -> Dict[str, Dict[Resource, float]]:
-        """Per-node demand this cluster exerts, as plain picklable dicts.
-
-        Each node's entry sums its hosted containers' capped demand (in
-        container order) plus the node's own anomaly-injected pressure —
-        everything a *different* shard simulating the same topology needs
-        to reproduce this shard's share of node contention.  Remote
-        pressure already applied to this cluster is deliberately excluded
-        so snapshots never echo other shards' demand back at them.
-        """
-        snapshot: Dict[str, Dict[Resource, float]] = {}
-        for node in self.nodes:
-            totals: Dict[Resource, float] = {r: 0.0 for r in RESOURCE_TYPES}
-            for container in node.containers:
-                demand_values = container._capped_demand_values()
-                for resource in RESOURCE_TYPES:
-                    totals[resource] = totals[resource] + demand_values[resource]
-            pressure_values = node._injected_pressure.values
-            for resource in RESOURCE_TYPES:
-                totals[resource] = totals[resource] + pressure_values[resource]
-            snapshot[node.name] = totals
-        return snapshot
-
-    def apply_remote_pressure(
-        self, pressure: Optional[Dict[str, Dict[Resource, float]]]
-    ) -> None:
-        """Install cross-shard demand per node (None/missing nodes detach)."""
-        mapping = pressure or {}
-        for node in self.nodes:
-            values = mapping.get(node.name)
-            if values is None:
-                node.set_remote_pressure(None)
-            else:
-                node.set_remote_pressure(ResourceVector._from_normalized(dict(values)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

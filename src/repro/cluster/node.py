@@ -52,11 +52,6 @@ class Node:
         # External pressure from the anomaly injector, as an absolute amount
         # of each resource consumed by the interfering workload.
         self._injected_pressure = ResourceVector()
-        # Demand exerted on this node by containers simulated in *other*
-        # shards (exchanged at window barriers).  The flag keeps the
-        # unsharded hot path free of any extra arithmetic.
-        self._remote_pressure = ResourceVector()
-        self._has_remote_pressure = False
 
     # ------------------------------------------------------------ properties
     @property
@@ -116,26 +111,6 @@ class Node:
     @property
     def injected_pressure(self) -> ResourceVector:
         return self._injected_pressure.copy()
-
-    def set_remote_pressure(self, pressure: Optional[ResourceVector]) -> None:
-        """Replace the cross-shard demand this node absorbs.
-
-        The sharded engine calls this at every window barrier with the
-        summed demand of the same-named node in every other shard; None
-        (or an all-zero vector) detaches the remote term entirely.
-        """
-        if pressure is None:
-            self._remote_pressure = ResourceVector()
-            self._has_remote_pressure = False
-            return
-        self._remote_pressure = pressure
-        self._has_remote_pressure = any(
-            value != 0.0 for value in pressure.values.values()
-        )
-
-    @property
-    def remote_pressure(self) -> ResourceVector:
-        return self._remote_pressure.copy()
 
     # ------------------------------------------------------------- contention
     def demand(self) -> ResourceVector:
@@ -260,10 +235,6 @@ class Node:
         pressure_values = self._injected_pressure.values
         for resource in RESOURCE_TYPES:
             pool_demand[resource] = pool_demand[resource] + pressure_values[resource]
-        if self._has_remote_pressure:
-            remote_values = self._remote_pressure.values
-            for resource in RESOURCE_TYPES:
-                pool_demand[resource] = pool_demand[resource] + remote_values[resource]
 
         for resource in RESOURCE_TYPES:
             capacity = capacity_values[resource]
@@ -279,8 +250,6 @@ class Node:
     def utilization(self) -> ResourceVector:
         """Node-level utilization (demand + pressure, clipped to capacity)."""
         totals = self.demand() + self._injected_pressure
-        if self._has_remote_pressure:
-            totals = totals + self._remote_pressure
         result = {}
         for resource in RESOURCE_TYPES:
             capacity = self.capacity[resource]

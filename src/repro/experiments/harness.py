@@ -182,15 +182,11 @@ class ExperimentResult:
         self.tenant_results: Dict[str, TenantResult] = {}
         #: Run-level mergeable latency digest (None until the run
         #: finishes).  Kept off the dataclass fields for the same
-        #: JSON-compatibility reason as ``tenant_results``.  For sharded
-        #: runs the merge layer replaces this with the ascending-shard-order
-        #: fold of the per-shard digests.
+        #: JSON-compatibility reason as ``tenant_results``.
         self.telemetry_digest = None
         #: Exported event-journal records and the metrics registry of an
         #: observability-enabled run (None with observability off).  Plain
-        #: attributes for the same JSON-compatibility reason as above; the
-        #: sharded merge layer replaces them with the ``(t, shard, seq)``
-        #: journal merge and the ascending-shard-order registry fold.
+        #: attributes for the same JSON-compatibility reason as above.
         self.journal = None
         self.metrics = None
         #: Admission-gate snapshot(s) of an admission-controlled run: the
@@ -250,7 +246,6 @@ class ExperimentHarness:
         rng: SeededRNG,
         scheduler: Optional[Scheduler] = None,
         node_specs: Optional[List[NodeSpec]] = None,
-        request_counter=None,
         observability: bool = False,
     ) -> None:
         self.engine = engine
@@ -263,10 +258,6 @@ class ExperimentHarness:
         #: None when disabled — every instrumentation site checks for None
         #: so the disabled path stays byte-identical to pre-obs behaviour.
         self.obs: Optional[Observability] = Observability() if observability else None
-        #: Optional request-id counter shared by every tenant runtime; the
-        #: sharded engine gives each shard harness its own so in-process
-        #: shard sessions number requests like freshly spawned processes.
-        self.request_counter = request_counter
         self.cluster = Cluster(engine, rng, node_specs=node_specs, scheduler=scheduler)
         if self.obs is not None:
             self.cluster.router.enable_observability(self.obs, engine)
@@ -284,10 +275,7 @@ class ExperimentHarness:
     def _add_primary_tenant(self, app: ServiceGraph) -> TenantRuntime:
         """Wire the classic untenanted tenant (single-tenant harness)."""
         coordinator = TracingCoordinator(self.engine, telemetry=self.telemetry, rng=self.rng)
-        runtime = ApplicationRuntime(
-            app, self.cluster, coordinator, self.engine,
-            request_counter=self.request_counter,
-        )
+        runtime = ApplicationRuntime(app, self.cluster, coordinator, self.engine)
         orchestrator = Orchestrator(self.cluster, self.engine, self.rng)
         tenant = TenantRuntime(
             name=None,
@@ -335,10 +323,7 @@ class ExperimentHarness:
             tenant=name,
             rng=tenant_rng,
         )
-        runtime = ApplicationRuntime(
-            app, view, coordinator, self.engine, tenant=name,
-            request_counter=self.request_counter,
-        )
+        runtime = ApplicationRuntime(app, view, coordinator, self.engine, tenant=name)
         orchestrator = Orchestrator(view, self.engine, tenant_rng)
         tenant = TenantRuntime(
             name=name,
@@ -509,7 +494,6 @@ class ExperimentHarness:
         seed: int = 0,
         scheduler: Optional[Scheduler] = None,
         node_specs: Optional[List[NodeSpec]] = None,
-        request_counter=None,
         observability: bool = False,
     ) -> "ExperimentHarness":
         """Build a harness for one of the four benchmark applications."""
@@ -518,14 +502,14 @@ class ExperimentHarness:
         app = build_application(application)
         harness = cls(
             app, engine, rng, scheduler=scheduler, node_specs=node_specs,
-            request_counter=request_counter, observability=observability,
+            observability=observability,
         )
         harness.runtime.deploy()
         harness.telemetry.start()
         return harness
 
     @classmethod
-    def from_spec(cls, spec: ScenarioSpec, request_counter=None) -> "ExperimentHarness":
+    def from_spec(cls, spec: ScenarioSpec) -> "ExperimentHarness":
         """Build the fully wired harness described by ``spec``.
 
         Single-tenant specs wire, in order: application + cluster, routing
@@ -542,13 +526,12 @@ class ExperimentHarness:
         and controller.
         """
         if spec.tenants:
-            return cls._from_multi_tenant_spec(spec, request_counter=request_counter)
+            return cls._from_multi_tenant_spec(spec)
         harness = cls.build(
             application=spec.application,
             seed=spec.seed,
             scheduler=cls._scheduler_from_spec(spec, SeededRNG(spec.seed)),
             node_specs=cls._node_specs_from_spec(spec),
-            request_counter=request_counter,
             observability=spec.observability,
         )
         harness.spec = spec
@@ -572,9 +555,7 @@ class ExperimentHarness:
         return harness
 
     @classmethod
-    def _from_multi_tenant_spec(
-        cls, spec: ScenarioSpec, request_counter=None
-    ) -> "ExperimentHarness":
+    def _from_multi_tenant_spec(cls, spec: ScenarioSpec) -> "ExperimentHarness":
         engine = SimulationEngine()
         rng = SeededRNG(spec.seed)
         harness = cls(
@@ -583,7 +564,6 @@ class ExperimentHarness:
             rng,
             scheduler=cls._scheduler_from_spec(spec, rng),
             node_specs=cls._node_specs_from_spec(spec),
-            request_counter=request_counter,
             observability=spec.observability,
         )
         harness.spec = spec
@@ -788,8 +768,7 @@ class ExperimentHarness:
         the primary tenant only (legacy convenience).
 
         Equivalent to :meth:`begin_run` + one ``advance_to(end_time)`` +
-        ``finish()``; the sharded engine uses the session form directly to
-        interleave window barriers between advances.
+        ``finish()``.
         """
         session = self.begin_run(
             duration_s=duration_s,
@@ -815,10 +794,10 @@ class ExperimentHarness:
         without executing any events.
 
         Returns a :class:`RunSession` whose :meth:`RunSession.advance_to`
-        drives the engine in increments — the windowed execution mode the
-        sharded engine is built on.  The setup call order is exactly the
-        prefix :meth:`run` used to execute, so a session advanced straight
-        to its end time reproduces ``run()`` byte for byte.
+        drives the engine in increments, so a caller can time or inspect
+        the run slice by slice (the firmbench runner advances in 0.25-s
+        slices).  :meth:`run` is this call plus one advance to the end, so
+        a session advanced in any slices reproduces ``run()`` byte for byte.
         """
         primary = self._primary
         if primary.workload is None:
@@ -834,7 +813,6 @@ class ExperimentHarness:
 
         requested_cpu: List[float] = []
         cpu_utilization: List[float] = []
-        violation_samples: List[Tuple[float, bool]] = []
 
         # Per-tenant streaming SLO accounting: observe every trace through
         # the owning tenant's coordinator the moment it finishes.  A trace
@@ -900,7 +878,6 @@ class ExperimentHarness:
                 mitigation.update(engine.now, violating)
             if cluster_mitigation is not None:
                 cluster_mitigation.update(engine.now, any_violating)
-            violation_samples.append((engine.now, any_violating))
 
         # Bound the sampling recurrence to this run (and cancel it on exit)
         # so back-to-back run() calls on one harness never double-sample.
@@ -932,12 +909,7 @@ class ExperimentHarness:
             cluster_mitigation=cluster_mitigation,
             requested_cpu=requested_cpu,
             cpu_utilization=cpu_utilization,
-            violation_samples=violation_samples,
         )
-
-    def next_event_time(self) -> Optional[float]:
-        """Virtual time of the engine's next live event (None when idle)."""
-        return self.engine.next_event_time()
 
     @staticmethod
     def _make_observer(
@@ -1055,13 +1027,11 @@ class RunSession:
     run's streaming accounting state (SLO trackers, completion hooks, the
     sampling recurrence); :meth:`advance_to` executes events up to a
     virtual-time barrier, and :meth:`finish` closes the accounting and
-    assembles the :class:`ExperimentResult`.  Advancing a session straight
-    to :attr:`end_time` is byte-identical to
+    assembles the :class:`ExperimentResult`.  Advancing a session to
+    :attr:`end_time` in any number of slices is byte-identical to
     :meth:`ExperimentHarness.run` — ``run_until(b)`` then ``run_until(e)``
-    executes exactly the events ``run_until(e)`` would.
-
-    The sharded engine drives one session per shard, alternating
-    ``advance_to`` with cross-shard pressure exchange at window barriers.
+    executes exactly the events ``run_until(e)`` would — which is what
+    lets the firmbench runner time a run in fixed slices.
     """
 
     def __init__(
@@ -1075,7 +1045,6 @@ class RunSession:
         cluster_mitigation: Optional[MitigationTracker],
         requested_cpu: List[float],
         cpu_utilization: List[float],
-        violation_samples: List[Tuple[float, bool]],
     ) -> None:
         self.harness = harness
         self.duration_s = duration_s
@@ -1086,10 +1055,6 @@ class RunSession:
         self._cluster_mitigation = cluster_mitigation
         self._requested_cpu = requested_cpu
         self._cpu_utilization = cpu_utilization
-        #: Per-sample ``(time, any tenant violating)`` flags, recorded so a
-        #: sharded run can rebuild the cluster-level mitigation timeline
-        #: across shards after the fact.
-        self.violation_samples = violation_samples
         self._closed = False
 
     @property

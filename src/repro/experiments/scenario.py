@@ -248,6 +248,14 @@ class ScenarioSpec:
     observability: bool = False
     score_window_s: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        for name in ("duration_s", "sample_period_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("warmup_s", "load_rps"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
     @property
     def is_multi_tenant(self) -> bool:
         """Whether this spec describes a multi-tenant scenario."""

@@ -11,9 +11,9 @@ with one spec type, one grid expander, and one runner:
 * :func:`expand_grid` crosses any builder's keyword arguments into a list
   of :class:`~repro.experiments.scenario.ScenarioSpec`;
 * :func:`run_sweep` runs any list of specs (single- or multi-tenant)
-  either serially or fanned out over ``multiprocessing`` workers,
-  returning one :class:`SweepOutcome` per spec **in the input order**
-  regardless of which worker finished first.  Every outcome carries the
+  either serially or fanned out over a process pool, returning one
+  :class:`SweepOutcome` per spec **in the input order** regardless of
+  which worker finished first.  Every outcome carries the
   SLO summary and the mitigation axes; a spec with ``score_window_s``
   additionally gets windowed localization scores
   (:class:`~repro.experiments.resilience.LocalizationScorer`).
@@ -23,27 +23,15 @@ derives named substreams from it, so a scenario's result is a pure
 function of its spec: the parallel sweep is bit-identical to the serial
 one.  Workers are started with the ``spawn`` method so no parent-process
 state (RNG, request-id counters) leaks into the runs.
-
-The process fan-out is built on :class:`WorkerTeam`, a persistent pool of
-*actor* processes driven over pipes.  Unlike ``multiprocessing.Pool``,
-team members hold state between calls and expose a split send/receive
-API, which is what the sharded engine
-(:mod:`repro.experiments.sharded`) needs: every shard worker keeps a
-live simulation between window barriers and all shards must advance
-concurrently (send to all, then collect from all).  :func:`run_parallel`
-is rebased on the same pool, keeping its contract — input-order results
-and in-order progress callbacks — unchanged.
 """
 
 from __future__ import annotations
 
 import inspect
 import multiprocessing
-import traceback
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from functools import partial
-from multiprocessing.connection import wait as _wait_connections
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.experiments.interference import (
     aggressor_victim,
@@ -304,168 +292,6 @@ def _run_one(spec: ScenarioSpec) -> SweepOutcome:
     return score_spec(spec)[0]
 
 
-class WorkerError(RuntimeError):
-    """An actor method raised inside a worker process.
-
-    The remote traceback is embedded in the message; the original
-    exception object stays in the worker (it may not be picklable).
-    """
-
-
-def _team_member_main(conn, actor_factory: Callable[[int], Any], index: int) -> None:
-    """Worker-process loop: build the actor, then serve method calls.
-
-    Protocol (one request, one response, strictly alternating per pipe):
-    parent sends ``(method_name, args_tuple)``; worker replies
-    ``("ok", result)`` or ``("error", formatted_traceback)``.  The
-    ``"__stop__"`` method exits the loop without a reply.
-    """
-    try:
-        actor = actor_factory(index)
-    except BaseException:
-        conn.send(("error", traceback.format_exc()))
-        conn.close()
-        return
-    conn.send(("ok", None))
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
-        method, args = message
-        if method == "__stop__":
-            # No reply: the parent closes its pipe end right after sending
-            # the stop, so an acknowledgement would hit a broken pipe.
-            break
-        try:
-            result = getattr(actor, method)(*args)
-        except BaseException:
-            conn.send(("error", traceback.format_exc()))
-        else:
-            conn.send(("ok", result))
-    conn.close()
-
-
-class WorkerTeam:
-    """A persistent team of actor processes controlled over pipes.
-
-    Each member is a ``spawn``-started process hosting one actor built by
-    ``actor_factory(member_index)`` (the factory must be picklable, e.g.
-    a module-level class or :func:`functools.partial` thereof).  Spawn
-    keeps parent-process state (RNG, request-id counters) out of the
-    workers, matching the sweep's determinism contract.
-
-    The API is deliberately split into :meth:`send` and :meth:`recv` so
-    callers can fan a call out to every member before collecting any
-    reply — the two-phase shape both the dynamic sweep dispatcher and the
-    sharded engine's window barrier need.  Each pipe strictly alternates
-    one request with one response; interleave sends to *different*
-    members freely, but never send twice to one member without receiving.
-    """
-
-    def __init__(self, actor_factory: Callable[[int], Any], size: int) -> None:
-        if size < 1:
-            raise ValueError(f"team size must be >= 1, got {size}")
-        context = multiprocessing.get_context("spawn")
-        self._pipes = []
-        self._processes = []
-        self._closed = False
-        try:
-            for index in range(size):
-                parent_end, child_end = context.Pipe()
-                process = context.Process(
-                    target=_team_member_main,
-                    args=(child_end, actor_factory, index),
-                    daemon=True,
-                )
-                process.start()
-                child_end.close()
-                self._pipes.append(parent_end)
-                self._processes.append(process)
-            # Collect the construction acknowledgement from every member so
-            # a factory that blows up surfaces here, not at first use.
-            for index in range(size):
-                self.recv(index)
-        except BaseException:
-            self.close(graceful=False)
-            raise
-
-    @property
-    def size(self) -> int:
-        return len(self._processes)
-
-    def send(self, member: int, method: str, *args: Any) -> None:
-        """Dispatch ``method(*args)`` to ``member`` without waiting."""
-        self._pipes[member].send((method, args))
-
-    def recv(self, member: int) -> Any:
-        """Collect the pending reply from ``member`` (blocking)."""
-        try:
-            status, payload = self._pipes[member].recv()
-        except EOFError:
-            raise WorkerError(f"worker {member} exited without replying")
-        if status == "error":
-            raise WorkerError(f"worker {member} raised:\n{payload}")
-        return payload
-
-    def call(self, member: int, method: str, *args: Any) -> Any:
-        """Synchronous convenience: send to one member and await the reply."""
-        self.send(member, method, *args)
-        return self.recv(member)
-
-    def call_all(self, method: str, *args: Any) -> List[Any]:
-        """Fan ``method`` out to every member, collect replies in member order."""
-        for member in range(self.size):
-            self.send(member, method, *args)
-        return [self.recv(member) for member in range(self.size)]
-
-    def wait(self, members: Sequence[int]) -> List[int]:
-        """Block until at least one of ``members`` has a reply ready."""
-        index_of = {self._pipes[member]: member for member in members}
-        ready = _wait_connections(list(index_of))
-        return [index_of[conn] for conn in ready]
-
-    def close(self, graceful: bool = True) -> None:
-        """Stop every member and reap the processes (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if graceful:
-            for pipe, process in zip(self._pipes, self._processes):
-                if not process.is_alive():
-                    continue
-                try:
-                    pipe.send(("__stop__", ()))
-                except (BrokenPipeError, OSError):
-                    pass
-        for pipe in self._pipes:
-            try:
-                pipe.close()
-            except OSError:
-                pass
-        for process in self._processes:
-            process.join(timeout=5)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-
-    def __enter__(self) -> "WorkerTeam":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close(graceful=exc_info[0] is None)
-
-
-class _FunctionActor:
-    """Adapter: expose a plain ``worker(item)`` callable as a team actor."""
-
-    def __init__(self, worker: Callable, index: int) -> None:
-        self._worker = worker
-
-    def run(self, item: Any) -> Any:
-        return self._worker(item)
-
-
 def run_parallel(
     items: Iterable,
     worker: Callable,
@@ -474,47 +300,52 @@ def run_parallel(
 ) -> List:
     """Run ``worker(item)`` for every item, optionally across processes.
 
-    The generic engine behind :func:`run_sweep`: results come back **in input order** regardless of which
-    worker finished first, and ``progress(done_count, total, outcome)``
-    fires in the parent process as each item completes (in input order).
-    ``worker`` must be a picklable module-level callable; workers use the
-    ``spawn`` start method (via :class:`WorkerTeam`) so no parent-process
-    state (RNG, request-id counters) leaks into the runs.
+    The generic engine behind :func:`run_sweep`: results come back **in
+    input order** regardless of which worker finished first, and
+    ``progress(done_count, total, outcome)`` fires in the parent process
+    as each item completes (in input order).  ``worker`` must be a
+    picklable module-level callable; the pool's processes use the
+    ``spawn`` start method so no parent-process state (RNG, request-id
+    counters) leaks into the runs.  If an item raises, the exception is
+    re-raised here and the items still queued are cancelled.
     """
     item_list = list(items)
     total = len(item_list)
-    outcomes: List = []
     if workers <= 1 or total <= 1:
-        for index, item in enumerate(item_list):
-            outcome = worker(item)
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(index + 1, total, outcome)
-        return outcomes
+        return _collect_in_order(map(worker, item_list), total, progress)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=min(workers, total), mp_context=context) as pool:
+        futures = [pool.submit(worker, item) for item in item_list]
+        try:
+            return _collect_in_order(_results_in_input_order(futures), total, progress)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
-    results: List = [None] * total
-    completed = [False] * total
-    next_to_emit = 0
-    with WorkerTeam(partial(_FunctionActor, worker), size=min(workers, total)) as team:
-        busy: Dict[int, int] = {}
-        next_item = 0
-        for member in range(team.size):
-            team.send(member, "run", item_list[next_item])
-            busy[member] = next_item
-            next_item += 1
-        while busy:
-            for member in team.wait(sorted(busy)):
-                item_index = busy.pop(member)
-                results[item_index] = team.recv(member)
-                completed[item_index] = True
-                if next_item < total:
-                    team.send(member, "run", item_list[next_item])
-                    busy[member] = next_item
-                    next_item += 1
-            while next_to_emit < total and completed[next_to_emit]:
-                if progress is not None:
-                    progress(next_to_emit + 1, total, results[next_to_emit])
-                next_to_emit += 1
+
+def _results_in_input_order(futures: List[Future]) -> Iterator:
+    """Yield the futures' results in input order.
+
+    Completions are awaited in the order they land, so the first failure
+    raises as soon as its item finishes, not when its turn comes.
+    """
+    next_index = 0
+    for finished in as_completed(futures):
+        finished.result()
+        while next_index < len(futures) and futures[next_index].done():
+            yield futures[next_index].result()
+            next_index += 1
+
+
+def _collect_in_order(
+    outcomes: Iterable, total: int, progress: Optional[Callable[[int, int, Any], None]]
+) -> List:
+    """Drain ``outcomes`` into a list, calling ``progress`` after each one."""
+    results: List = []
+    for outcome in outcomes:
+        results.append(outcome)
+        if progress is not None:
+            progress(len(results), total, outcome)
     return results
 
 

@@ -7,14 +7,12 @@ created only when ``ScenarioSpec.observability`` is true, so every
 pinned determinism family stays byte-identical with it off — collects:
 
 * a **metrics registry** (:mod:`repro.obs.registry`): named counters,
-  gauges, and sketch-backed histograms with interned label sets,
-  mergeable across shards (counters add, gauges max, histograms fold
-  their t-digest/log-histogram sketches);
+  gauges, and t-digest-backed histograms with interned label sets;
 * a **structured event journal** (:mod:`repro.obs.journal`): a bounded
   ring-buffer flight recorder of typed records — controller scale
   decisions with before/after replica counts, routing policy picks,
-  anomaly inject/clear with scope and node set, shard-sync barrier
-  advances, detector verdicts, SLO-violation window transitions —
+  anomaly inject/clear with scope and node set, detector verdicts,
+  SLO-violation window transitions —
   flushed to JSONL at run end;
 * **exporters** (:mod:`repro.obs.exporters`): Chrome trace-event JSON
   (Perfetto-loadable; spans as slices, journal records as instants) and
@@ -23,11 +21,6 @@ pinned determinism family stays byte-identical with it off — collects:
   ``repro.cli inspect``): the injection → detection → mitigation →
   recovery causal timeline per anomaly, with time-to-detect and
   time-to-mitigate, reconstructed from any archived run record.
-
-Sharded runs stamp each shard's journal with its shard index and merge
-the exported records by ``(t, shard, seq)`` — a pure function of the
-per-shard journals, hence deterministic for a fixed seed in both
-``inprocess`` and ``process`` shard modes.
 """
 
 from repro.obs.exporters import (
@@ -43,7 +36,6 @@ from repro.obs.inspector import (
 )
 from repro.obs.journal import (
     EventJournal,
-    merge_journal_records,
     read_journal_jsonl,
     write_journal_jsonl,
 )
@@ -52,7 +44,6 @@ from repro.obs.registry import (
     Gauge,
     HistogramMetric,
     MetricsRegistry,
-    merge_registries,
 )
 from repro.obs.run import Observability, write_run_record
 
@@ -69,8 +60,6 @@ __all__ = [
     "chrome_trace_json",
     "inspect_run_record",
     "load_journal",
-    "merge_journal_records",
-    "merge_registries",
     "prometheus_exposition",
     "read_journal_jsonl",
     "write_journal_jsonl",

@@ -1,8 +1,8 @@
 """The structured event journal: a bounded flight recorder of run events.
 
 Every instrumented component appends typed records — controller scale
-decisions, routing picks, anomaly inject/clear, shard-sync barrier
-advances, detector verdicts, SLO-violation window transitions — to one
+decisions, routing picks, anomaly inject/clear, detector verdicts,
+SLO-violation window transitions — to one
 per-run :class:`EventJournal`.  The journal is a fixed-capacity ring
 (``collections.deque(maxlen=...)``): recording is O(1), memory is
 bounded regardless of run length, and under pressure the *oldest*
@@ -12,22 +12,18 @@ semantics (the recent past explains the present).
 Records are plain tuples in memory and plain dicts at the export
 boundary (:meth:`EventJournal.as_dicts`), so they cross process
 boundaries and serialize to JSONL without any class machinery.  Each
-record carries ``(t, seq, kind, source, data)`` plus the journal's shard
-index; :func:`merge_journal_records` folds per-shard journals by
-``(t, shard, seq)``, so a sharded run's merged journal is a pure
-function of the per-shard journals — deterministic for a fixed seed
-whether shards ran in-process or across worker processes.
+record carries ``(t, seq, kind, source, data)``; ``seq`` is the append
+order, which breaks ties between records at the same virtual time.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = [
     "EventJournal",
-    "merge_journal_records",
     "read_journal_jsonl",
     "write_journal_jsonl",
 ]
@@ -44,19 +40,14 @@ class EventJournal:
     ----------
     capacity:
         Maximum records retained; older records are evicted first.
-    shard_index:
-        Identity stamped on exported records so per-shard journals merge
-        deterministically (``-1`` marks the sharded-run driver, whose
-        barrier records sort ahead of shard records at equal times).
     """
 
-    __slots__ = ("capacity", "shard_index", "_records", "_seq")
+    __slots__ = ("capacity", "_records", "_seq")
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, shard_index: int = 0) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError(f"journal capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
-        self.shard_index = int(shard_index)
         self._records: deque = deque(maxlen=self.capacity)
         self._seq = 0
 
@@ -87,37 +78,16 @@ class EventJournal:
 
     def as_dicts(self) -> List[dict]:
         """Export retained records as JSON-ready dicts (time order)."""
-        shard = self.shard_index
         return [
             {
                 "t": time_s,
                 "seq": seq,
-                "shard": shard,
                 "kind": kind,
                 "source": source,
                 "data": data,
             }
             for time_s, seq, kind, source, data in self._records
         ]
-
-
-def merge_journal_records(
-    journals: Iterable[Optional[Sequence[dict]]],
-) -> List[dict]:
-    """Merge exported per-shard journals into one deterministic stream.
-
-    Records are ordered by ``(t, shard, seq)``: time first, then shard
-    index (the driver's ``-1`` barrier records lead at equal times), then
-    each journal's own append order.  The result is independent of the
-    order the per-shard journals arrive in, so ``inprocess`` and
-    ``process`` shard modes produce identical merged journals.
-    """
-    merged: List[dict] = []
-    for journal in journals:
-        if journal:
-            merged.extend(journal)
-    merged.sort(key=lambda r: (r["t"], r["shard"], r["seq"]))
-    return merged
 
 
 def write_journal_jsonl(records: Sequence[dict], path: str) -> None:

@@ -7,29 +7,21 @@ series so hot paths resolve to the *same* metric object on every call
 and can cache it outright.  Three metric types cover the run-record
 needs:
 
-* :class:`Counter` — monotone float, cross-shard merge is addition;
-* :class:`Gauge` — last-set float, cross-shard merge keeps the maximum
-  (order-independent, which a last-write-wins merge would not be);
-* :class:`HistogramMetric` — a value distribution backed by one of the
-  :mod:`repro.telemetry` sketches: ``tdigest`` (the default — mergeable
-  with tail-accurate quantiles), ``log`` (exactly-associative bin
-  merges), or ``p2`` (cheapest, but **not mergeable** — reject it for
-  any series that must fold across shards).
+* :class:`Counter` — a monotone float;
+* :class:`Gauge` — the last value set;
+* :class:`HistogramMetric` — a value distribution backed by a
+  :class:`~repro.telemetry.tdigest.TDigest`, which keeps tail quantiles
+  accurate in bounded memory.
 
-Everything is picklable (plain attributes, no callables), so a shard
-worker's registry rides home inside its
-:class:`~repro.experiments.harness.ExperimentResult` and
-:func:`merge_registries` folds the per-shard registries in ascending
-shard order — the same fixed-order contract as
-:func:`repro.telemetry.digest.merge_telemetry_digests`.
+Everything is picklable (plain attributes, no callables), so a registry
+rides home inside its :class:`~repro.experiments.harness.ExperimentResult`
+from a sweep worker process.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.telemetry.histogram import LogHistogram
-from repro.telemetry.p2 import P2Quantile
 from repro.telemetry.tdigest import TDigest
 
 __all__ = [
@@ -37,7 +29,6 @@ __all__ = [
     "Gauge",
     "HistogramMetric",
     "MetricsRegistry",
-    "merge_registries",
 ]
 
 #: Headline quantiles exported in snapshots and Prometheus exposition.
@@ -47,7 +38,7 @@ LabelsKey = Tuple[Tuple[str, str], ...]
 
 
 class Counter:
-    """A monotonically increasing value (merge = addition)."""
+    """A monotonically increasing value."""
 
     __slots__ = ("value",)
 
@@ -59,7 +50,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (merge = maximum across shards)."""
+    """A point-in-time value."""
 
     __slots__ = ("value",)
 
@@ -71,77 +62,26 @@ class Gauge:
 
 
 class HistogramMetric:
-    """A value distribution backed by a :mod:`repro.telemetry` sketch.
+    """A value distribution backed by a t-digest sketch."""
 
-    ``kind`` selects the backend: ``"tdigest"`` (mergeable, the default),
-    ``"log"`` (mergeable, fixed relative error), or ``"p2"`` (cheapest;
-    quantile estimators for :data:`SNAPSHOT_QUANTILES` only, and
-    :meth:`merge` raises — P² markers cannot be combined).
-    """
+    __slots__ = ("count", "total", "_sketch")
 
-    __slots__ = ("kind", "count", "total", "_sketch", "_p2")
-
-    def __init__(self, kind: str = "tdigest") -> None:
-        if kind not in ("tdigest", "log", "p2"):
-            raise ValueError(f"unknown histogram kind {kind!r}")
-        self.kind = kind
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
-        self._sketch = None
-        self._p2: Optional[Dict[float, P2Quantile]] = None
-        if kind == "tdigest":
-            self._sketch = TDigest()
-        elif kind == "log":
-            self._sketch = LogHistogram()
-        else:
-            self._p2 = {q: P2Quantile(q) for q in SNAPSHOT_QUANTILES}
+        self._sketch = TDigest()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         self.count += 1
         self.total += value
-        if self._sketch is not None:
-            self._sketch.add(value)
-        else:
-            for estimator in self._p2.values():
-                estimator.add(value)
+        self._sketch.add(value)
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in ``[0, 1]``)."""
         if self.count == 0:
             return 0.0
-        if self.kind == "tdigest":
-            return self._sketch.quantile(q)
-        if self.kind == "log":
-            # LogHistogram.quantile takes percent.
-            return self._sketch.quantile(q * 100.0)
-        estimator = self._p2.get(q)
-        if estimator is None:
-            raise ValueError(
-                f"p2 histograms only track quantiles {SNAPSHOT_QUANTILES}, got {q}"
-            )
-        return estimator.value()
-
-    def merge(self, other: "HistogramMetric") -> None:
-        """Fold ``other`` in (raises for the unmergeable ``p2`` kind)."""
-        if self.kind != other.kind:
-            raise ValueError(
-                f"cannot merge histogram kinds {self.kind!r} and {other.kind!r}"
-            )
-        if self.kind == "p2":
-            raise ValueError(
-                "p2 histograms are not mergeable; use kind='tdigest' or "
-                "'log' for series that fold across shards"
-            )
-        self._sketch.merge(other._sketch)
-        self.count += other.count
-        self.total += other.total
-
-
-_TYPE_FACTORIES = {
-    "counter": Counter,
-    "gauge": Gauge,
-}
+        return self._sketch.quantile(q)
 
 
 class MetricsRegistry:
@@ -182,21 +122,9 @@ class MetricsRegistry:
         """The gauge series ``name{labels}`` (created on first use)."""
         return self._series(name, "gauge", labels, Gauge)
 
-    def histogram(self, name: str, kind: str = "tdigest", **labels) -> HistogramMetric:
-        """The histogram series ``name{labels}`` (created on first use).
-
-        ``kind`` must agree across calls for one name; pick ``"tdigest"``
-        (default) or ``"log"`` for any series merged across shards.
-        """
-        metric = self._series(
-            name, "histogram", labels, lambda: HistogramMetric(kind)
-        )
-        if metric.kind != kind:
-            raise ValueError(
-                f"histogram {name!r} is already registered with kind "
-                f"{metric.kind!r}, not {kind!r}"
-            )
-        return metric
+    def histogram(self, name: str, **labels) -> HistogramMetric:
+        """The histogram series ``name{labels}`` (created on first use)."""
+        return self._series(name, "histogram", labels, HistogramMetric)
 
     # --------------------------------------------------------------- queries
     def series(self) -> List[Tuple[str, str, Dict[str, str], object]]:
@@ -224,7 +152,6 @@ class MetricsRegistry:
                     {
                         "name": name,
                         "labels": labels,
-                        "kind": metric.kind,
                         "count": metric.count,
                         "sum": metric.total,
                         "quantiles": {
@@ -233,52 +160,3 @@ class MetricsRegistry:
                     }
                 )
         return out
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (counters add, gauges max,
-        histograms sketch-merge)."""
-        for (name, labels_key), metric in other._metrics.items():
-            type_ = other._types[name]
-            declared = self._types.get(name)
-            if declared is not None and declared != type_:
-                raise ValueError(
-                    f"metric {name!r} type conflict on merge: "
-                    f"{declared} vs {type_}"
-                )
-            self._types.setdefault(name, type_)
-            mine = self._metrics.get((name, labels_key))
-            if mine is None:
-                if type_ == "counter":
-                    mine = Counter()
-                    mine.value = metric.value
-                elif type_ == "gauge":
-                    mine = Gauge()
-                    mine.value = metric.value
-                else:
-                    mine = HistogramMetric(metric.kind)
-                    mine.merge(metric)
-                self._metrics[(name, labels_key)] = mine
-            elif type_ == "counter":
-                mine.value += metric.value
-            elif type_ == "gauge":
-                mine.value = max(mine.value, metric.value)
-            else:
-                mine.merge(metric)
-
-
-def merge_registries(
-    registries: Iterable[Optional[MetricsRegistry]],
-) -> Optional[MetricsRegistry]:
-    """Fold registries in the given (fixed) order; None entries skipped.
-
-    Returns None when every entry is None, so shard merge layers can
-    fold unconditionally whether or not observability was enabled.
-    """
-    merged: Optional[MetricsRegistry] = None
-    for registry in registries:
-        if registry is None:
-            continue
-        if merged is None:
-            merged = MetricsRegistry()
-        merged.merge(registry)
-    return merged

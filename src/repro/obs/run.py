@@ -12,7 +12,7 @@ stays ``None`` otherwise, so every instrumentation site is a single
 "run record" the ``repro.cli inspect`` subcommand reads back:
 
 ``journal.jsonl``
-    The merged event journal, one JSON record per line.
+    The event journal, one JSON record per line.
 ``metrics.json``
     The registry snapshot (counters, gauges, histogram quantiles).
 ``metrics.prom``
@@ -21,7 +21,7 @@ stays ``None`` otherwise, so every instrumentation site is a single
     Headline result numbers plus per-tenant breakdown and journal stats.
 ``trace.json``
     Chrome trace-event JSON (only when the harness — and therefore its
-    span stores — is still available, i.e. unsharded runs).
+    span stores — is passed in).
 """
 
 from __future__ import annotations
@@ -44,25 +44,16 @@ class Observability:
     ----------
     capacity:
         Event-journal ring capacity.
-    shard_index:
-        Shard identity stamped on journal records (0 for unsharded runs;
-        the sharded runner re-stamps each shard harness's journal with its
-        shard index before the run starts).
     """
 
     __slots__ = ("journal", "registry")
 
-    def __init__(
-        self, capacity: int = DEFAULT_CAPACITY, shard_index: int = 0
-    ) -> None:
-        self.journal = EventJournal(capacity=capacity, shard_index=shard_index)
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+        self.journal = EventJournal(capacity=capacity)
         self.registry = MetricsRegistry()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Observability(journal={len(self.journal)} records, "
-            f"shard={self.journal.shard_index})"
-        )
+        return f"Observability(journal={len(self.journal)} records)"
 
 
 def write_run_record(
@@ -75,7 +66,7 @@ def write_run_record(
     ``result`` is an :class:`~repro.experiments.harness.ExperimentResult`
     whose ``journal`` (exported record dicts) and ``metrics``
     (:class:`MetricsRegistry`) attributes were populated by a run with
-    observability enabled.  Passing the (unsharded) ``harness`` as well
+    observability enabled.  Passing the ``harness`` as well
     adds the Chrome trace export, which needs the live span stores.
 
     Returns the mapping of artifact name to written path.

@@ -18,7 +18,6 @@ README's "Performance tracking" section for how to read and update it.
 
 from repro.perf.harness import (
     DEFAULT_BASELINE_PATH,
-    DEFAULT_SCALING_PATH,
     REGRESSION_THRESHOLD,
     RSS_REGRESSION_THRESHOLD,
     BenchmarkResult,
@@ -26,11 +25,9 @@ from repro.perf.harness import (
     compare_reports,
     load_report,
     run_perf,
-    run_shard_scaling,
     save_report,
-    save_scaling,
 )
-from repro.perf.scenarios import MACRO_BENCHMARKS, MacroBenchmark, scaling_spec
+from repro.perf.scenarios import MACRO_BENCHMARKS, MacroBenchmark
 
 __all__ = [
     "BenchmarkResult",
@@ -38,14 +35,10 @@ __all__ = [
     "MACRO_BENCHMARKS",
     "MacroBenchmark",
     "DEFAULT_BASELINE_PATH",
-    "DEFAULT_SCALING_PATH",
     "REGRESSION_THRESHOLD",
     "RSS_REGRESSION_THRESHOLD",
     "compare_reports",
     "load_report",
     "run_perf",
-    "run_shard_scaling",
     "save_report",
-    "save_scaling",
-    "scaling_spec",
 ]

@@ -167,24 +167,12 @@ def _run_benchmark(
     """Build and run every scenario of one benchmark, timed end to end.
 
     Harness construction happens outside the timed window — the metric is
-    simulator throughput, not application-import cost.  Sharded
-    benchmarks (``benchmark.shards >= 2``) likewise keep worker-process
-    spawn and per-shard harness construction untimed
-    (:meth:`ShardedScenarioRunner.prepare`) and time only the
-    window-barrier execution loop; their event count sums every shard
-    engine's processed events.
+    simulator throughput, not application-import cost.
     """
     from repro.experiments.harness import ExperimentHarness
-    from repro.experiments.sharded import ShardedScenarioRunner
 
     specs = benchmark.specs(quick=quick)
-    sharded = benchmark.shards > 1
-    if sharded:
-        runners = [ShardedScenarioRunner(spec, benchmark.shards) for spec in specs]
-        for runner in runners:
-            runner.prepare()
-    else:
-        harnesses = [ExperimentHarness.from_spec(spec) for spec in specs]
+    harnesses = [ExperimentHarness.from_spec(spec) for spec in specs]
     events = 0
     requests = 0
     sim_duration = 0.0
@@ -198,45 +186,35 @@ def _run_benchmark(
     if profiler is not None:
         profiler.enable()
     start = time.perf_counter()
+    per_spec: List[tuple] = []
     try:
-        if sharded:
-            for spec, runner in zip(specs, runners):
-                result = runner.execute()
-                events += runner.processed_events
-                requests += int(result.slo.completed)
-                sim_duration += spec.duration_s
-        else:
-            per_spec: List[tuple] = []
-            for spec, harness in zip(specs, harnesses):
-                spec_start = time.perf_counter()
-                result = harness.run(
-                    duration_s=spec.duration_s,
-                    sample_period_s=spec.sample_period_s,
-                    warmup_s=spec.warmup_s,
-                )
-                spec_wall = time.perf_counter() - spec_start
-                events += harness.engine.processed_events
-                requests += int(result.slo.completed)
-                sim_duration += spec.duration_s
-                per_spec.append((spec_wall, harness.engine.processed_events))
+        for spec, harness in zip(specs, harnesses):
+            spec_start = time.perf_counter()
+            result = harness.run(
+                duration_s=spec.duration_s,
+                sample_period_s=spec.sample_period_s,
+                warmup_s=spec.warmup_s,
+            )
+            spec_wall = time.perf_counter() - spec_start
+            events += harness.engine.processed_events
+            requests += int(result.slo.completed)
+            sim_duration += spec.duration_s
+            per_spec.append((spec_wall, harness.engine.processed_events))
         wall = time.perf_counter() - start
     finally:
         if profiler is not None:
             profiler.disable()
         if gc_was_enabled:
             gc.enable()
-        if sharded:
-            for runner in runners:
-                runner.close()
     wall = max(wall, 1e-9)
     extras: Dict[str, object] = {}
-    if benchmark.measure_memory and not sharded:
+    if benchmark.measure_memory:
         # Outside the timed window: the deep-size walk is O(retained
         # objects) and must not pollute the throughput measurement.
         extras["telemetry_trace_mb"] = round(
             sum(_telemetry_memory_mb(harness) for harness in harnesses), 4
         )
-    if benchmark.measure_overhead and not sharded:
+    if benchmark.measure_overhead:
         extras.update(_overhead_extras(specs, per_spec))
     return BenchmarkResult(
         name=benchmark.name,
@@ -364,90 +342,6 @@ class Comparison:
             f"({self.current_normalized:.6g} vs "
             f"{self.baseline_normalized:.6g}) [{verdict}]"
         )
-
-
-#: Where the CI shard-scaling artifact is written.
-DEFAULT_SCALING_PATH = (
-    Path(__file__).resolve().parents[3] / "benchmarks" / "results" / "scaling.json"
-)
-
-
-def run_shard_scaling(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    quick: bool = False,
-    duration_s: Optional[float] = None,
-) -> Dict[str, object]:
-    """Measure events/sec of one scenario across shard counts.
-
-    Runs :func:`~repro.perf.scenarios.scaling_spec` (four identical
-    co-located tenants) at every shard count — ``1`` on the classic
-    single-engine path, ``>= 2`` on the sharded engine with process
-    workers — and returns the scaling curve as a JSON-ready dict (use
-    :func:`save_scaling` to write the committed/CI artifact).  Each point
-    carries its own calibration probe so curves from different machines
-    remain comparable through ``normalized_events``.
-
-    Note the curve measures *simulator* scaling: on a single-core host
-    shards >= 2 mostly pay synchronization overhead, while multi-core
-    hosts see near-linear gains until shards exceed cores (or tenants).
-    """
-    from repro.experiments.harness import ExperimentHarness
-    from repro.experiments.sharded import ShardedScenarioRunner
-    from repro.perf.scenarios import scaling_spec
-
-    duration = duration_s if duration_s is not None else (5.0 if quick else 15.0)
-    points: List[Dict[str, object]] = []
-    for shards in shard_counts:
-        shards = int(shards)
-        spec = scaling_spec(duration)
-        probe = calibration_score()
-        if shards <= 1:
-            harness = ExperimentHarness.from_spec(spec)
-            start = time.perf_counter()
-            harness.run(
-                duration_s=spec.duration_s,
-                sample_period_s=spec.sample_period_s,
-                warmup_s=spec.warmup_s,
-            )
-            wall = max(time.perf_counter() - start, 1e-9)
-            events = harness.engine.processed_events
-        else:
-            runner = ShardedScenarioRunner(spec, shards)
-            try:
-                runner.prepare()
-                start = time.perf_counter()
-                runner.execute()
-                wall = max(time.perf_counter() - start, 1e-9)
-                events = runner.processed_events
-            finally:
-                runner.close()
-        points.append(
-            {
-                "shards": shards,
-                "sim_duration_s": duration,
-                "wall_s": round(wall, 4),
-                "events": events,
-                "events_per_s": round(events / wall, 1),
-                "normalized_events": round(events / wall / probe, 6) if probe > 0 else 0.0,
-            }
-        )
-    return {
-        "schema": "repro.perf.scaling/1",
-        "scenario": "scaling_spec(4 identical tenants, hotel_reservation)",
-        "quick": quick,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "points": points,
-    }
-
-
-def save_scaling(curve: Dict[str, object], path: Path = DEFAULT_SCALING_PATH) -> None:
-    """Write a shard-scaling curve as indented JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(curve, handle, indent=2)
-        handle.write("\n")
 
 
 #: Fractional peak-RSS growth over the baseline that counts as a memory

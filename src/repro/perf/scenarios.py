@@ -20,10 +20,6 @@ different slice of the stack:
   and a transient anomaly — the distributed-dispatch + admission shape
   (I-queue refresh, token bucket, timeout budgets, retries/hedges,
   breaker bookkeeping);
-* ``sharded_multitenant`` — the multi-tenant interference shape executed
-  on the sharded engine (``shards=2``): per-tenant event shards in worker
-  processes synchronized by conservative time windows
-  (:mod:`repro.experiments.sharded`);
 * ``telemetry_fleet`` — one replicated social_network fleet (every
   service x3), reporting the retained telemetry+trace footprint
   (``telemetry_trace_mb`` extra) next to throughput — the memory story
@@ -70,27 +66,18 @@ class MacroBenchmark:
     build_specs:
         Returns the scenario specs to run (all are timed together, so a
         benchmark may be a small sweep).
-    shards:
-        Event-shard count.  ``1`` (the default) times the classic
-        single-engine path; ``>= 2`` times the sharded engine
-        (:class:`~repro.experiments.sharded.ShardedScenarioRunner`) with
-        worker-process spawn and harness construction outside the timed
-        window, mirroring how the unsharded path keeps ``from_spec``
-        untimed.
     measure_memory:
         Measure the retained telemetry+trace footprint of the scenarios
         after their runs (collector + per-tenant coordinator/store, via
         their ``memory_bytes()`` methods) and attach the total as the
         ``telemetry_trace_mb`` extra.  Measurement happens outside the
         timed window, so it never perturbs throughput numbers.
-        Unsharded benchmarks only.
     measure_overhead:
         Time every scenario separately (in addition to the combined
         timed window) and attach ``events_per_s_off`` /
         ``events_per_s_on`` / ``overhead_pct`` extras comparing the
         specs with ``observability`` off vs on.  The benchmark's
-        ``build_specs`` must return one spec of each mode.  Unsharded
-        benchmarks only.
+        ``build_specs`` must return one spec of each mode.
     """
 
     name: str
@@ -98,7 +85,6 @@ class MacroBenchmark:
     full_duration_s: float
     quick_duration_s: float
     build_specs: Callable[[float], List[ScenarioSpec]]
-    shards: int = 1
     measure_memory: bool = False
     measure_overhead: bool = False
 
@@ -318,37 +304,8 @@ MACRO_BENCHMARKS: Dict[str, MacroBenchmark] = {
             quick_duration_s=5.0,
             build_specs=_controller_stack,
         ),
-        MacroBenchmark(
-            name="sharded_multitenant",
-            description="aggressor/victim tenants on the sharded engine (2 shards)",
-            full_duration_s=20.0,
-            quick_duration_s=5.0,
-            build_specs=_multitenant_aggressor_victim,
-            shards=2,
-        ),
     )
 }
-
-
-def scaling_spec(duration_s: float, tenants: int = 4) -> ScenarioSpec:
-    """The scenario the shard-scaling curve sweeps over.
-
-    Four identical co-located tenants so the curve can cover shard counts
-    1, 2, and 4 of the *same* workload; uncontrolled, constant load, a
-    two-node cluster — pure simulator throughput with cross-tenant
-    contention, no controller dynamics to confound the scaling readout.
-    """
-    from repro.experiments.interference import identical_tenants
-
-    return identical_tenants(
-        tenants,
-        application="hotel_reservation",
-        load_rps=20.0,
-        controller="none",
-        duration_s=duration_s,
-        seed=0,
-        cluster_nodes=(2, 0),
-    )
 
 
 def calibration_score(iterations: int = 2_000_000) -> float:

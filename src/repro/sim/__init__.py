@@ -12,33 +12,15 @@ provides:
   :class:`numpy.random.Generator` with named substreams so that independent
   subsystems (workload, anomalies, service times) draw from decoupled,
   reproducible streams.
-* :mod:`repro.sim.shard` / :mod:`repro.sim.sync` -- partitioning
-  primitives and the conservative time-window barrier used by the
-  sharded engine (one event heap per tenant shard, cross-shard demand
-  exchanged as digests at window boundaries).
 """
 
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event, EventOrderError
 from repro.sim.rng import SeededRNG
-from repro.sim.shard import (
-    ShardDigest,
-    conservative_window_s,
-    merge_remote_pressure,
-    partition_round_robin,
-)
-from repro.sim.sync import ConservativeWindowSync, ShardChannel, SyncStats
 
 __all__ = [
     "SimulationEngine",
     "Event",
     "EventOrderError",
     "SeededRNG",
-    "ShardDigest",
-    "conservative_window_s",
-    "merge_remote_pressure",
-    "partition_round_robin",
-    "ConservativeWindowSync",
-    "ShardChannel",
-    "SyncStats",
 ]

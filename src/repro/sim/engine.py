@@ -87,25 +87,6 @@ class SimulationEngine:
         """
         return len(self._queue) - self._cancelled_in_queue
 
-    def next_event_time(self) -> Optional[float]:
-        """Virtual time of the next *live* event, or None when idle.
-
-        Dead (cancelled) heads are popped on the way, so the answer is
-        exact; the windowed shard synchronizer uses it to skip barriers
-        that no shard has events for.
-        """
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            event = head[3]
-            if event.cancelled:
-                heapq.heappop(queue)
-                event._in_queue = False
-                self._cancelled_in_queue -= 1
-                continue
-            return head[0]
-        return None
-
     # -------------------------------------------------------------- scheduling
     def schedule(
         self,

@@ -1,13 +1,12 @@
-"""Run-level telemetry digests and their cross-shard merge.
+"""Run-level telemetry digests and their merge.
 
-A :class:`TelemetryDigest` is what one tracing coordinator (or one shard)
-can publish about a finished run without shipping raw samples: per
-request type a mergeable latency :class:`~repro.telemetry.histogram.LogHistogram`
-plus completed/dropped counters.  Because the histogram merge is bin-wise
-integer addition, folding digests is associative and commutative on
-counts — the property the sharded engine's determinism contract needs
-(the fold order is still fixed to ascending shard index so the float
-``total`` fields are summed in one canonical order).
+A :class:`TelemetryDigest` is what one tracing coordinator can publish
+about a finished run without shipping raw samples: per request type a
+latency :class:`~repro.telemetry.histogram.LogHistogram` plus
+completed/dropped counters.  A multi-tenant run folds its tenants'
+digests into one; the histogram merge is bin-wise integer addition, and
+the fold order is fixed to tenant order so the float ``total`` fields
+are summed in one canonical order.
 """
 
 from __future__ import annotations
@@ -89,9 +88,9 @@ def merge_telemetry_digests(
 ) -> Optional[TelemetryDigest]:
     """Non-destructive fold of digests in the order given (None-safe).
 
-    Callers fix the order — the sharded merge folds in ascending shard
-    index, the harness in tenant order — so the float ``total`` fields
-    are summed canonically; the integer state is order-independent.
+    Callers fix the order — the harness folds in tenant order — so the
+    float ``total`` fields are summed canonically; the integer state is
+    order-independent.
     """
     merged: Optional[TelemetryDigest] = None
     for digest in digests:

@@ -9,10 +9,9 @@ scale, with no per-sample retention.  The bins are sparse (a plain
 Because the state is a bag of integer counters keyed by a *fixed* bin
 geometry, merging two histograms is bin-wise addition — exactly
 associative and commutative on counts, min, and max (the float ``sum``
-field is associative up to float rounding).  This is the primitive the
-sharded engine's telemetry digests are built from: per-shard histograms
-fold across shard boundaries in ascending shard-index order and the
-result is independent of the grouping.
+field is associative up to float rounding).  Windowed histograms fold
+their ring buckets this way, and a multi-tenant run folds its tenants'
+latency digests (:mod:`repro.telemetry.digest`).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ estimator answers from the sorted buffer directly (linear interpolation,
 matching ``numpy.percentile``), so small streams are exact.
 
 The estimator is *not* mergeable (marker state is order-dependent), so it
-serves per-container and per-stream summaries; cross-shard digests use the
-exactly-associative :class:`~repro.telemetry.histogram.LogHistogram`.
+serves per-container and per-stream summaries; run-level digests that
+fold several streams use the
+:class:`~repro.telemetry.histogram.LogHistogram`.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ first ``capacity`` items are admitted outright, and from then on the
 ``capacity / n``.  Randomness comes from one named
 :class:`~repro.sim.rng.SeededRNG` substream cursor, so retention decisions
 are a pure function of ``(seed, offer order)`` — repeated runs retain the
-same traces, and in-process versus cross-process sharded execution cannot
-diverge.
+same traces, whether they run in this process or in a sweep worker.
 """
 
 from __future__ import annotations

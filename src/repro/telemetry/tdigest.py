@@ -1,23 +1,20 @@
-"""A mergeable t-digest quantile sketch (merging-digest variant).
+"""A t-digest quantile sketch (merging-digest variant).
 
-:class:`~repro.telemetry.p2.P2Quantile` is O(1) but cannot be merged, so
-it cannot summarize a value stream split across event shards; the
-:class:`~repro.telemetry.histogram.LogHistogram` merges exactly but its
+:class:`~repro.telemetry.p2.P2Quantile` is O(1) but tracks one quantile
+per estimator; the :class:`~repro.telemetry.histogram.LogHistogram`'s
 relative-error guarantee is fixed by the bucket geometry.  The t-digest
 (Dunning & Ertl, "Computing extremely accurate quantiles using
-t-digests") fills the gap this package's ROADMAP left open: a bounded
-set of weighted centroids whose sizes shrink toward the distribution's
-tails, giving tight relative accuracy at extreme quantiles *and* a merge
-operation — fold another digest's centroids in and re-compress.
+t-digests") keeps a bounded set of weighted centroids whose sizes shrink
+toward the distribution's tails, giving tight relative accuracy at any
+quantile, extreme ones included.  Digests can also be merged — fold
+another digest's centroids in and re-compress.
 
 This is the fully deterministic *merging* variant: values buffer until
 the buffer fills, then one sorted sweep merges buffer and centroids
 under the ``k1`` scale-function size limit.  No randomness is involved,
 so for a fixed insertion order the digest — and every quantile read from
-it — is bit-reproducible, and merging per-shard digests in ascending
-shard order yields the same result on every run.  That is the contract
-the observability registry's cross-shard histograms rely on
-(:mod:`repro.obs.registry`).
+it — is bit-reproducible.  That is the contract the observability
+registry's histograms rely on (:mod:`repro.obs.registry`).
 """
 
 from __future__ import annotations
@@ -94,7 +91,7 @@ class TDigest:
         Merging is deterministic: the same sequence of merges always
         produces the same centroids.  It is not bit-associative (like any
         t-digest), but the quantile error bound holds for every grouping,
-        so shard-merge order only needs to be *fixed*, not free.
+        so the merge order only needs to be *fixed*, not free.
         """
         if other.count <= 0:
             return
@@ -218,8 +215,7 @@ def merge_tdigests(digests: Iterable[Optional["TDigest"]]) -> Optional["TDigest"
     """Fold digests in the given (fixed) order; None entries are skipped.
 
     Returns None when every entry is None — the same None-safe contract
-    as :func:`repro.telemetry.digest.merge_telemetry_digests`, so shard
-    merge layers can fold unconditionally.
+    as :func:`repro.telemetry.digest.merge_telemetry_digests`.
     """
     merged: Optional[TDigest] = None
     for digest in digests:

@@ -13,8 +13,8 @@ arrival time, and the Extractor's per-instance features (relative
 importance, congestion intensity) from per-instance windowed co-moments
 and sojourn histograms, all fed incrementally as traces finish.  The trace
 store keeps a deterministic reservoir sample of finished traces for
-structural queries (critical paths), and a run-level mergeable latency
-digest serves cross-shard aggregation.
+structural queries (critical paths), and a run-level latency digest is
+folded across tenants into the run result.
 """
 
 from __future__ import annotations

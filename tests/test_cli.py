@@ -35,13 +35,12 @@ class TestParser:
         args = parser.parse_args(["run", "table6"])
         assert args.name == "table6"
         assert args.set is None
-        assert args.shards == 1
         assert args.workers is None
 
     @pytest.mark.parametrize(
         "verb, options",
         [
-            ("run", {"--set", "--shards", "--shard-mode", "--workers", "--obs-dir", "--out"}),
+            ("run", {"--set", "--workers", "--obs-dir", "--out"}),
             ("sweep", {"--grid", "--set", "--workers", "--out"}),
         ],
     )
@@ -116,8 +115,10 @@ class TestErrorPaths:
                 ["run", "metastable", "--set", "admission=survival_kit", "--set", "application=nope"],
                 "unknown application 'nope'",
             ),
-            (["run", "table6", "--shards", "2"], "apply to presets only"),
+            (["run", "table6", "--obs-dir", "record"], "apply to presets only"),
             (["run", "scenario", "--workers", "2"], "--workers applies to experiments"),
+            (["run", "scenario", "--set", "duration_s=-1"], "duration_s must be > 0"),
+            (["run", "scenario", "--set", "load_rps=-5"], "load_rps must be >= 0"),
         ],
     )
     def test_user_errors_exit_2_with_one_line(self, argv, message, capsys):
@@ -129,32 +130,19 @@ class TestErrorPaths:
 
 
 class TestObservabilityCli:
-    def test_sharded_payload_pins_sync_stats(self, capsys):
-        assert main([
-            "run", "aggressor_victim", "--set", "duration_s=5",
-            "--shards", "2", "--shard-mode", "inprocess",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["shards"] == 2
-        assert payload["mode"] == "inprocess"
-        assert payload["window_s"] > 0
-        assert payload["barriers"] >= 1
-        assert payload["skipped_windows"] >= 0
-        assert payload["processed_events"] > 0
-
     def test_obs_run_record_and_inspect(self, tmp_path, capsys):
         record_dir = tmp_path / "record"
         assert main([
             "run", "aggressor_victim", "--set", "duration_s=5",
-            "--shards", "2", "--shard-mode", "inprocess",
             "--obs-dir", str(record_dir),
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         obs = payload["observability"]
         assert obs["journal_records"] > 0
-        assert "shard_barrier" in obs["by_kind"]
-        assert "sync_stats" in obs["by_kind"]
-        assert "run_record" in obs
+        assert "routing_pick" in obs["by_kind"]
+        assert set(obs["run_record"]) == {
+            "journal", "metrics", "prometheus", "summary", "trace",
+        }
         assert main(["inspect", str(record_dir)]) == 0
         report = capsys.readouterr().out
         assert "journal:" in report

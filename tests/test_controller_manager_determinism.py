@@ -3,8 +3,8 @@
 Each tenant's manager memoizes stage results per ``(stage, tenant,
 instant, params)`` — that must change only how often the sensing work
 runs, never any experiment output.  This suite pins the contract by
-running every pinned determinism family (the same families the
-sharded-engine suite uses), an HPA-forced variant, and the
+running every pinned determinism family (the families of
+``test_determinism``), an HPA-forced variant, and the
 composed-controller stack twice: once as built, and once with the stage
 cache emptied before every pull so each pull recomputes.  It also asserts
 the cache actually works (hits observed) so the identity isn't vacuous.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from test_shard_determinism import _fingerprint, pinned_families
+from test_determinism import _fingerprint, pinned_families
 
 from repro.controllers.manager import StageCache
 from repro.experiments.composed import composed_stack_spec

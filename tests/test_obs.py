@@ -1,8 +1,7 @@
 """Tests for the run-record observability layer (:mod:`repro.obs`).
 
 Covers the tentpole contracts end to end: registry/journal semantics,
-cross-shard merge determinism (inprocess vs process), exporter golden
-output, the inspector's causal-timeline reconstruction, the run-record
+exporter golden output, the inspector's causal-timeline reconstruction, the run-record
 writer, non-perturbation (observability off produces byte-identical
 results and on never changes simulation dynamics), and the ≤5%
 events/sec overhead pin.
@@ -23,8 +22,6 @@ from repro.obs import (
     chrome_trace_json,
     inspect_run_record,
     load_journal,
-    merge_journal_records,
-    merge_registries,
     prometheus_exposition,
     read_journal_jsonl,
     write_journal_jsonl,
@@ -123,32 +120,7 @@ class TestMetricsRegistry:
             registry.gauge("x_total")
         registry.histogram("lat_ms")
         with pytest.raises(ValueError):
-            registry.histogram("lat_ms", kind="log")
-
-    def test_merge_semantics(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(3)
-        b.counter("c").inc(4)
-        a.gauge("g").set(2.0)
-        b.gauge("g").set(5.0)
-        for value in (1.0, 2.0, 3.0):
-            a.histogram("h").observe(value)
-        for value in (4.0, 5.0):
-            b.histogram("h").observe(value)
-        merged = merge_registries([a, b])
-        snapshot = merged.snapshot()
-        assert snapshot["counters"][0]["value"] == 7.0
-        assert snapshot["gauges"][0]["value"] == 5.0
-        assert snapshot["histograms"][0]["count"] == 5
-        assert snapshot["histograms"][0]["sum"] == pytest.approx(15.0)
-        assert merge_registries([None, None]) is None
-
-    def test_p2_histograms_refuse_to_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", kind="p2").observe(1.0)
-        b.histogram("h", kind="p2").observe(2.0)
-        with pytest.raises(ValueError):
-            a.merge(b)
+            registry.counter("lat_ms")
 
 
 # ------------------------------------------------------------------- journal
@@ -161,25 +133,6 @@ class TestEventJournal:
         assert journal.recorded == 10
         assert journal.evicted == 6
         assert [r["data"]["i"] for r in journal.as_dicts()] == [6, 7, 8, 9]
-
-    def test_merge_orders_by_time_shard_seq(self):
-        shard0, shard1 = EventJournal(shard_index=0), EventJournal(shard_index=1)
-        driver = EventJournal(shard_index=-1)
-        shard1.record(1.0, "a", "s1")
-        shard0.record(1.0, "b", "s0")
-        driver.record(1.0, "barrier", "sync")
-        shard0.record(0.5, "c", "s0")
-        merged = merge_journal_records(
-            [shard1.as_dicts(), shard0.as_dicts(), driver.as_dicts()]
-        )
-        assert [(r["kind"], r["shard"]) for r in merged] == [
-            ("c", 0), ("barrier", -1), ("b", 0), ("a", 1),
-        ]
-        # Input order never matters.
-        reversed_merge = merge_journal_records(
-            [driver.as_dicts(), shard0.as_dicts(), shard1.as_dicts()]
-        )
-        assert reversed_merge == merged
 
     def test_jsonl_round_trip(self, tmp_path):
         journal = EventJournal()
@@ -238,29 +191,6 @@ class TestHarnessIntegration:
         )
 
 
-class TestShardedMerge:
-    def test_inprocess_and_process_journals_are_identical(self):
-        from repro.experiments.interference import aggressor_victim
-        from repro.experiments.sharded import run_sharded_scenario
-
-        spec = aggressor_victim(duration_s=5.0, seed=4).with_overrides(
-            observability=True
-        )
-        inproc = run_sharded_scenario(spec, shards=2, mode="inprocess")
-        proc = run_sharded_scenario(spec, shards=2, mode="process")
-        assert inproc.journal, "sharded run produced an empty journal"
-        assert inproc.journal == proc.journal
-        assert prometheus_exposition(inproc.metrics.snapshot()) == (
-            prometheus_exposition(proc.metrics.snapshot())
-        )
-        kinds = {record["kind"] for record in inproc.journal}
-        assert "shard_barrier" in kinds
-        assert "sync_stats" in kinds
-        # Driver records carry shard -1 and lead shard records at equal t.
-        shards_present = {record["shard"] for record in inproc.journal}
-        assert -1 in shards_present
-
-
 # ----------------------------------------------------------------- exporters
 class TestExporters:
     def test_chrome_trace_is_valid_and_complete(self, observed_run):
@@ -293,7 +223,7 @@ class TestExporters:
         registry.counter("requests_total", tenant="t0", outcome="completed").inc(41)
         registry.counter("requests_total", tenant="t0", outcome="dropped").inc()
         registry.gauge("replicas", service="nginx").set(3)
-        hist = registry.histogram("latency_ms", kind="log", tenant="t0")
+        hist = registry.histogram("latency_ms", tenant="t0")
         for value in (1.0, 2.0, 4.0, 8.0):
             hist.observe(value)
         text = prometheus_exposition(registry.snapshot())

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,23 @@ from repro.cli import main
 from repro.core.firm import FIRMController
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.scenario import ScenarioSpec, run_scenario
-from repro.experiments.sweep import expand_grid, run_sweep, scenario_cell
+from repro.experiments.sweep import expand_grid, run_parallel, run_sweep, scenario_cell
+
+
+def _finish_in_reverse(item: int) -> int:
+    """Pool worker whose later items finish first."""
+    time.sleep(0.05 * (4 - item))
+    return item * 10
+
+
+def _fail_on_one(job) -> int:
+    """Pool worker that raises on item 1 and leaves a marker for the rest."""
+    index, directory = job
+    if index == 1:
+        raise ValueError("item 1 failed")
+    time.sleep(0.3)
+    (Path(directory) / f"ran-{index}").touch()
+    return index
 
 
 class TestControllerRegistry:
@@ -141,6 +159,26 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown controller"):
             spec.build()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("duration_s", 0.0, "duration_s must be > 0"),
+            ("duration_s", -1.0, "duration_s must be > 0"),
+            ("sample_period_s", 0.0, "sample_period_s must be > 0"),
+            ("warmup_s", -0.5, "warmup_s must be >= 0"),
+            ("load_rps", -5.0, "load_rps must be >= 0"),
+        ],
+    )
+    def test_invalid_timing_and_load_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec().with_overrides(**{field: value})
+
+    def test_zero_load_and_warmup_accepted(self):
+        spec = ScenarioSpec(load_rps=0.0, warmup_s=0.0)
+        assert spec.load_rps == 0.0 and spec.warmup_s == 0.0
+
     def test_from_spec_wires_controller_and_workload(self):
         spec = ScenarioSpec(
             application="hotel_reservation",
@@ -157,7 +195,7 @@ class TestScenarioSpec:
 
     def test_build_matches_from_spec(self):
         """``build`` and ``from_spec`` wire the same pipeline for one app and seed."""
-        from test_shard_determinism import _fingerprint
+        from test_determinism import _fingerprint
 
         spec = ScenarioSpec(
             application="hotel_reservation",
@@ -261,6 +299,22 @@ class TestSweep:
         seen = []
         run_sweep(specs, workers=1, progress=lambda done, total, o: seen.append((done, total)))
         assert seen == [(1, 2), (2, 2)]
+
+    def test_parallel_results_and_progress_in_input_order(self):
+        seen = []
+        results = run_parallel(
+            range(4), _finish_in_reverse, workers=2,
+            progress=lambda done, total, outcome: seen.append((done, total, outcome)),
+        )
+        assert results == [0, 10, 20, 30]
+        assert seen == [(1, 4, 0), (2, 4, 10), (3, 4, 20), (4, 4, 30)]
+
+    def test_parallel_failure_raises_and_cancels_queued_items(self, tmp_path):
+        jobs = [(index, str(tmp_path)) for index in range(16)]
+        with pytest.raises(ValueError, match="item 1 failed"):
+            run_parallel(jobs, _fail_on_one, workers=2)
+        # Only the items already handed to a worker ran; the queue was dropped.
+        assert len(list(tmp_path.iterdir())) < len(jobs) - 2
 
     def test_outcome_as_dict_flattens(self):
         outcome = run_sweep(self._grid()[:1], workers=1)[0]

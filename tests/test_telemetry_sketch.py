@@ -2,7 +2,7 @@
 
 Covers P² quantile estimates against ``numpy.percentile`` golden values on
 pinned lognormal/bimodal streams, reservoir-sampling determinism under a
-fixed seed, sketch-merge associativity across shard digests, and the
+fixed seed, sketch-merge associativity across telemetry digests, and the
 constant-memory guarantee of the telemetry pipeline at fleet scale.
 """
 
@@ -124,7 +124,7 @@ class TestLogHistogram:
         reversed_order.merge(a)
 
         # Bin counts are integers, so the merge is *exactly* associative
-        # and commutative — the property the shard digest fold relies on.
+        # and commutative — the property the tenant digest fold relies on.
         assert left.counts == right.counts == reversed_order.counts
         assert left.count == right.count == sum(len(s) for s in streams)
         assert left.min == right.min and left.max == right.max
