@@ -138,26 +138,53 @@ class Node:
         rho = min(max(rho, 0.0), Node.MAX_UTILIZATION)
         return 1.0 + (rho * rho) / (1.0 - rho)
 
-    def enforced_reservation(self, resource: Resource) -> float:
-        """Total capacity reserved by containers with enforced partitions."""
-        return sum(
-            container.limits[resource]
-            for container in self.containers
-            if container.partition_enforced
-        )
+    def _enforced_containers(self) -> List["Container"]:  # noqa: F821
+        """Hosted containers with an enforced partition, in hosting order."""
+        return [container for container in self.containers if container.partition_enforced]
 
-    def _dilution_scale(self, resource: Resource) -> float:
-        """Scale applied to guarantees when reservations oversubscribe capacity.
+    @staticmethod
+    def _reservation(enforced: List["Container"], resource: Resource) -> float:  # noqa: F821
+        """Sum of ``enforced`` limits; ``sum()`` in hosting order on purpose.
+
+        See :meth:`contention_factors` for why this is not a plain loop.
+        """
+        return sum(container.limits.values[resource] for container in enforced)
+
+    def _dilution_scales(self, enforced: List["Container"]) -> Dict[Resource, float]:  # noqa: F821
+        """Per-resource scale applied to guarantees of ``enforced`` containers.
 
         Hardware partitioning (CAT ways, MBA steps) cannot hand out more
         than physically exists; when the sum of enforced limits exceeds
         capacity every guarantee is diluted proportionally.
         """
-        reservation = self.enforced_reservation(resource)
-        capacity = self.capacity[resource]
-        if reservation <= capacity or reservation <= 0:
-            return 1.0
-        return capacity / reservation
+        if not enforced:
+            return dict.fromkeys(RESOURCE_TYPES, 1.0)
+        capacity_values = self.capacity.values
+        scales: Dict[Resource, float] = {}
+        for resource in RESOURCE_TYPES:
+            reservation = self._reservation(enforced, resource)
+            capacity = capacity_values[resource]
+            if reservation <= capacity or reservation <= 0:
+                scales[resource] = 1.0
+            else:
+                scales[resource] = capacity / reservation
+        return scales
+
+    def _pool(
+        self, resource: Resource, enforced: List["Container"], scale: float  # noqa: F821
+    ) -> float:
+        """:meth:`best_effort_pool` given the enforced containers and their scale."""
+        capacity = self.capacity.values[resource]
+        protected_usage = 0.0
+        for container in enforced:
+            guarantee = container.limits.values[resource] * scale
+            protected_usage += min(container._capped_demand_values()[resource], guarantee)
+        reserved = min(protected_usage, capacity)
+        return max(capacity - reserved, 0.05 * capacity)
+
+    def enforced_reservation(self, resource: Resource) -> float:
+        """Total capacity reserved by containers with enforced partitions."""
+        return self._reservation(self._enforced_containers(), resource)
 
     def best_effort_pool(self, resource: Resource) -> float:
         """Capacity left for unpartitioned containers and injected pressure.
@@ -165,17 +192,14 @@ class Node:
         Partitioning mechanisms (CAT, MBA, CFS shares, blkio, HTB) are
         work-conserving: a protected container's unused allocation remains
         available to best-effort consumers.  The pool therefore subtracts
-        the enforced containers' *usage* (capped at their guarantee), not
-        their nominal limits.
+        the enforced containers' *usage* (capped at their diluted
+        guarantee), not their nominal limits, and never drops below 5% of
+        capacity.  Costs O(C) over the hosted containers; see
+        :meth:`contention_factors` for why nothing is cached.
         """
-        protected_usage = 0.0
-        for container in self.containers:
-            if not container.partition_enforced:
-                continue
-            guarantee = container.limits[resource] * self._dilution_scale(resource)
-            protected_usage += min(container.current_demand()[resource], guarantee)
-        reserved = min(protected_usage, self.capacity[resource])
-        return max(self.capacity[resource] - reserved, 0.05 * self.capacity[resource])
+        enforced = self._enforced_containers()
+        scale = self._dilution_scales(enforced)[resource]
+        return self._pool(resource, enforced, scale)
 
     def contention_factors(self, container: Optional["Container"] = None) -> Dict[Resource, float]:  # noqa: F821
         """Per-resource contention slowdown factors.
@@ -194,22 +218,31 @@ class Node:
           quota, blkio, and tc/HTB provide;
         * an unpartitioned container competes in the best-effort pool.
 
-        This runs once per dispatched span, so the pool demand is
-        accumulated on plain dicts (one pass over the hosted containers)
-        and the best-effort pool collapses to raw capacity when no
-        container on the node has an enforced partition.
+        This runs once per dispatched span, so each call costs O(C·R) for
+        C hosted containers and R resource types: the enforced containers
+        are collected once and the per-resource dilution scales computed
+        once, then shared by the protected branch and the best-effort pool.
+        Nothing is cached across calls: ``partition_enforced`` and limits
+        are plain attributes the orchestrator (and tests) write directly,
+        and the hosted instances' demand changes on every dispatch, so a
+        stateless pass has nothing that can go stale.  With no enforced
+        container on the node the pool is the raw capacity.
+
+        The reservation stays one ``sum()`` over the enforced containers in
+        hosting order, and the protected usage one ``+=`` per container in
+        the same order.  CPython 3.12's ``sum()`` compensates float
+        rounding where 3.10/3.11 add left to right, so a hand-written loop
+        would change results on 3.12; this shape keeps pinned outputs (the
+        determinism goldens, ``bench/expected.json``) byte-identical on
+        every supported Python (3.10-3.12).
         """
         factors: Dict[Resource, float] = {}
-        protected = container is not None and container.partition_enforced
         capacity_values = self.capacity.values
         queueing_factor = self._queueing_factor
-        has_enforced = False
-        for hosted in self.containers:
-            if hosted.partition_enforced:
-                has_enforced = True
-                break
+        enforced = self._enforced_containers()
+        scales = self._dilution_scales(enforced)
 
-        if protected:
+        if container is not None and container.partition_enforced:
             demand_values = container._capped_demand_values()
             limit_values = container.limits.values
             for resource in RESOURCE_TYPES:
@@ -217,34 +250,32 @@ class Node:
                 if capacity <= 0:
                     factors[resource] = 1.0
                     continue
-                guarantee = limit_values[resource] * self._dilution_scale(resource)
+                guarantee = limit_values[resource] * scales[resource]
                 if guarantee <= 0:
                     factors[resource] = queueing_factor(self.MAX_UTILIZATION)
                     continue
                 factors[resource] = queueing_factor(demand_values[resource] / guarantee)
             return factors
 
-        pool_demand: Dict[Resource, float] = {r: 0.0 for r in RESOURCE_TYPES}
-        for hosted in self.containers:
-            if not hosted.partition_enforced:
-                hosted_demand = hosted._capped_demand_values()
-                for resource in RESOURCE_TYPES:
-                    pool_demand[resource] = (
-                        pool_demand[resource] + hosted_demand[resource]
-                    )
+        pool_demands = [
+            hosted._capped_demand_values()
+            for hosted in self.containers
+            if not hosted.partition_enforced
+        ]
         pressure_values = self._injected_pressure.values
-        for resource in RESOURCE_TYPES:
-            pool_demand[resource] = pool_demand[resource] + pressure_values[resource]
-
         for resource in RESOURCE_TYPES:
             capacity = capacity_values[resource]
             if capacity <= 0:
                 factors[resource] = 1.0
                 continue
-            # With no enforced partitions anywhere on the node, the
-            # best-effort pool is the full capacity (reserved usage is 0).
-            pool = self.best_effort_pool(resource) if has_enforced else capacity
-            factors[resource] = queueing_factor(pool_demand[resource] / pool)
+            # Left fold over the best-effort containers in hosting order,
+            # then the pressure; reordering these additions changes results.
+            pool_demand = 0.0
+            for hosted_demand in pool_demands:
+                pool_demand = pool_demand + hosted_demand[resource]
+            pool_demand = pool_demand + pressure_values[resource]
+            pool = self._pool(resource, enforced, scales[resource]) if enforced else capacity
+            factors[resource] = queueing_factor(pool_demand / pool)
         return factors
 
     def utilization(self) -> ResourceVector:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.container import Container
 from repro.cluster.instance import MicroserviceInstance, ServiceProfile
 from repro.cluster.node import Node, NodeSpec
-from repro.cluster.resources import Resource, ResourceLimits, ResourceVector
+from repro.cluster.resources import RESOURCE_TYPES, Resource, ResourceLimits, ResourceVector
+from repro.sim.engine import SimulationEngine
+from repro.sim.rng import SeededRNG
 
 
 @pytest.fixture
@@ -159,7 +164,8 @@ class TestContention:
         b.partition_enforced = True
         node.add_container(a)
         node.add_container(b)
-        assert node._dilution_scale(Resource.CPU) == pytest.approx(0.5)
+        scales = node._dilution_scales(node._enforced_containers())
+        assert scales[Resource.CPU] == pytest.approx(0.5)
 
     def test_utilization_clipped_to_one(self, node):
         capacity = node.capacity[Resource.CPU]
@@ -170,3 +176,153 @@ class TestContention:
         instance = _instance_on(node, engine, rng)
         instance.submit("r1", "svc", lambda *a: None)
         assert node.demand()[Resource.CPU] > 0.0
+
+
+# ----------------------------------------------------------------------------
+# Reference copy of the quadratic contention formulas the linear-time
+# ``Node.contention_factors`` replaced: every enforced container re-sums the
+# reservation over all hosted containers.  The rewrite must agree bit for bit.
+
+
+def _reference_dilution_scale(node, resource):
+    reservation = sum(
+        container.limits[resource]
+        for container in node.containers
+        if container.partition_enforced
+    )
+    capacity = node.capacity[resource]
+    if reservation <= capacity or reservation <= 0:
+        return 1.0
+    return capacity / reservation
+
+
+def _reference_best_effort_pool(node, resource):
+    protected_usage = 0.0
+    for container in node.containers:
+        if not container.partition_enforced:
+            continue
+        guarantee = container.limits[resource] * _reference_dilution_scale(node, resource)
+        protected_usage += min(container.current_demand()[resource], guarantee)
+    reserved = min(protected_usage, node.capacity[resource])
+    return max(node.capacity[resource] - reserved, 0.05 * node.capacity[resource])
+
+
+def _reference_contention_factors(node, container=None):
+    factors = {}
+    if container is not None and container.partition_enforced:
+        demand = container.current_demand()
+        for resource in RESOURCE_TYPES:
+            if node.capacity[resource] <= 0:
+                factors[resource] = 1.0
+                continue
+            guarantee = container.limits[resource] * _reference_dilution_scale(node, resource)
+            if guarantee <= 0:
+                factors[resource] = Node._queueing_factor(Node.MAX_UTILIZATION)
+                continue
+            factors[resource] = Node._queueing_factor(demand[resource] / guarantee)
+        return factors
+    has_enforced = any(hosted.partition_enforced for hosted in node.containers)
+    pool_demand = {resource: 0.0 for resource in RESOURCE_TYPES}
+    for hosted in node.containers:
+        if not hosted.partition_enforced:
+            hosted_demand = hosted.current_demand()
+            for resource in RESOURCE_TYPES:
+                pool_demand[resource] = pool_demand[resource] + hosted_demand[resource]
+    for resource in RESOURCE_TYPES:
+        pool_demand[resource] = pool_demand[resource] + node.injected_pressure[resource]
+    for resource in RESOURCE_TYPES:
+        capacity = node.capacity[resource]
+        if capacity <= 0:
+            factors[resource] = 1.0
+            continue
+        pool = _reference_best_effort_pool(node, resource) if has_enforced else capacity
+        factors[resource] = Node._queueing_factor(pool_demand[resource] / pool)
+    return factors
+
+
+_EQUIVALENCE_PROFILE = ServiceProfile(
+    name="svc",
+    demand_per_request=ResourceVector.from_kwargs(
+        cpu=1.5, memory_bandwidth=9.0, llc=4.0, disk_io=150.0, network=0.8
+    ),
+)
+
+# A limit as a fraction of node capacity: exactly zero, or up to 1.5x, so a
+# few enforced containers oversubscribe the node and dilute guarantees.
+_limit_fractions = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.5))
+
+_hosted = st.fixed_dictionaries(
+    {
+        "limits": st.lists(_limit_fractions, min_size=5, max_size=5),
+        "enforced": st.booleans(),
+        # None: a bare container with no instance (zero demand).  Otherwise
+        # the number of spans submitted; a low CPU limit leaves some queued
+        # behind the ones in service.
+        "spans": st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    }
+)
+
+
+def _build_node(hosted, pressure):
+    node = Node(NodeSpec(name="prop-node"))
+    engine = SimulationEngine()
+    rng = SeededRNG(7)
+    for index, draw in enumerate(hosted):
+        limits = ResourceLimits(
+            {
+                resource: fraction * node.capacity[resource]
+                for resource, fraction in zip(RESOURCE_TYPES, draw["limits"])
+            }
+        )
+        container = Container(f"svc{index}", limits=limits)
+        node.add_container(container)
+        if draw["spans"] is not None:
+            instance = MicroserviceInstance(_EQUIVALENCE_PROFILE, container, engine, rng)
+            for span in range(draw["spans"]):
+                instance.submit(f"r{span}", "svc", lambda *a: None)
+        # Enforce after submitting so dispatch ran without partitions; the
+        # contention below is read with the drawn enforcement in place.
+        container.partition_enforced = draw["enforced"]
+    node.inject_pressure(
+        ResourceVector(
+            {
+                resource: fraction * node.capacity[resource]
+                for resource, fraction in zip(RESOURCE_TYPES, pressure)
+            }
+        )
+    )
+    return node
+
+
+class TestContentionEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_hosted, min_size=0, max_size=8),
+        st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=5, max_size=5),
+    )
+    def test_matches_quadratic_reference(self, hosted, pressure):
+        node = _build_node(hosted, pressure)
+        assert node.contention_factors() == _reference_contention_factors(node)
+        for container in node.containers:
+            expected = _reference_contention_factors(node, container)
+            assert node.contention_factors(container) == expected
+        for resource in RESOURCE_TYPES:
+            expected_pool = _reference_best_effort_pool(node, resource)
+            assert node.best_effort_pool(resource) == expected_pool
+            assert node._dilution_scales(node._enforced_containers())[
+                resource
+            ] == _reference_dilution_scale(node, resource)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_hosted, min_size=0, max_size=8),
+        st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=5, max_size=5),
+    )
+    def test_factors_and_pools_bounded(self, hosted, pressure):
+        node = _build_node(hosted, pressure)
+        for subject in [None, *node.containers]:
+            for factor in node.contention_factors(subject).values():
+                assert math.isfinite(factor)
+                assert factor >= 1.0
+        for resource in RESOURCE_TYPES:
+            assert node.best_effort_pool(resource) >= 0.05 * node.capacity[resource]
