@@ -149,9 +149,6 @@ class ServiceGraph:
     def service_names(self) -> List[str]:
         return sorted(self._services)
 
-    def request_type_names(self) -> List[str]:
-        return sorted(self._request_types)
-
     def request_mix(self) -> List[Tuple[str, float]]:
         """Normalized (request type, probability) pairs from the weights."""
         total = sum(rt.weight for rt in self._request_types.values())

@@ -162,10 +162,6 @@ class Cluster:
             listener(profile.name, instance, True)
         return instance
 
-    def _pick_node(self, limits: Optional[ResourceLimits]) -> Node:
-        """Delegate placement to the configured scheduler (kept for API compatibility)."""
-        return self.scheduler.place(self.nodes, limits)
-
     def remove_instance(self, instance: MicroserviceInstance) -> None:
         """Scale down: remove one replica and free its container."""
         replicas = self._replicas.get(instance.profile.name, [])

@@ -9,8 +9,8 @@ which the tracing coordinator exposes to the Extractor and the RL agent.
 The collector's memory is constant in run length: one fleet-wide set of
 ring-buffer numpy aggregates (per-bucket count / sum / max of usage and
 utilization for every container at once, updated vectorized once per
-sampling tick) plus a per-container P² CPU-utilization quantile estimator,
-with only a short raw tail retained for ``latest()``-style point queries.
+sampling tick), with only a short raw tail retained for ``latest()``-style
+point queries.
 Windowed queries fold the ring buckets — window edges are bucket-aligned,
 so they over-include by up to one sampling period (the documented sketch
 accuracy tradeoff).
@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.cluster.resources import RESOURCE_TYPES, ResourceUsage, ResourceVector
 from repro.sim.engine import SimulationEngine
-from repro.telemetry.p2 import P2Quantile
 
 #: Raw samples kept per container (point queries only).
 SKETCH_RAW_TAIL = 8
@@ -136,7 +135,6 @@ class TelemetryCollector:
         self._usage_max = np.zeros_like(self._usage_sum)
         self._util_sum = np.zeros_like(self._usage_sum)
         self._util_max = np.zeros_like(self._usage_sum)
-        self._cpu_p99: Dict[str, P2Quantile] = {}
 
     # ----------------------------------------------------------------- start
     def start(self) -> None:
@@ -228,16 +226,11 @@ class TelemetryCollector:
         cols = np.empty(n, dtype=np.intp)
         usage_rows = np.empty((n, len(RESOURCE_TYPES)), dtype=np.float32)
         util_rows = np.empty_like(usage_rows)
-        p2s = self._cpu_p99
         for i, sample in enumerate(batch):
             cols[i] = self._column(sample.container_id)
             # Normalized vectors hold every resource in canonical order.
             usage_rows[i] = list(sample.usage.values.values())
             util_rows[i] = list(sample.utilization.values.values())
-            estimator = p2s.get(sample.container_id)
-            if estimator is None:
-                estimator = p2s[sample.container_id] = P2Quantile(0.99)
-            estimator.add(float(util_rows[i, 0]))
         # One container appears at most once per batch, so the fancy-indexed
         # assignment below never aliases.
         self._counts[slot, cols] += 1
@@ -308,11 +301,6 @@ class TelemetryCollector:
             {resource: float(peak[i]) for i, resource in enumerate(RESOURCE_TYPES)}
         )
 
-    def cpu_utilization_p99(self, container_id: str) -> float:
-        """Run-long streaming p99 of a container's CPU utilization (P² estimate)."""
-        estimator = self._cpu_p99.get(container_id)
-        return estimator.value() if estimator is not None else 0.0
-
     def service_utilization(self, service_name: str) -> ResourceVector:
         """Mean utilization across the latest samples of a service's containers.
 
@@ -335,7 +323,7 @@ class TelemetryCollector:
 
     # ---------------------------------------------------------------- memory
     def memory_bytes(self) -> int:
-        """Retained telemetry footprint (samples, indexes, and sketches)."""
+        """Retained telemetry footprint (raw tails, indexes, and ring aggregates)."""
         from repro.telemetry.memory import deep_sizeof
 
         return deep_sizeof(
@@ -349,6 +337,5 @@ class TelemetryCollector:
                 self._usage_max,
                 self._util_sum,
                 self._util_max,
-                self._cpu_p99,
             )
         )

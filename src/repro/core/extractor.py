@@ -37,15 +37,6 @@ class ExtractionResult:
         """Instance names flagged for re-provisioning."""
         return [feature.instance for feature in self.candidates]
 
-    @property
-    def candidate_services(self) -> List[str]:
-        """Service names flagged for re-provisioning (deduplicated)."""
-        seen: List[str] = []
-        for feature in self.candidates:
-            if feature.service not in seen:
-                seen.append(feature.service)
-        return seen
-
 
 class Extractor:
     """Detects SLO violations and localizes the responsible instances.
@@ -150,17 +141,3 @@ class Extractor:
         labels = [1 if feature.service in culprit_services else 0 for feature in features]
         matrix = np.vstack([feature.as_vector() for feature in features])
         return self.component_extractor.svm.partial_fit(matrix, labels)
-
-    # ----------------------------------------------------------------- extras
-    def rank_instances(self) -> List[tuple]:
-        """Scored ranking of all instances on recent CPs (for ROC sweeps)."""
-        traces = self.coordinator.recent_traces(self.window_s)
-        if not traces:
-            return []
-        features = self._sketch_features(self.path_extractor.extract_all(traces))
-        if not features:
-            return []
-        matrix = np.vstack([feature.as_vector() for feature in features])
-        scores = self.component_extractor.svm.decision_function(matrix)
-        ranked = sorted(zip(features, scores), key=lambda pair: pair[1], reverse=True)
-        return [(feature, float(score)) for feature, score in ranked]

@@ -165,17 +165,6 @@ class MicroserviceEnvironment:
             limits[resource] = low + fraction * (high - low)
         return ResourceVector(limits)
 
-    def limits_to_action(self, limits: ResourceVector) -> np.ndarray:
-        """Inverse mapping (used to seed exploration around current limits)."""
-        action = []
-        for resource in RESOURCE_TYPES:
-            low = self.bounds.lower[resource]
-            high = self.bounds.upper[resource]
-            span = max(high - low, 1e-9)
-            fraction = (limits[resource] - low) / span
-            action.append(2.0 * min(max(fraction, 0.0), 1.0) - 1.0)
-        return np.array(action, dtype=float)
-
     # ----------------------------------------------------------------- reward
     def reward(self, is_culprit: bool = True) -> float:
         """Compute the current reward for the managed instance."""

@@ -3,7 +3,7 @@
 DDPG explores by adding temporally correlated noise to the deterministic
 policy's actions (Algorithm 3, line 8: ``a_t = pi(s_t) + N_t``).  We use an
 Ornstein-Uhlenbeck process, the standard choice for DDPG on continuous
-control, plus a simple Gaussian alternative for ablations.
+control.
 """
 
 from __future__ import annotations
@@ -53,24 +53,4 @@ class OrnsteinUhlenbeckNoise:
 
     def scaled_sample(self, scale: float) -> np.ndarray:
         """Noise sample multiplied by ``scale`` (for annealed exploration)."""
-        return self.sample() * float(scale)
-
-
-class GaussianNoise:
-    """Uncorrelated Gaussian exploration noise (ablation alternative)."""
-
-    def __init__(self, size: int, sigma: float = 0.1, seed: int = 0) -> None:
-        self.size = int(size)
-        self.sigma = float(sigma)
-        self._rng = np.random.default_rng(seed)
-
-    def reset(self) -> None:
-        """No state to reset; present for interface compatibility."""
-
-    def sample(self) -> np.ndarray:
-        """Draw one uncorrelated noise vector."""
-        return self._rng.normal(0.0, self.sigma, size=self.size)
-
-    def scaled_sample(self, scale: float) -> np.ndarray:
-        """Noise sample multiplied by ``scale``."""
         return self.sample() * float(scale)

@@ -46,13 +46,6 @@ class Fig10Result:
         """Dropped request counts per controller (panel (c))."""
         return {name: result.dropped_requests for name, result in self.results.items()}
 
-    def violation_counts(self) -> Dict[str, int]:
-        """SLO-violation counts per controller (dropped requests included)."""
-        return {
-            name: result.slo.violations_including_drops
-            for name, result in self.results.items()
-        }
-
     def improvement_over(self, baseline: str, firm_key: str = "firm_single") -> Dict[str, float]:
         """FIRM's improvement factors over one baseline (violations, p99, drops)."""
         firm = self.results[firm_key]

@@ -66,11 +66,6 @@ class TrainingCurve:
     def mitigation_times(self) -> List[float]:
         return [outcome.mitigation_time_s for outcome in self.episodes]
 
-    def final_mitigation_time(self, tail: int = 3) -> float:
-        """Mean mitigation time over the last ``tail`` episodes."""
-        times = self.mitigation_times()[-tail:]
-        return float(np.mean(times)) if times else 0.0
-
     def improved(self) -> bool:
         """Whether the late-training reward beats the early-training reward."""
         rewards = self.rewards()

@@ -46,7 +46,7 @@ from repro.cluster.scheduler import PlacementPolicy, Scheduler
 from repro.cluster.telemetry import TelemetryCollector
 from repro.controllers.manager import ControllerManager, StageBinding, StageCache
 from repro.core.firm import FIRMConfig, FIRMController
-from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
+from repro.experiments.scenario import ScenarioSpec, TenantSpec
 from repro.metrics.latency import LatencyStats
 from repro.metrics.slo import MitigationTracker, SLOTracker, merge_slo_trackers
 from repro.obs.run import Observability
@@ -1098,31 +1098,3 @@ class RunSession:
         for coordinator, hook in self._hooks:
             coordinator.remove_completion_hook(hook)
         self._sample_event.cancel()
-
-
-def run_comparison(
-    application: str,
-    duration_s: float,
-    load_rps: float,
-    campaign_builder,
-    seed: int = 0,
-    controllers: Sequence[str] = ("firm", "aimd", "k8s"),
-) -> Dict[str, ExperimentResult]:
-    """Run the same scenario under each registered controller.
-
-    ``campaign_builder(harness)`` must return an
-    :class:`~repro.anomaly.campaigns.AnomalyCampaign` (or None) for the
-    freshly built harness, so each controller sees an identical schedule.
-    """
-    results: Dict[str, ExperimentResult] = {}
-    for controller in controllers:
-        spec = ScenarioSpec(
-            application=application,
-            seed=seed,
-            duration_s=duration_s,
-            load_rps=load_rps,
-            controller=controller,
-            campaign_builder=campaign_builder,
-        )
-        results[controller] = run_scenario(spec)
-    return results

@@ -255,6 +255,10 @@ class ScenarioSpec:
         for name in ("warmup_s", "load_rps"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if not self.dispatchers >= 1:
+            raise ValueError(f"dispatchers must be >= 1, got {self.dispatchers!r}")
+        if self.score_window_s is not None and not self.score_window_s > 0:
+            raise ValueError(f"score_window_s must be > 0, got {self.score_window_s!r}")
 
     @property
     def is_multi_tenant(self) -> bool:

@@ -48,10 +48,6 @@ class Table1Row:
     total_latency_ms: float
     cp_services: List[str] = field(default_factory=list)
 
-    def dominant_service(self) -> str:
-        """Short label of the service with the highest latency in this row."""
-        return max(self.per_service_latency_ms, key=lambda k: self.per_service_latency_ms[k])
-
 
 def run_table1_case(
     target_label: str,

@@ -7,7 +7,7 @@ created only when ``ScenarioSpec.observability`` is true, so every
 pinned determinism family stays byte-identical with it off — collects:
 
 * a **metrics registry** (:mod:`repro.obs.registry`): named counters,
-  gauges, and t-digest-backed histograms with interned label sets;
+  gauges, and log-histogram-backed histograms with interned label sets;
 * a **structured event journal** (:mod:`repro.obs.journal`): a bounded
   ring-buffer flight recorder of typed records — controller scale
   decisions with before/after replica counts, routing policy picks,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 __all__ = [
     "EventJournal",
@@ -68,13 +68,6 @@ class EventJournal:
     def evicted(self) -> int:
         """Records lost to ring eviction."""
         return self._seq - len(self._records)
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Retained record count per kind (sorted by kind)."""
-        counts: Dict[str, int] = {}
-        for _, _, kind, _, _ in self._records:
-            counts[kind] = counts.get(kind, 0) + 1
-        return dict(sorted(counts.items()))
 
     def as_dicts(self) -> List[dict]:
         """Export retained records as JSON-ready dicts (time order)."""

@@ -9,9 +9,9 @@ needs:
 
 * :class:`Counter` — a monotone float;
 * :class:`Gauge` — the last value set;
-* :class:`HistogramMetric` — a value distribution backed by a
-  :class:`~repro.telemetry.tdigest.TDigest`, which keeps tail quantiles
-  accurate in bounded memory.
+* :class:`HistogramMetric` — a value distribution backed by the same
+  :class:`~repro.telemetry.histogram.LogHistogram` the run digests use,
+  which keeps every quantile within ~4% relative error in bounded memory.
 
 Everything is picklable (plain attributes, no callables), so a registry
 rides home inside its :class:`~repro.experiments.harness.ExperimentResult`
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.telemetry.tdigest import TDigest
+from repro.telemetry.histogram import LogHistogram
 
 __all__ = [
     "Counter",
@@ -62,14 +62,14 @@ class Gauge:
 
 
 class HistogramMetric:
-    """A value distribution backed by a t-digest sketch."""
+    """A value distribution backed by a log-histogram sketch."""
 
     __slots__ = ("count", "total", "_sketch")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
-        self._sketch = TDigest()
+        self._sketch = LogHistogram()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -79,9 +79,7 @@ class HistogramMetric:
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in ``[0, 1]``)."""
-        if self.count == 0:
-            return 0.0
-        return self._sketch.quantile(q)
+        return self._sketch.quantile(100.0 * q)
 
 
 class MetricsRegistry:

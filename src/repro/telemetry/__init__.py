@@ -5,12 +5,11 @@ trace until eviction costs O(history) per container and O(capacity)
 traces.  This package holds the constant-memory primitives the telemetry
 collector and tracing coordinator are built from:
 
-* :mod:`repro.telemetry.p2` — the P² incremental quantile estimator
-  (Jain & Chlamtac 1985): five markers, O(1) memory, no sample retention;
 * :mod:`repro.telemetry.histogram` — fixed-geometric-bin log histograms
   with a bounded relative error at any scale, whose merge is bin-wise
-  integer addition — the primitive windowed histograms and run digests
-  are built from;
+  integer addition — the package's one quantile sketch: windowed
+  histograms, run digests and the observability registry's histograms
+  are all built from it;
 * :mod:`repro.telemetry.window` — fixed-size ring-buffer windowed
   statistics (count/mean/max per resource, windowed histograms, windowed
   co-moments for incremental Pearson correlation);
@@ -19,9 +18,6 @@ collector and tracing coordinator are built from:
 * :mod:`repro.telemetry.digest` — the per-run latency digest each
   tracing coordinator publishes and the tenant-order fold that combines
   them into one run-level digest;
-* :mod:`repro.telemetry.tdigest` — a deterministic merging t-digest:
-  tail-accurate quantiles from a bounded set of centroids — the backend
-  of the observability registry's histograms;
 * :mod:`repro.telemetry.memory` — honest retained-footprint accounting
   used by the ``telemetry_fleet`` perf macro and the constant-memory
   regression test.
@@ -29,9 +25,7 @@ collector and tracing coordinator are built from:
 
 from repro.telemetry.digest import TelemetryDigest, merge_telemetry_digests
 from repro.telemetry.histogram import LogHistogram
-from repro.telemetry.p2 import P2Quantile
 from repro.telemetry.reservoir import ReservoirSampler
-from repro.telemetry.tdigest import TDigest, merge_tdigests
 from repro.telemetry.window import (
     WindowedCoMoments,
     WindowedCounter,
@@ -40,13 +34,10 @@ from repro.telemetry.window import (
 
 __all__ = [
     "LogHistogram",
-    "P2Quantile",
     "ReservoirSampler",
-    "TDigest",
     "TelemetryDigest",
     "WindowedCoMoments",
     "WindowedCounter",
     "WindowedHistogram",
-    "merge_tdigests",
     "merge_telemetry_digests",
 ]

@@ -37,20 +37,6 @@ class TelemetryDigest:
     def observe_drop(self) -> None:
         self.dropped += 1
 
-    def latency_quantile_ms(self, q: float, request_type: Optional[str] = None) -> float:
-        """Digest-wide latency quantile (across types when none is given)."""
-        if request_type is not None:
-            histogram = self.latency.get(request_type)
-            return histogram.quantile(q) if histogram is not None else 0.0
-        merged: Optional[LogHistogram] = None
-        for name in sorted(self.latency):
-            histogram = self.latency[name]
-            if merged is None:
-                merged = histogram.copy()
-            else:
-                merged.merge(histogram)
-        return merged.quantile(q) if merged is not None else 0.0
-
     def merge(self, other: "TelemetryDigest") -> None:
         """Fold another digest into this one (bin-wise addition)."""
         for request_type, histogram in other.latency.items():

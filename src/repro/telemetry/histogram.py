@@ -17,7 +17,7 @@ latency digests (:mod:`repro.telemetry.digest`).
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 #: Default geometric growth factor: quantile relative error ~ ±4%.
 DEFAULT_GAMMA = 1.08
@@ -165,16 +165,3 @@ class LogHistogram:
             f"LogHistogram(count={self.count}, bins={len(self.counts)}, "
             f"p50={self.quantile(50.0):.3g}, p99={self.quantile(99.0):.3g})"
         )
-
-
-def merge_histograms(histograms: Sequence[Optional[LogHistogram]]) -> Optional[LogHistogram]:
-    """Non-destructive fold of histograms in the order given (None-safe)."""
-    merged: Optional[LogHistogram] = None
-    for histogram in histograms:
-        if histogram is None:
-            continue
-        if merged is None:
-            merged = histogram.copy()
-        else:
-            merged.merge(histogram)
-    return merged

@@ -181,17 +181,6 @@ class WindowedHistogram(_Ring):
                 break
         return answers
 
-    def run_histogram(self) -> LogHistogram:
-        """All currently retained buckets folded into one mergeable histogram."""
-        folded = LogHistogram(gamma=self.gamma, min_value=self.min_value)
-        for slot in range(self.buckets):
-            if self._ids[slot] < 0:
-                continue
-            for index, count in self._bins[slot].items():
-                folded.counts[index] = folded.counts.get(index, 0) + count
-                folded.count += count
-        return folded
-
 
 class WindowedCoMoments(_Ring):
     """Ring-buffered bivariate co-moments for windowed Pearson correlation.

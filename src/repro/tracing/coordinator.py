@@ -323,16 +323,6 @@ class TracingCoordinator:
                 result[span.service].append(span.sojourn_time_ms)
         return dict(result)
 
-    def per_instance_latencies_ms(
-        self, window_s: float, request_type: Optional[str] = None
-    ) -> Dict[str, List[float]]:
-        """Per-instance sojourn-time samples (ms) from recent traces."""
-        result: Dict[str, List[float]] = defaultdict(list)
-        for trace in self.recent_traces(window_s, request_type):
-            for span in trace.spans:
-                result[span.instance].append(span.sojourn_time_ms)
-        return dict(result)
-
     # ------------------------------------------------------ feature queries
     def instance_features(
         self,

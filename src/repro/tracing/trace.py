@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 from repro.tracing.span import Span, SpanKind
 
 
@@ -134,24 +132,6 @@ class Trace:
     def latency_of_service(self, service: str) -> float:
         """Total sojourn time (ms) spent in a given service for this request."""
         return sum(span.sojourn_time_ms for span in self._spans.values() if span.service == service)
-
-    def to_graph(self) -> nx.DiGraph:
-        """Export as a networkx DiGraph (parent -> child edges)."""
-        graph = nx.DiGraph()
-        for span in self._spans.values():
-            graph.add_node(
-                span.span_id,
-                service=span.service,
-                instance=span.instance,
-                kind=span.kind.value,
-                sojourn_ms=span.sojourn_time_ms,
-            )
-        for parent_id, child_ids in self._children.items():
-            if parent_id is None:
-                continue
-            for child_id in child_ids:
-                graph.add_edge(parent_id, child_id)
-        return graph
 
     def __len__(self) -> int:
         return len(self._spans)

@@ -13,7 +13,7 @@ from repro.experiments.fig5_scale_tradeoff import _run_point
 from repro.experiments.fig9_localization import auc, roc_curve, run_fig9c
 from repro.experiments.fig10_end_to_end import run_fig10
 from repro.experiments.fig11_rl_training import train_variant
-from repro.experiments.harness import ExperimentHarness, run_comparison
+from repro.experiments.harness import ExperimentHarness
 from repro.experiments.table1_cp_changes import run_table1_case
 from repro.experiments.table6_operation_latency import run_table6, table6_rows
 from repro.experiments.summary import HeadlineNumbers
@@ -43,13 +43,6 @@ class TestHarness:
         result = harness.run(duration_s=15.0)
         assert result.mean_requested_cpu > 0
         assert 0.0 <= result.mean_cluster_cpu_utilization <= 1.0
-
-    def test_run_comparison_covers_controllers(self):
-        results = run_comparison(
-            "hotel_reservation", duration_s=15.0, load_rps=20.0,
-            campaign_builder=None, controllers=("none", "firm"),
-        )
-        assert set(results) == {"none", "firm"}
 
 
 class TestFigureModules:

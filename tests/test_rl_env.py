@@ -104,13 +104,6 @@ class TestActions:
         with pytest.raises(ValueError):
             env.action_to_limits(np.zeros(3))
 
-    def test_limits_to_action_roundtrip(self, environment):
-        env, *_ = environment
-        action = np.array([0.2, -0.4, 0.6, 0.0, -1.0])
-        limits = env.action_to_limits(action)
-        recovered = env.limits_to_action(limits)
-        np.testing.assert_allclose(recovered, action, atol=1e-9)
-
     def test_default_bounds_ordering(self):
         bounds = ResourceBounds.default()
         assert bounds.upper.dominates(bounds.lower)

@@ -167,6 +167,8 @@ class TestScenarioSpec:
             ("sample_period_s", 0.0, "sample_period_s must be > 0"),
             ("warmup_s", -0.5, "warmup_s must be >= 0"),
             ("load_rps", -5.0, "load_rps must be >= 0"),
+            ("dispatchers", 0, "dispatchers must be >= 1"),
+            ("score_window_s", 0.0, "score_window_s must be > 0"),
         ],
     )
     def test_invalid_timing_and_load_rejected(self, field, value, message):

@@ -1,9 +1,9 @@
 """Tests for the streaming-sketch telemetry layer (``repro.telemetry``).
 
-Covers P² quantile estimates against ``numpy.percentile`` golden values on
-pinned lognormal/bimodal streams, reservoir-sampling determinism under a
-fixed seed, sketch-merge associativity across telemetry digests, and the
-constant-memory guarantee of the telemetry pipeline at fleet scale.
+Covers log-histogram quantiles against ``numpy.percentile`` golden values
+on pinned lognormal/bimodal streams, reservoir-sampling determinism under
+a fixed seed, sketch-merge associativity across telemetry digests, and
+the constant-memory guarantee of the telemetry pipeline at fleet scale.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 from repro.sim.rng import SeededRNG
 from repro.telemetry import (
     LogHistogram,
-    P2Quantile,
     ReservoirSampler,
     TelemetryDigest,
     WindowedCoMoments,
@@ -37,53 +36,6 @@ def _bimodal_stream(n: int = 4000, seed: int = 11) -> np.ndarray:
     slow = rng.normal(220.0, 25.0, size=n)
     choose_slow = rng.random(n) < 0.2
     return np.abs(np.where(choose_slow, slow, fast))
-
-
-class TestP2Quantile:
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
-    def test_lognormal_matches_numpy_percentile(self, q):
-        stream = _lognormal_stream()
-        estimator = P2Quantile(q)
-        for x in stream:
-            estimator.add(float(x))
-        exact = float(np.percentile(stream, q * 100.0))
-        # P² is an O(1)-memory estimate; on a smooth heavy-tailed stream
-        # of 4k observations it lands within a few percent of exact.
-        assert estimator.value() == pytest.approx(exact, rel=0.05)
-
-    @pytest.mark.parametrize("q", [0.5, 0.9])
-    def test_bimodal_matches_numpy_percentile(self, q):
-        stream = _bimodal_stream()
-        estimator = P2Quantile(q)
-        for x in stream:
-            estimator.add(float(x))
-        exact = float(np.percentile(stream, q * 100.0))
-        # Bimodal streams are the estimator's hard case (the parabolic
-        # fit assumes local smoothness); the bound is looser but the
-        # estimate must stay on the correct mode.
-        assert estimator.value() == pytest.approx(exact, rel=0.25)
-
-    def test_small_streams_are_exact(self):
-        # Below five observations the estimator answers from the sorted
-        # buffer with numpy-style linear interpolation — exactly.
-        values = [9.0, 1.0, 5.0, 3.0]
-        estimator = P2Quantile(0.5)
-        for i, x in enumerate(values, start=1):
-            estimator.add(x)
-            exact = float(np.percentile(values[:i], 50.0))
-            assert estimator.value() == pytest.approx(exact)
-
-    def test_constant_stream(self):
-        estimator = P2Quantile(0.99)
-        for _ in range(100):
-            estimator.add(42.0)
-        assert estimator.value() == pytest.approx(42.0)
-
-    def test_rejects_degenerate_quantile(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
 
 
 class TestLogHistogram:
@@ -170,7 +122,7 @@ class TestShardDigestMerge:
         pooled = np.concatenate(
             [np.random.default_rng(seed).lognormal(3.0, 0.8, size=500) for seed in (0, 1)]
         )
-        assert merged.latency_quantile_ms(99.0, "compose") == pytest.approx(
+        assert merged.latency["compose"].quantile(99.0) == pytest.approx(
             float(np.percentile(pooled, 99.0)), rel=0.06
         )
 

@@ -112,12 +112,6 @@ class TestTrace:
         trace.mark_dropped()
         assert not trace.is_complete
 
-    def test_to_graph_structure(self):
-        trace, root, child_a, *_ = self._build_trace()
-        graph = trace.to_graph()
-        assert graph.has_edge(root.span_id, child_a.span_id)
-        assert graph.nodes[root.span_id]["service"] == "fe"
-
     def test_len_counts_spans(self):
         trace, *_ = self._build_trace()
         assert len(trace) == 4
