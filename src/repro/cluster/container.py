@@ -10,6 +10,11 @@ Demand, throttle, and contention factors are recomputed for every span a
 replica dispatches, so this module is a simulation hot path: the class is
 slotted and the per-resource loops work on plain dicts instead of going
 through :class:`~repro.cluster.resources.ResourceVector` arithmetic.
+:meth:`Container.total_slowdown` is one fused pass over only the resources
+the service weights: it folds the cap factor in per resource and asks the
+node for just those contention factors.  :meth:`Container.throttle_factor`
+and :meth:`Container.node_contention_factor` keep the five-resource
+decomposition as a readable reference.
 """
 
 from __future__ import annotations
@@ -25,8 +30,12 @@ from repro.cluster.resources import (
     ResourceVector,
     default_container_limits,
 )
+from repro.cluster.node import Node
 
 _container_ids = itertools.count()
+
+#: Node contention factors of a container no node hosts.
+_NO_CONTENTION: Dict[Resource, float] = dict.fromkeys(RESOURCE_TYPES, 1.0)
 
 
 class Container:
@@ -185,8 +194,6 @@ class Container:
         wants more of a resource than its limit; the slowdown follows the
         same queueing-delay curve used for node-level contention.
         """
-        from repro.cluster.node import Node  # local import avoids a cycle
-
         if self.instance is None:
             return {resource: 1.0 for resource in RESOURCE_TYPES}
         queueing_factor = Node._queueing_factor
@@ -245,21 +252,41 @@ class Container:
         to — so the per-resource factors are combined with ``max`` (not
         multiplied, which would double-count the same saturated resource)
         before being weighted by the service's sensitivity.
+
+        Runs once per dispatched span, so it visits only the resources
+        with a nonzero weight (in ``RESOURCE_TYPES`` order) and asks the
+        node for just those.  A zero weight contributes ``max(s, 1.0)``,
+        which never changes ``s``, so the result equals the five-resource
+        combination of :meth:`_cap_factors` and ``contention_factors``.
         """
-        if self.instance is None:
+        instance = self.instance
+        if instance is None:
             return 1.0
-        cap = self._cap_factors()
         node = self.node
         if node is not None:
-            node_factors = node.contention_factors(self)
+            node_factors = node.contention_factors(self, instance._slowdown_resources)
         else:
-            node_factors = {resource: 1.0 for resource in RESOURCE_TYPES}
-        profile = self.instance.profile.resource_weights
+            node_factors = _NO_CONTENTION
+        queueing_factor = Node._queueing_factor
+        raw = instance._demand_values()
         slowdown = 1.0
-        for resource in RESOURCE_TYPES:
-            weight = profile.get(resource, 0.0)
-            factor = max(cap[resource], node_factors[resource])
-            slowdown = max(slowdown, 1.0 + (factor - 1.0) * weight)
+        for resource, weight in instance._slowdown_weights:
+            want = raw[resource]
+            if want <= 0:
+                cap = 1.0
+            else:
+                limit = self._limit_for(resource)
+                if limit <= 0:
+                    cap = queueing_factor(Node.MAX_UTILIZATION)
+                else:
+                    cap = queueing_factor(want / limit)
+            # ``max(cap, contention)`` and ``max(slowdown, weighted)``, spelled
+            # out: each keeps its first argument unless the second is larger.
+            contention = node_factors[resource]
+            factor = contention if contention > cap else cap
+            weighted = 1.0 + (factor - 1.0) * weight
+            if weighted > slowdown:
+                slowdown = weighted
         return slowdown
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.container import Container
-from repro.cluster.resources import Resource, ResourceVector
+from repro.cluster.resources import RESOURCE_TYPES, Resource, ResourceVector
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SeededRNG
 
@@ -133,6 +133,8 @@ class MicroserviceInstance:
         "_finish_event_name",
         "_demand_key",
         "_demand_dict",
+        "_slowdown_weights",
+        "_slowdown_resources",
     )
 
     def __init__(
@@ -184,6 +186,19 @@ class MicroserviceInstance:
         # demand memo (see Container._capped_demand_values).
         self._demand_key: Optional[Tuple[int, int, int]] = None
         self._demand_dict: Optional[Dict[Resource, float]] = None
+        #: The profile's nonzero ``(resource, weight)`` pairs in
+        #: ``RESOURCE_TYPES`` order, and their resources: the only ones
+        #: ``Container.total_slowdown`` visits per span.  Nothing rebinds
+        #: the profile or edits its weights after construction.
+        weights = profile.resource_weights
+        self._slowdown_weights: Tuple[Tuple[Resource, float], ...] = tuple(
+            (resource, weights[resource])
+            for resource in RESOURCE_TYPES
+            if weights.get(resource, 0.0) != 0
+        )
+        self._slowdown_resources: Tuple[Resource, ...] = tuple(
+            resource for resource, _ in self._slowdown_weights
+        )
 
     # --------------------------------------------------------------- metrics
     @property

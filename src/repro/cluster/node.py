@@ -12,7 +12,7 @@ oversubscription of the resources it actually uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.resources import (
     RESOURCE_TYPES,
@@ -20,6 +20,9 @@ from repro.cluster.resources import (
     ResourceVector,
     default_node_capacity,
 )
+
+#: One container's per-resource limits or demand, as a plain dict.
+_Values = Dict[Resource, float]
 
 
 @dataclass
@@ -68,9 +71,17 @@ class Node:
 
     # ------------------------------------------------------------ containers
     def add_container(self, container: "Container") -> None:  # noqa: F821
-        """Place a container on this node."""
-        if container in self.containers:
+        """Place a container on this node (a no-op if it is already here).
+
+        Raises ``ValueError`` if another node hosts the container: its
+        demand would otherwise count in both nodes' contention.
+        """
+        if container.node is self:
             return
+        if container.node is not None:
+            raise ValueError(
+                f"container {container.id!r} is already hosted on node {container.node.name!r}"
+            )
         self.containers.append(container)
         container.node = self
 
@@ -138,53 +149,71 @@ class Node:
         rho = min(max(rho, 0.0), Node.MAX_UTILIZATION)
         return 1.0 + (rho * rho) / (1.0 - rho)
 
-    def _enforced_containers(self) -> List["Container"]:  # noqa: F821
-        """Hosted containers with an enforced partition, in hosting order."""
-        return [container for container in self.containers if container.partition_enforced]
-
     @staticmethod
-    def _reservation(enforced: List["Container"], resource: Resource) -> float:  # noqa: F821
-        """Sum of ``enforced`` limits; ``sum()`` in hosting order on purpose.
+    def _reservation(enforced_limits: List[_Values], resource: Resource) -> float:
+        """Sum of enforced limits; ``sum()`` in hosting order on purpose.
 
         See :meth:`contention_factors` for why this is not a plain loop.
         """
-        return sum(container.limits.values[resource] for container in enforced)
+        return sum(limit_values[resource] for limit_values in enforced_limits)
 
-    def _dilution_scales(self, enforced: List["Container"]) -> Dict[Resource, float]:  # noqa: F821
-        """Per-resource scale applied to guarantees of ``enforced`` containers.
+    @staticmethod
+    def _dilution_scale(
+        enforced_limits: List[_Values], resource: Resource, capacity: float
+    ) -> float:
+        """Scale applied to every enforced guarantee of ``resource``.
 
         Hardware partitioning (CAT ways, MBA steps) cannot hand out more
         than physically exists; when the sum of enforced limits exceeds
         capacity every guarantee is diluted proportionally.
         """
-        if not enforced:
-            return dict.fromkeys(RESOURCE_TYPES, 1.0)
-        capacity_values = self.capacity.values
-        scales: Dict[Resource, float] = {}
-        for resource in RESOURCE_TYPES:
-            reservation = self._reservation(enforced, resource)
-            capacity = capacity_values[resource]
-            if reservation <= capacity or reservation <= 0:
-                scales[resource] = 1.0
-            else:
-                scales[resource] = capacity / reservation
-        return scales
+        reservation = Node._reservation(enforced_limits, resource)
+        if reservation <= capacity or reservation <= 0:
+            return 1.0
+        return capacity / reservation
 
+    @staticmethod
     def _pool(
-        self, resource: Resource, enforced: List["Container"], scale: float  # noqa: F821
+        resource: Resource,
+        capacity: float,
+        enforced_limits: List[_Values],
+        enforced_demands: List[_Values],
     ) -> float:
-        """:meth:`best_effort_pool` given the enforced containers and their scale."""
-        capacity = self.capacity.values[resource]
+        """:meth:`best_effort_pool` from the enforced limits and demands."""
+        scale = Node._dilution_scale(enforced_limits, resource, capacity)
         protected_usage = 0.0
-        for container in enforced:
-            guarantee = container.limits.values[resource] * scale
-            protected_usage += min(container._capped_demand_values()[resource], guarantee)
+        for limit_values, demand_values in zip(enforced_limits, enforced_demands):
+            # ``min(demand, guarantee)``, spelled out for the per-span path.
+            demand = demand_values[resource]
+            guarantee = limit_values[resource] * scale
+            protected_usage += guarantee if guarantee < demand else demand
         reserved = min(protected_usage, capacity)
         return max(capacity - reserved, 0.05 * capacity)
 
+    def _enforced_limits(self) -> List[_Values]:
+        """Limits of the hosted containers with an enforced partition, in hosting order."""
+        return [hosted.limits.values for hosted in self.containers if hosted.partition_enforced]
+
+    def _split_demands(self) -> Tuple[List[_Values], List[_Values], List[_Values]]:
+        """One walk over the hosted containers, reading each one's demand once.
+
+        Returns the best-effort demands, then the enforced limits and the
+        enforced demands (parallel lists), each in hosting order.
+        """
+        pool_demands: List[_Values] = []
+        enforced_limits: List[_Values] = []
+        enforced_demands: List[_Values] = []
+        for hosted in self.containers:
+            if hosted.partition_enforced:
+                enforced_limits.append(hosted.limits.values)
+                enforced_demands.append(hosted._capped_demand_values())
+            else:
+                pool_demands.append(hosted._capped_demand_values())
+        return pool_demands, enforced_limits, enforced_demands
+
     def enforced_reservation(self, resource: Resource) -> float:
         """Total capacity reserved by containers with enforced partitions."""
-        return self._reservation(self._enforced_containers(), resource)
+        return self._reservation(self._enforced_limits(), resource)
 
     def best_effort_pool(self, resource: Resource) -> float:
         """Capacity left for unpartitioned containers and injected pressure.
@@ -197,12 +226,16 @@ class Node:
         capacity.  Costs O(C) over the hosted containers; see
         :meth:`contention_factors` for why nothing is cached.
         """
-        enforced = self._enforced_containers()
-        scale = self._dilution_scales(enforced)[resource]
-        return self._pool(resource, enforced, scale)
+        _, enforced_limits, enforced_demands = self._split_demands()
+        capacity = self.capacity.values[resource]
+        return self._pool(resource, capacity, enforced_limits, enforced_demands)
 
-    def contention_factors(self, container: Optional["Container"] = None) -> Dict[Resource, float]:  # noqa: F821
-        """Per-resource contention slowdown factors.
+    def contention_factors(
+        self,
+        container: Optional["Container"] = None,  # noqa: F821
+        resources: Sequence[Resource] = RESOURCE_TYPES,
+    ) -> Dict[Resource, float]:
+        """Per-resource contention slowdown factors for ``resources``.
 
         Without a container argument, returns the best-effort pool's
         factors (what an unpartitioned container experiences): the pool's
@@ -218,15 +251,20 @@ class Node:
           quota, blkio, and tc/HTB provide;
         * an unpartitioned container competes in the best-effort pool.
 
-        This runs once per dispatched span, so each call costs O(C·R) for
-        C hosted containers and R resource types: the enforced containers
-        are collected once and the per-resource dilution scales computed
-        once, then shared by the protected branch and the best-effort pool.
-        Nothing is cached across calls: ``partition_enforced`` and limits
-        are plain attributes the orchestrator (and tests) write directly,
-        and the hosted instances' demand changes on every dispatch, so a
-        stateless pass has nothing that can go stale.  With no enforced
-        container on the node the pool is the raw capacity.
+        ``resources`` restricts the result to a subset (each factor is the
+        same as in the full dict); ``Container.total_slowdown`` passes only
+        the resources its service weights.
+
+        This runs once per dispatched span.  One walk over the C hosted
+        containers reads each one's demand once (an enforced container
+        reads only its own demand and the enforced limits); each of the R_w
+        requested resources then folds over those lists, so a call costs
+        O(C) demand reads plus O(R_w·C) additions.  Nothing is cached
+        across calls: ``partition_enforced`` and limits are plain
+        attributes the orchestrator (and tests) write directly, and the
+        hosted instances' demand changes on every dispatch, so a stateless
+        pass has nothing that can go stale.  With no enforced container on
+        the node the pool is the raw capacity.
 
         The reservation stays one ``sum()`` over the enforced containers in
         hosting order, and the protected usage one ``+=`` per container in
@@ -239,31 +277,27 @@ class Node:
         factors: Dict[Resource, float] = {}
         capacity_values = self.capacity.values
         queueing_factor = self._queueing_factor
-        enforced = self._enforced_containers()
-        scales = self._dilution_scales(enforced)
 
         if container is not None and container.partition_enforced:
+            enforced_limits = self._enforced_limits()
             demand_values = container._capped_demand_values()
             limit_values = container.limits.values
-            for resource in RESOURCE_TYPES:
+            for resource in resources:
                 capacity = capacity_values[resource]
                 if capacity <= 0:
                     factors[resource] = 1.0
                     continue
-                guarantee = limit_values[resource] * scales[resource]
+                scale = self._dilution_scale(enforced_limits, resource, capacity)
+                guarantee = limit_values[resource] * scale
                 if guarantee <= 0:
                     factors[resource] = queueing_factor(self.MAX_UTILIZATION)
                     continue
                 factors[resource] = queueing_factor(demand_values[resource] / guarantee)
             return factors
 
-        pool_demands = [
-            hosted._capped_demand_values()
-            for hosted in self.containers
-            if not hosted.partition_enforced
-        ]
+        pool_demands, enforced_limits, enforced_demands = self._split_demands()
         pressure_values = self._injected_pressure.values
-        for resource in RESOURCE_TYPES:
+        for resource in resources:
             capacity = capacity_values[resource]
             if capacity <= 0:
                 factors[resource] = 1.0
@@ -274,7 +308,10 @@ class Node:
             for hosted_demand in pool_demands:
                 pool_demand = pool_demand + hosted_demand[resource]
             pool_demand = pool_demand + pressure_values[resource]
-            pool = self._pool(resource, enforced, scales[resource]) if enforced else capacity
+            if enforced_limits:
+                pool = self._pool(resource, capacity, enforced_limits, enforced_demands)
+            else:
+                pool = capacity
             factors[resource] = queueing_factor(pool_demand / pool)
         return factors
 

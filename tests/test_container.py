@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.container import Container
 from repro.cluster.instance import MicroserviceInstance, ServiceProfile
 from repro.cluster.node import Node, NodeSpec
-from repro.cluster.resources import Resource, ResourceLimits, ResourceVector
+from repro.cluster.resources import RESOURCE_TYPES, Resource, ResourceLimits, ResourceVector
+from repro.sim.engine import SimulationEngine
+from repro.sim.rng import SeededRNG
 
 
 @pytest.fixture
@@ -162,3 +165,152 @@ class TestSlowdown:
         contention = container.node_contention_factor()
         assert total <= throttle * contention + 1e-9
         assert total >= max(throttle, contention) - 1e-9
+
+
+# ----------------------------------------------------------------------------
+# Reference copy of the five-resource ``total_slowdown`` formula the fused,
+# weighted-resources-only pass replaced.  The two must agree bit for bit.
+
+
+def _reference_total_slowdown(container):
+    if container.instance is None:
+        return 1.0
+    cap = container._cap_factors()
+    node = container.node
+    if node is not None:
+        node_factors = node.contention_factors(container)
+    else:
+        node_factors = {resource: 1.0 for resource in RESOURCE_TYPES}
+    profile = container.instance.profile.resource_weights
+    slowdown = 1.0
+    for resource in RESOURCE_TYPES:
+        weight = profile.get(resource, 0.0)
+        factor = max(cap[resource], node_factors[resource])
+        slowdown = max(slowdown, 1.0 + (factor - 1.0) * weight)
+    return slowdown
+
+
+_DEMAND_PER_REQUEST = ResourceVector.from_kwargs(
+    cpu=1.5, memory_bandwidth=9.0, llc=4.0, disk_io=150.0, network=0.8
+)
+
+_fraction = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.5))
+
+_slowdown_container = st.fixed_dictionaries(
+    {
+        # Zero weights and missing keys both leave a resource unweighted.
+        "weights": st.dictionaries(
+            st.sampled_from(RESOURCE_TYPES),
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+        ),
+        # Limits as fractions of node capacity, plus an optional CPU limit of
+        # a few cores at most so spans queue behind the ones in service.
+        "limits": st.lists(_fraction, min_size=5, max_size=5),
+        "cpu_cores": st.one_of(st.none(), st.floats(min_value=0.0, max_value=3.0)),
+        "enforced": st.booleans(),
+        "hosted": st.booleans(),
+        # None: a bare container with no instance.
+        "spans": st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    }
+)
+
+
+def _build_slowdown_node(draws, pressure):
+    node = Node(NodeSpec(name="prop-node"))
+    engine = SimulationEngine()
+    rng = SeededRNG(11)
+    containers = []
+    for index, draw in enumerate(draws):
+        values = {
+            resource: fraction * node.capacity[resource]
+            for resource, fraction in zip(RESOURCE_TYPES, draw["limits"])
+        }
+        if draw["cpu_cores"] is not None:
+            values[Resource.CPU] = draw["cpu_cores"]
+        container = Container(f"svc{index}", limits=ResourceLimits(values))
+        if draw["hosted"]:
+            node.add_container(container)
+        if draw["spans"] is not None:
+            profile = ServiceProfile(
+                name=f"svc{index}",
+                resource_weights=draw["weights"],
+                demand_per_request=_DEMAND_PER_REQUEST,
+            )
+            instance = MicroserviceInstance(profile, container, engine, rng)
+            for span in range(draw["spans"]):
+                instance.submit(f"r{span}", "svc", lambda *a: None)
+        container.partition_enforced = draw["enforced"]
+        containers.append(container)
+    node.inject_pressure(
+        ResourceVector(
+            {
+                resource: fraction * node.capacity[resource]
+                for resource, fraction in zip(RESOURCE_TYPES, pressure)
+            }
+        )
+    )
+    return node, containers
+
+
+class TestFusedSlowdownEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_slowdown_container, min_size=1, max_size=8),
+        st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=5, max_size=5),
+        st.lists(st.sampled_from(RESOURCE_TYPES), unique=True),
+    )
+    def test_matches_five_resource_reference(self, draws, pressure, subset):
+        node, containers = _build_slowdown_node(draws, pressure)
+        for container in containers:
+            assert container.total_slowdown() == _reference_total_slowdown(container)
+        for subject in [None, *node.containers]:
+            full = node.contention_factors(subject)
+            restricted = {resource: full[resource] for resource in subset}
+            assert node.contention_factors(subject, subset) == restricted
+
+
+# ----------------------------------------------------------------------------
+# Complexity guard: one ``total_slowdown`` reads each hosted container's
+# demand at most once, however many resources the service weights.
+
+
+class TestSlowdownDemandReads:
+    @pytest.fixture
+    def mixed_node(self, engine, rng):
+        """10 best-effort and 10 enforced instances, every resource weighted."""
+        node = Node(NodeSpec(name="n0"))
+        profile = ServiceProfile(
+            name="svc",
+            resource_weights=dict.fromkeys(RESOURCE_TYPES, 0.5),
+            demand_per_request=_DEMAND_PER_REQUEST,
+        )
+        for index in range(20):
+            container = Container(f"svc{index}")
+            node.add_container(container)
+            instance = MicroserviceInstance(profile, container, engine, rng)
+            instance.submit(f"r{index}", "svc", lambda *a: None)
+            container.partition_enforced = index % 2 == 1
+        return node
+
+    @pytest.fixture
+    def demand_reads(self, monkeypatch):
+        reads = []
+        original = Container._capped_demand_values
+
+        def counted(container):
+            reads.append(container)
+            return original(container)
+
+        monkeypatch.setattr(Container, "_capped_demand_values", counted)
+        return reads
+
+    def test_best_effort_reads_each_hosted_container_once(self, mixed_node, demand_reads):
+        best_effort = next(c for c in mixed_node.containers if not c.partition_enforced)
+        best_effort.total_slowdown()
+        assert len(demand_reads) <= len(mixed_node.containers) == 20
+        assert len(set(map(id, demand_reads))) == len(demand_reads)
+
+    def test_enforced_reads_only_its_own_demand(self, mixed_node, demand_reads):
+        enforced = next(c for c in mixed_node.containers if c.partition_enforced)
+        enforced.total_slowdown()
+        assert demand_reads == [enforced]

@@ -46,6 +46,27 @@ class TestPlacement:
         node.add_container(container)
         node.add_container(container)
         assert node.containers.count(container) == 1
+        assert container.node is node
+
+    def test_add_container_hosted_elsewhere_rejected(self, node):
+        other = Node(NodeSpec(name="other-node"))
+        container = Container("svc")
+        other.add_container(container)
+        with pytest.raises(ValueError, match="other-node"):
+            node.add_container(container)
+        assert container.node is other
+        assert container in other.containers
+        assert container not in node.containers
+
+    def test_add_container_after_removal_elsewhere(self, node):
+        other = Node(NodeSpec(name="other-node"))
+        container = Container("svc")
+        other.add_container(container)
+        other.remove_container(container)
+        node.add_container(container)
+        assert container.node is node
+        assert node.containers == [container]
+        assert other.containers == []
 
     def test_remove_container(self, node):
         container = Container("svc")
@@ -164,8 +185,9 @@ class TestContention:
         b.partition_enforced = True
         node.add_container(a)
         node.add_container(b)
-        scales = node._dilution_scales(node._enforced_containers())
-        assert scales[Resource.CPU] == pytest.approx(0.5)
+        assert node.enforced_reservation(Resource.CPU) == pytest.approx(2 * capacity)
+        scale = Node._dilution_scale(node._enforced_limits(), Resource.CPU, capacity)
+        assert scale == pytest.approx(0.5)
 
     def test_utilization_clipped_to_one(self, node):
         capacity = node.capacity[Resource.CPU]
@@ -309,9 +331,10 @@ class TestContentionEquivalence:
         for resource in RESOURCE_TYPES:
             expected_pool = _reference_best_effort_pool(node, resource)
             assert node.best_effort_pool(resource) == expected_pool
-            assert node._dilution_scales(node._enforced_containers())[
-                resource
-            ] == _reference_dilution_scale(node, resource)
+            scale = Node._dilution_scale(
+                node._enforced_limits(), resource, node.capacity[resource]
+            )
+            assert scale == _reference_dilution_scale(node, resource)
 
     @settings(max_examples=150, deadline=None)
     @given(
