@@ -6,15 +6,29 @@ A container is the unit of resource control: it has per-resource limits
 microservice instance it hosts (how many requests are in service and what
 each request consumes).
 
-Demand, throttle, and contention factors are recomputed for every span a
-replica dispatches, so this module is a simulation hot path: the class is
-slotted and the per-resource loops work on plain dicts instead of going
-through :class:`~repro.cluster.resources.ResourceVector` arithmetic.
+Throttle and contention factors are recomputed for every span a replica
+dispatches, so this module is a simulation hot path: the class is slotted
+and the per-resource loops work on plain dicts instead of going through
+:class:`~repro.cluster.resources.ResourceVector` arithmetic.
 :meth:`Container.total_slowdown` is one fused pass over only the resources
 the service weights: it folds the cap factor in per resource and asks the
 node for just those contention factors.  :meth:`Container.throttle_factor`
 and :meth:`Container.node_contention_factor` keep the five-resource
 decomposition as a readable reference.
+
+Demand is cached, and the writes that change it clear the cache (push
+invalidation; nothing is re-checked on read):
+
+* the hosted instance's queue/in-service transitions (``submit``'s append,
+  the move into service, ``_finish``'s pop) clear the instance's raw
+  demand and this container's capped demand;
+* :meth:`Container.set_limit` (and so ``set_limits``) and the ``threads``
+  setter clear both as well, update the thread-capped CPU limit, and clear
+  the hosting node's partition layout;
+* the ``partition_enforced`` setter clears the hosting node's layout.
+
+Writing ``container.limits[...]`` directly, outside :meth:`set_limit`,
+bypasses all of this and is unsupported.
 """
 
 from __future__ import annotations
@@ -63,14 +77,13 @@ class Container:
         "service_name",
         "tenant",
         "limits",
-        "threads",
+        "_threads",
+        "_cpu_limit",
         "node",
         "instance",
         "_started_cold",
-        "partition_enforced",
-        "_limits_version",
-        "_demand_key",
-        "_demand_values",
+        "_partition_enforced",
+        "_capped_demand",
     )
 
     def __init__(
@@ -86,33 +99,62 @@ class Container:
         self.limits: ResourceLimits = (
             ResourceLimits(dict(limits.values)) if limits is not None else default_container_limits()
         )
-        self.threads = int(threads)
         self.node = None  # type: Optional["Node"]  # noqa: F821
         self.instance = None  # type: Optional["MicroserviceInstance"]  # noqa: F821
         self._started_cold = True
-        #: True once a controller has explicitly partitioned this container's
-        #: resources (cgroups CFS quota, Intel MBA/CAT, blkio, tc/HTB).  Until
-        #: then the container runs best-effort and its limits are only caps.
-        self.partition_enforced = False
-        # Capped-demand memo: demand only changes when the hosted instance's
-        # queue/in-service population or this container's limits change, but
-        # node-level contention re-reads it for every container on the node
-        # per dispatched span.  Keyed by (queue len, in-service len, limits
-        # version); ``threads`` and the profile's per-request demand are
-        # fixed after the instance binds, so they stay out of the key.
-        self._limits_version = 0
-        self._demand_key: Optional[tuple] = None
-        self._demand_values: Optional[Dict[Resource, float]] = None
+        self._partition_enforced = False
+        # Capped demand, or None once a write that changes it (see the
+        # module docstring) has cleared it; node-level contention reads it
+        # for every container on the node per dispatched span.
+        self._capped_demand: Optional[Dict[Resource, float]] = None
+        # Sets the thread-capped CPU limit too.
+        self.threads = int(threads)
 
     # ------------------------------------------------------------- limits
+    @property
+    def threads(self) -> int:
+        """Worker threads; the effective CPU limit is capped at this many cores."""
+        return self._threads
+
+    @threads.setter
+    def threads(self, value: int) -> None:
+        self._threads = value
+        self._limits_changed()
+
+    @property
+    def partition_enforced(self) -> bool:
+        """True once a controller has explicitly partitioned this container.
+
+        Partitioning means cgroups CFS quota, Intel MBA/CAT, blkio and
+        tc/HTB guarantees.  Until then the container runs best-effort and
+        its limits are only caps.  Setting it clears the hosting node's
+        partition layout.
+        """
+        return self._partition_enforced
+
+    @partition_enforced.setter
+    def partition_enforced(self, value: bool) -> None:
+        self._partition_enforced = value
+        if self.node is not None:
+            self.node._layout = None
+
     def effective_cpu_limit(self) -> float:
         """CPU limit capped by the thread count (paper §3.4 footnote)."""
-        return min(self.limits.values[Resource.CPU], float(self.threads))
+        return self._cpu_limit
+
+    def _limits_changed(self) -> None:
+        """Refresh the thread-capped CPU limit and clear what depends on limits."""
+        self._cpu_limit = min(self.limits.values[Resource.CPU], float(self._threads))
+        self._capped_demand = None
+        if self.instance is not None:
+            self.instance._raw_demand = None
+        if self.node is not None:
+            self.node._layout = None
 
     def set_limit(self, resource: Resource, value: float) -> None:
         """Set one resource limit, clamped to be non-negative."""
         self.limits[resource] = max(0.0, float(value))
-        self._limits_version += 1
+        self._limits_changed()
 
     def set_limits(self, limits: ResourceVector) -> None:
         """Replace all limits at once."""
@@ -125,28 +167,28 @@ class Container:
 
         Demand originates from the hosted instance (requests in service and
         queued work); the cgroups-style limit caps how much of the node each
-        container can actually pull.  The result is memoized against the
-        instance's population and the limits version — callers treat the
-        returned dict as read-only.
+        container can actually pull.  The result is cached until a write
+        that changes it clears the cache (see the module docstring); hot
+        paths read ``_capped_demand`` and call this only when it is None.
+        Callers treat the returned dict as read-only.
         """
+        capped = self._capped_demand
+        if capped is not None:
+            return capped
         instance = self.instance
         if instance is None:
             return {resource: 0.0 for resource in RESOURCE_TYPES}
-        key = (len(instance._queue), len(instance._in_service), self._limits_version)
-        if key == self._demand_key:
-            return self._demand_values
         raw = instance._demand_values()
         limit_values = self.limits.values
-        effective_cpu = self.effective_cpu_limit()
-        capped: Dict[Resource, float] = {}
+        effective_cpu = self._cpu_limit
+        capped = {}
         for resource in RESOURCE_TYPES:
             limit = (
                 effective_cpu if resource is Resource.CPU else limit_values[resource]
             )
             want = raw[resource]
             capped[resource] = (want if want < limit else limit) if limit > 0 else 0.0
-        self._demand_key = key
-        self._demand_values = capped
+        self._capped_demand = capped
         return capped
 
     def current_demand(self) -> ResourceVector:
@@ -168,11 +210,7 @@ class Container:
         limit_values = self.limits.values
         utilization: Dict[Resource, float] = {}
         for resource in RESOURCE_TYPES:
-            limit = (
-                self.effective_cpu_limit()
-                if resource is Resource.CPU
-                else limit_values[resource]
-            )
+            limit = self._cpu_limit if resource is Resource.CPU else limit_values[resource]
             utilization[resource] = demand[resource] / limit if limit > 0 else 0.0
         return demand, utilization
 
@@ -184,7 +222,7 @@ class Container:
     def _limit_for(self, resource: Resource) -> float:
         """Effective cap for one resource (CPU is additionally thread-capped)."""
         if resource is Resource.CPU:
-            return self.effective_cpu_limit()
+            return self._cpu_limit
         return self.limits.values[resource]
 
     def _cap_factors(self) -> Dict[Resource, float]:
@@ -267,8 +305,9 @@ class Container:
             node_factors = node.contention_factors(self, instance._slowdown_resources)
         else:
             node_factors = _NO_CONTENTION
-        queueing_factor = Node._queueing_factor
-        raw = instance._demand_values()
+        raw = instance._raw_demand
+        if raw is None:
+            raw = instance._demand_values()
         slowdown = 1.0
         for resource, weight in instance._slowdown_weights:
             want = raw[resource]
@@ -277,9 +316,15 @@ class Container:
             else:
                 limit = self._limit_for(resource)
                 if limit <= 0:
-                    cap = queueing_factor(Node.MAX_UTILIZATION)
+                    cap = Node._queueing_factor(Node.MAX_UTILIZATION)
                 else:
-                    cap = queueing_factor(want / limit)
+                    # Node._queueing_factor(want / limit), inlined.
+                    rho = want / limit
+                    if rho < 0.0:
+                        rho = 0.0
+                    if rho > 0.97:
+                        rho = 0.97
+                    cap = 1.0 + (rho * rho) / (1.0 - rho)
             # ``max(cap, contention)`` and ``max(slowdown, weighted)``, spelled
             # out: each keeps its first argument unless the second is larger.
             contention = node_factors[resource]

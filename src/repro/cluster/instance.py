@@ -18,6 +18,12 @@ which is exactly the signal FIRM detects, localizes, and mitigates.
 hottest non-engine code in the simulator: the service-time stream and its
 lognormal parameters are cached per instance, span bookkeeping objects are
 slotted, and listener dispatch avoids per-span list copies.
+
+Raw demand is cached too.  The three writes that change the instance's
+queue/in-service population (``submit``'s append, ``_try_dispatch``'s move
+into service, ``_finish``'s pop) each clear it and the container's capped
+demand, so contention reads never re-check them; the container's limit and
+``threads`` setters clear both as well.
 """
 
 from __future__ import annotations
@@ -131,8 +137,7 @@ class MicroserviceInstance:
         "_service_cursor",
         "_lognormal_params",
         "_finish_event_name",
-        "_demand_key",
-        "_demand_dict",
+        "_raw_demand",
         "_slowdown_weights",
         "_slowdown_resources",
     )
@@ -182,10 +187,9 @@ class MicroserviceInstance:
             0.0,
         )
         self._finish_event_name = f"span-finish:{self.name}"
-        # Raw-demand memo, shared key structure with the container's capped
-        # demand memo (see Container._capped_demand_values).
-        self._demand_key: Optional[Tuple[int, int, int]] = None
-        self._demand_dict: Optional[Dict[Resource, float]] = None
+        # Raw demand, or None once a population or limit change has cleared
+        # it (see the module docstring).
+        self._raw_demand: Optional[Dict[Resource, float]] = None
         #: The profile's nonzero ``(resource, weight)`` pairs in
         #: ``RESOURCE_TYPES`` order, and their resources: the only ones
         #: ``Container.total_slowdown`` visits per span.  Nothing rebinds
@@ -223,17 +227,15 @@ class MicroserviceInstance:
         return max(1, int(cpu))
 
     def _demand_values(self) -> Dict[Resource, float]:
-        """Raw per-resource demand as a memoized read-only dict.
+        """Raw per-resource demand as a cached read-only dict.
 
         Demand is ``active x demand_per_request`` where ``active`` only
         moves when the queue/in-service population or the CPU quota
-        (concurrency) changes, so the dict is memoized against
-        (queue len, in-service len, limits version) — the same key the
-        container's capped-demand memo uses.
+        (concurrency) changes; each of those writes clears the cache.
         """
-        key = (len(self._queue), len(self._in_service), self.container._limits_version)
-        if key == self._demand_key:
-            return self._demand_dict
+        values = self._raw_demand
+        if values is not None:
+            return values
         queued = len(self._queue)
         concurrency = self.concurrency()
         active = len(self._in_service) + (
@@ -242,8 +244,7 @@ class MicroserviceInstance:
         demand_values = self.profile.demand_per_request.values
         scale = float(active)
         values = {resource: value * scale for resource, value in demand_values.items()}
-        self._demand_key = key
-        self._demand_dict = values
+        self._raw_demand = values
         return values
 
     def resource_demand(self) -> ResourceVector:
@@ -282,6 +283,8 @@ class MicroserviceInstance:
             on_complete=on_complete,
         )
         self._queue.append(work)
+        self._raw_demand = None
+        self.container._capped_demand = None
         self._try_dispatch()
         return True
 
@@ -309,12 +312,15 @@ class MicroserviceInstance:
         if not queue:
             return
         in_service = self._in_service
+        container = self.container
         concurrency = self.concurrency()
         while queue and len(in_service) < concurrency:
             work = queue.popleft()
             work.start_time = self.engine.now
             in_service[work.work_id] = work
-            slowdown = self.container.total_slowdown()
+            self._raw_demand = None
+            container._capped_demand = None
+            slowdown = container.total_slowdown()
             duration_s = (work.base_time_ms * slowdown) / 1000.0
             self.engine.schedule_after(
                 duration_s,
@@ -325,6 +331,8 @@ class MicroserviceInstance:
     def _finish(self, work: SpanWork) -> None:
         """Complete one span: record latency and notify the caller."""
         self._in_service.pop(work.work_id, None)
+        self._raw_demand = None
+        self.container._capped_demand = None
         self._completed_spans += 1
         finish_time = self.engine.now
         latency_ms = (finish_time - work.enqueue_time) * 1000.0

@@ -7,12 +7,17 @@ node's bandwidth).  Contention is computed at node scope: when the sum of
 container demand plus injected pressure exceeds capacity for a resource,
 every container on the node experiences a slowdown proportional to the
 oversubscription of the resources it actually uses.
+
+How the hosted containers split into best-effort and enforced partitions
+changes only on orchestrator actions, so the node keeps that split as a
+cached partition layout (see :meth:`Node.contention_factors`) that the
+writes changing it clear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.cluster.resources import (
     RESOURCE_TYPES,
@@ -23,6 +28,17 @@ from repro.cluster.resources import (
 
 #: One container's per-resource limits or demand, as a plain dict.
 _Values = Dict[Resource, float]
+
+
+class _PartitionLayout(NamedTuple):
+    """The hosted containers split by partition enforcement, in hosting order."""
+
+    best_effort: List["Container"]  # noqa: F821 - forward ref
+    enforced: List["Container"]  # noqa: F821
+    #: The enforced containers' limit dicts, parallel to ``enforced``.
+    enforced_limits: List[_Values]
+    #: Per-resource scale applied to every enforced guarantee.
+    scales: _Values
 
 
 @dataclass
@@ -55,6 +71,9 @@ class Node:
         # External pressure from the anomaly injector, as an absolute amount
         # of each resource consumed by the interfering workload.
         self._injected_pressure = ResourceVector()
+        # Partition layout, or None once a write that changes it has
+        # cleared it (see contention_factors).
+        self._layout: Optional[_PartitionLayout] = None
 
     # ------------------------------------------------------------ properties
     @property
@@ -84,12 +103,14 @@ class Node:
             )
         self.containers.append(container)
         container.node = self
+        self._layout = None
 
     def remove_container(self, container: "Container") -> None:  # noqa: F821
         """Evict a container from this node."""
         if container in self.containers:
             self.containers.remove(container)
             container.node = None
+            self._layout = None
 
     def allocated_limits(self) -> ResourceVector:
         """Sum of resource limits across all hosted containers."""
@@ -134,7 +155,9 @@ class Node:
         return ResourceVector._from_normalized(total)
 
     #: Utilization is clipped below full saturation so the queueing-delay
-    #: curve stays finite even when demand nominally exceeds capacity.
+    #: curve stays finite even when demand nominally exceeds capacity.  The
+    #: per-span loops in ``contention_factors`` and
+    #: ``Container.total_slowdown`` inline this value.
     MAX_UTILIZATION = 0.97
 
     @staticmethod
@@ -176,11 +199,11 @@ class Node:
     def _pool(
         resource: Resource,
         capacity: float,
+        scale: float,
         enforced_limits: List[_Values],
         enforced_demands: List[_Values],
     ) -> float:
         """:meth:`best_effort_pool` from the enforced limits and demands."""
-        scale = Node._dilution_scale(enforced_limits, resource, capacity)
         protected_usage = 0.0
         for limit_values, demand_values in zip(enforced_limits, enforced_demands):
             # ``min(demand, guarantee)``, spelled out for the per-span path.
@@ -190,30 +213,35 @@ class Node:
         reserved = min(protected_usage, capacity)
         return max(capacity - reserved, 0.05 * capacity)
 
-    def _enforced_limits(self) -> List[_Values]:
-        """Limits of the hosted containers with an enforced partition, in hosting order."""
-        return [hosted.limits.values for hosted in self.containers if hosted.partition_enforced]
+    @staticmethod
+    def _demands(containers: List["Container"]) -> List[_Values]:  # noqa: F821
+        """Each container's capped demand, recomputed only where it was cleared.
 
-    def _split_demands(self) -> Tuple[List[_Values], List[_Values], List[_Values]]:
-        """One walk over the hosted containers, reading each one's demand once.
-
-        Returns the best-effort demands, then the enforced limits and the
-        enforced demands (parallel lists), each in hosting order.
+        The dicts are never empty, so ``or`` falls through only on None.
         """
-        pool_demands: List[_Values] = []
-        enforced_limits: List[_Values] = []
-        enforced_demands: List[_Values] = []
+        return [c._capped_demand or c._capped_demand_values() for c in containers]
+
+    def _partition_layout(self) -> _PartitionLayout:
+        """The cached partition layout, rebuilt if a write has cleared it."""
+        layout = self._layout
+        if layout is not None:
+            return layout
+        best_effort = []
+        enforced = []
         for hosted in self.containers:
-            if hosted.partition_enforced:
-                enforced_limits.append(hosted.limits.values)
-                enforced_demands.append(hosted._capped_demand_values())
-            else:
-                pool_demands.append(hosted._capped_demand_values())
-        return pool_demands, enforced_limits, enforced_demands
+            (enforced if hosted._partition_enforced else best_effort).append(hosted)
+        enforced_limits = [hosted.limits.values for hosted in enforced]
+        capacity_values = self.capacity.values
+        scales = {
+            resource: self._dilution_scale(enforced_limits, resource, capacity_values[resource])
+            for resource in RESOURCE_TYPES
+        }
+        layout = self._layout = _PartitionLayout(best_effort, enforced, enforced_limits, scales)
+        return layout
 
     def enforced_reservation(self, resource: Resource) -> float:
         """Total capacity reserved by containers with enforced partitions."""
-        return self._reservation(self._enforced_limits(), resource)
+        return self._reservation(self._partition_layout().enforced_limits, resource)
 
     def best_effort_pool(self, resource: Resource) -> float:
         """Capacity left for unpartitioned containers and injected pressure.
@@ -223,12 +251,13 @@ class Node:
         available to best-effort consumers.  The pool therefore subtracts
         the enforced containers' *usage* (capped at their diluted
         guarantee), not their nominal limits, and never drops below 5% of
-        capacity.  Costs O(C) over the hosted containers; see
-        :meth:`contention_factors` for why nothing is cached.
+        capacity.  Costs O(C_enf) over the enforced containers.
         """
-        _, enforced_limits, enforced_demands = self._split_demands()
+        _, enforced, enforced_limits, scales = self._partition_layout()
         capacity = self.capacity.values[resource]
-        return self._pool(resource, capacity, enforced_limits, enforced_demands)
+        return self._pool(
+            resource, capacity, scales[resource], enforced_limits, self._demands(enforced)
+        )
 
     def contention_factors(
         self,
@@ -255,16 +284,24 @@ class Node:
         same as in the full dict); ``Container.total_slowdown`` passes only
         the resources its service weights.
 
-        This runs once per dispatched span.  One walk over the C hosted
-        containers reads each one's demand once (an enforced container
-        reads only its own demand and the enforced limits); each of the R_w
-        requested resources then folds over those lists, so a call costs
-        O(C) demand reads plus O(R_w·C) additions.  Nothing is cached
-        across calls: ``partition_enforced`` and limits are plain
-        attributes the orchestrator (and tests) write directly, and the
-        hosted instances' demand changes on every dispatch, so a stateless
-        pass has nothing that can go stale.  With no enforced container on
-        the node the pool is the raw capacity.
+        This runs once per dispatched span, so nothing it reads is
+        recomputed unless a write has cleared it:
+
+        * the partition layout — best-effort and enforced containers in
+          hosting order, the enforced limits and the per-resource dilution
+          scales — is cleared by ``add_container``, ``remove_container``,
+          ``Container.set_limit`` (and ``set_limits``, ``threads``) on a
+          hosted container, and the ``partition_enforced`` setter;
+        * each hosted container's capped demand is cleared by its
+          instance's queue/in-service transitions and its own limit writes
+          (see :mod:`repro.cluster.container`).
+
+        An enforced container's call is O(R_w) for the R_w requested
+        resources and never walks the node.  A best-effort call reads the
+        cached demand of each hosted container once and folds it per
+        resource, O(R_w·C); with no enforced container on the node the
+        pool is the raw capacity.  Writing ``container.limits[...]``
+        directly bypasses the invalidation and is unsupported.
 
         The reservation stays one ``sum()`` over the enforced containers in
         hosting order, and the protected usage one ``+=`` per container in
@@ -276,26 +313,35 @@ class Node:
         """
         factors: Dict[Resource, float] = {}
         capacity_values = self.capacity.values
-        queueing_factor = self._queueing_factor
+        layout = self._layout
+        if layout is None:
+            layout = self._partition_layout()
+        best_effort, enforced, enforced_limits, scales = layout
 
-        if container is not None and container.partition_enforced:
-            enforced_limits = self._enforced_limits()
-            demand_values = container._capped_demand_values()
+        if container is not None and container._partition_enforced:
+            demand_values = container._capped_demand or container._capped_demand_values()
             limit_values = container.limits.values
             for resource in resources:
                 capacity = capacity_values[resource]
                 if capacity <= 0:
                     factors[resource] = 1.0
                     continue
-                scale = self._dilution_scale(enforced_limits, resource, capacity)
-                guarantee = limit_values[resource] * scale
+                guarantee = limit_values[resource] * scales[resource]
                 if guarantee <= 0:
-                    factors[resource] = queueing_factor(self.MAX_UTILIZATION)
+                    factors[resource] = self._queueing_factor(self.MAX_UTILIZATION)
                     continue
-                factors[resource] = queueing_factor(demand_values[resource] / guarantee)
+                # _queueing_factor(demand / guarantee), inlined.
+                rho = demand_values[resource] / guarantee
+                if rho < 0.0:
+                    rho = 0.0
+                if rho > 0.97:
+                    rho = 0.97
+                factors[resource] = 1.0 + (rho * rho) / (1.0 - rho)
             return factors
 
-        pool_demands, enforced_limits, enforced_demands = self._split_demands()
+        pool_demands = self._demands(best_effort)
+        if enforced:
+            enforced_demands = self._demands(enforced)
         pressure_values = self._injected_pressure.values
         for resource in resources:
             capacity = capacity_values[resource]
@@ -308,11 +354,19 @@ class Node:
             for hosted_demand in pool_demands:
                 pool_demand = pool_demand + hosted_demand[resource]
             pool_demand = pool_demand + pressure_values[resource]
-            if enforced_limits:
-                pool = self._pool(resource, capacity, enforced_limits, enforced_demands)
+            if enforced:
+                pool = self._pool(
+                    resource, capacity, scales[resource], enforced_limits, enforced_demands
+                )
             else:
                 pool = capacity
-            factors[resource] = queueing_factor(pool_demand / pool)
+            # _queueing_factor(pool_demand / pool), inlined.
+            rho = pool_demand / pool
+            if rho < 0.0:
+                rho = 0.0
+            if rho > 0.97:
+                rho = 0.97
+            factors[resource] = 1.0 + (rho * rho) / (1.0 - rho)
         return factors
 
     def utilization(self) -> ResourceVector:

@@ -270,8 +270,9 @@ class TestFusedSlowdownEquivalence:
 
 
 # ----------------------------------------------------------------------------
-# Complexity guard: one ``total_slowdown`` reads each hosted container's
-# demand at most once, however many resources the service weights.
+# Push-invalidation guards: a ``total_slowdown`` recomputes only the demand
+# that a write has cleared, and an enforced call re-sums no reservation until
+# the node's partition layout changes.
 
 
 class TestSlowdownDemandReads:
@@ -293,24 +294,61 @@ class TestSlowdownDemandReads:
         return node
 
     @pytest.fixture
-    def demand_reads(self, monkeypatch):
-        reads = []
+    def recomputes(self, monkeypatch):
+        """Containers whose capped demand is recomputed, in order."""
+        recomputed = []
         original = Container._capped_demand_values
 
         def counted(container):
-            reads.append(container)
+            if container._capped_demand is None:
+                recomputed.append(container)
             return original(container)
 
         monkeypatch.setattr(Container, "_capped_demand_values", counted)
-        return reads
+        return recomputed
 
-    def test_best_effort_reads_each_hosted_container_once(self, mixed_node, demand_reads):
-        best_effort = next(c for c in mixed_node.containers if not c.partition_enforced)
-        best_effort.total_slowdown()
-        assert len(demand_reads) <= len(mixed_node.containers) == 20
-        assert len(set(map(id, demand_reads))) == len(demand_reads)
+    @staticmethod
+    def _clear_every_demand(node):
+        # Rewriting a limit with its own value clears the container's demand.
+        for container in node.containers:
+            container.set_limit(Resource.NETWORK, container.limits[Resource.NETWORK])
 
-    def test_enforced_reads_only_its_own_demand(self, mixed_node, demand_reads):
+    def test_best_effort_recomputes_only_changed_demand(self, mixed_node, recomputes):
+        best_effort = [c for c in mixed_node.containers if not c.partition_enforced]
+        self._clear_every_demand(mixed_node)
+        best_effort[0].total_slowdown()
+        assert sorted(map(id, recomputes)) == sorted(map(id, mixed_node.containers))
+        recomputes.clear()
+        changed = best_effort[1]
+        changed.instance.submit("extra", "svc", lambda *a: None)
+        best_effort[0].total_slowdown()
+        assert recomputes == [changed]
+
+    def test_enforced_recomputes_only_its_own_demand(self, mixed_node, recomputes):
+        enforced = next(c for c in mixed_node.containers if c.partition_enforced)
+        self._clear_every_demand(mixed_node)
+        enforced.total_slowdown()
+        assert recomputes == [enforced]
+
+    def test_enforced_calls_skip_reservation_between_layout_changes(
+        self, mixed_node, monkeypatch
+    ):
+        summed = []
+        original = Node._reservation
+
+        def counted(enforced_limits, resource):
+            summed.append(resource)
+            return original(enforced_limits, resource)
+
+        monkeypatch.setattr(Node, "_reservation", staticmethod(counted))
         enforced = next(c for c in mixed_node.containers if c.partition_enforced)
         enforced.total_slowdown()
-        assert demand_reads == [enforced]
+        summed.clear()
+        for _ in range(10):
+            enforced.total_slowdown()
+        assert summed == []
+        # A limit write clears the layout; the next call rebuilds it once.
+        enforced.set_limit(Resource.CPU, enforced.limits[Resource.CPU])
+        enforced.total_slowdown()
+        enforced.total_slowdown()
+        assert sorted(summed) == sorted(RESOURCE_TYPES)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster.container import Container
 from repro.cluster.instance import MicroserviceInstance, ServiceProfile
@@ -186,8 +186,7 @@ class TestContention:
         node.add_container(a)
         node.add_container(b)
         assert node.enforced_reservation(Resource.CPU) == pytest.approx(2 * capacity)
-        scale = Node._dilution_scale(node._enforced_limits(), Resource.CPU, capacity)
-        assert scale == pytest.approx(0.5)
+        assert node._partition_layout().scales[Resource.CPU] == pytest.approx(0.5)
 
     def test_utilization_clipped_to_one(self, node):
         capacity = node.capacity[Resource.CPU]
@@ -204,6 +203,38 @@ class TestContention:
 # Reference copy of the quadratic contention formulas the linear-time
 # ``Node.contention_factors`` replaced: every enforced container re-sums the
 # reservation over all hosted containers.  The rewrite must agree bit for bit.
+# The reference is stateless: it recomputes every container's demand from
+# its instance's queue and in-service lengths, so it cannot see a cache.
+
+
+def _reference_cpu_limit(container):
+    return min(container.limits[Resource.CPU], float(container.threads))
+
+
+def _reference_raw_demand(instance):
+    queued = len(instance._queue)
+    concurrency = max(1, int(_reference_cpu_limit(instance.container)))
+    active = len(instance._in_service) + (queued if queued < concurrency else concurrency)
+    return {
+        resource: value * float(active)
+        for resource, value in instance.profile.demand_per_request.values.items()
+    }
+
+
+def _reference_demand(container):
+    if container.instance is None:
+        return {resource: 0.0 for resource in RESOURCE_TYPES}
+    raw = _reference_raw_demand(container.instance)
+    capped = {}
+    for resource in RESOURCE_TYPES:
+        limit = (
+            _reference_cpu_limit(container)
+            if resource is Resource.CPU
+            else container.limits[resource]
+        )
+        want = raw[resource]
+        capped[resource] = (want if want < limit else limit) if limit > 0 else 0.0
+    return capped
 
 
 def _reference_dilution_scale(node, resource):
@@ -224,7 +255,7 @@ def _reference_best_effort_pool(node, resource):
         if not container.partition_enforced:
             continue
         guarantee = container.limits[resource] * _reference_dilution_scale(node, resource)
-        protected_usage += min(container.current_demand()[resource], guarantee)
+        protected_usage += min(_reference_demand(container)[resource], guarantee)
     reserved = min(protected_usage, node.capacity[resource])
     return max(node.capacity[resource] - reserved, 0.05 * node.capacity[resource])
 
@@ -232,7 +263,7 @@ def _reference_best_effort_pool(node, resource):
 def _reference_contention_factors(node, container=None):
     factors = {}
     if container is not None and container.partition_enforced:
-        demand = container.current_demand()
+        demand = _reference_demand(container)
         for resource in RESOURCE_TYPES:
             if node.capacity[resource] <= 0:
                 factors[resource] = 1.0
@@ -247,7 +278,7 @@ def _reference_contention_factors(node, container=None):
     pool_demand = {resource: 0.0 for resource in RESOURCE_TYPES}
     for hosted in node.containers:
         if not hosted.partition_enforced:
-            hosted_demand = hosted.current_demand()
+            hosted_demand = _reference_demand(hosted)
             for resource in RESOURCE_TYPES:
                 pool_demand[resource] = pool_demand[resource] + hosted_demand[resource]
     for resource in RESOURCE_TYPES:
@@ -331,9 +362,7 @@ class TestContentionEquivalence:
         for resource in RESOURCE_TYPES:
             expected_pool = _reference_best_effort_pool(node, resource)
             assert node.best_effort_pool(resource) == expected_pool
-            scale = Node._dilution_scale(
-                node._enforced_limits(), resource, node.capacity[resource]
-            )
+            scale = node._partition_layout().scales[resource]
             assert scale == _reference_dilution_scale(node, resource)
 
     @settings(max_examples=150, deadline=None)
@@ -349,3 +378,200 @@ class TestContentionEquivalence:
                 assert factor >= 1.0
         for resource in RESOURCE_TYPES:
             assert node.best_effort_pool(resource) >= 0.05 * node.capacity[resource]
+
+
+# ----------------------------------------------------------------------------
+# Invalidation contract: contention and slowdown read cached demand and a
+# cached partition layout, which the writes that change them clear.  Random
+# interleavings of every such write must leave the cached reads equal to the
+# stateless reference after each step.
+
+
+def _reference_total_slowdown(container):
+    instance = container.instance
+    if instance is None:
+        return 1.0
+    if container.node is not None:
+        node_factors = _reference_contention_factors(container.node, container)
+    else:
+        node_factors = {resource: 1.0 for resource in RESOURCE_TYPES}
+    raw = _reference_raw_demand(instance)
+    weights = instance.profile.resource_weights
+    slowdown = 1.0
+    for resource in RESOURCE_TYPES:
+        want = raw[resource]
+        limit = (
+            _reference_cpu_limit(container)
+            if resource is Resource.CPU
+            else container.limits[resource]
+        )
+        if want <= 0:
+            cap = 1.0
+        elif limit <= 0:
+            cap = Node._queueing_factor(Node.MAX_UTILIZATION)
+        else:
+            cap = Node._queueing_factor(want / limit)
+        factor = max(cap, node_factors[resource])
+        slowdown = max(slowdown, 1.0 + (factor - 1.0) * weights.get(resource, 0.0))
+    return slowdown
+
+
+_ORACLE_WEIGHTS = (
+    {Resource.CPU: 1.0},
+    {Resource.MEMORY_BANDWIDTH: 0.8, Resource.LLC: 0.5},
+    dict.fromkeys(RESOURCE_TYPES, 0.5),
+    {Resource.DISK_IO: 0.7, Resource.NETWORK: 0.6, Resource.CPU: 0.2},
+)
+#: Containers 0-3 host an instance; container 4 is bare (zero demand).
+_ORACLE_CONTAINERS = len(_ORACLE_WEIGHTS) + 1
+
+_container_index = st.integers(min_value=0, max_value=_ORACLE_CONTAINERS - 1)
+_oracle_op = st.one_of(
+    # A burst of spans, so some queue behind the ones in service.
+    st.tuples(
+        st.just("submit"),
+        st.integers(min_value=0, max_value=len(_ORACLE_WEIGHTS) - 1),
+        st.integers(min_value=1, max_value=4),
+    ),
+    st.tuples(st.just("step"), st.integers(min_value=1, max_value=3)),
+    st.tuples(
+        st.just("set_limit"), _container_index, st.sampled_from(RESOURCE_TYPES), _limit_fractions
+    ),
+    # A few cores: moves concurrency, and with it how many queued spans count.
+    st.tuples(st.just("cpu"), _container_index, st.floats(min_value=0.0, max_value=6.0)),
+    st.tuples(
+        st.just("set_limits"),
+        _container_index,
+        st.lists(_limit_fractions, min_size=5, max_size=5),
+    ),
+    st.tuples(st.just("threads"), _container_index, st.integers(min_value=1, max_value=8)),
+    st.tuples(st.just("enforce"), _container_index, st.booleans()),
+    # Move to node 0 or 1, or (None) evict.
+    st.tuples(st.just("place"), _container_index, st.sampled_from([0, 1, None])),
+    st.tuples(
+        st.just("pressure"),
+        st.integers(min_value=0, max_value=1),
+        st.booleans(),
+        st.lists(st.floats(min_value=0.0, max_value=0.6), min_size=5, max_size=5),
+    ),
+)
+
+
+class _OracleCluster:
+    """Two nodes, four instances and one bare container, driven op by op."""
+
+    def __init__(self):
+        self.engine = SimulationEngine()
+        rng = SeededRNG(5)
+        self.nodes = [Node(NodeSpec(name="oracle-a")), Node(NodeSpec(name="oracle-b"))]
+        capacity = self.nodes[0].capacity
+        self.capacity = capacity
+        self.containers = []
+        for index in range(_ORACLE_CONTAINERS):
+            # From a few spans' worth of each resource up to the whole node,
+            # and two cores, so demand meets some limits and not others, and
+            # spans queue behind the ones in service.
+            fraction = (0.15, 0.5, 1.0, 0.3, 0.15)[index]
+            limits = ResourceLimits(
+                {resource: fraction * capacity[resource] for resource in RESOURCE_TYPES}
+            )
+            limits[Resource.CPU] = 2.0
+            container = Container(f"svc{index}", limits=limits)
+            container.partition_enforced = index in (1, 2)
+            if index != 3:
+                self.nodes[index % 2].add_container(container)
+            if index < len(_ORACLE_WEIGHTS):
+                profile = ServiceProfile(
+                    name=f"svc{index}",
+                    resource_weights=_ORACLE_WEIGHTS[index],
+                    demand_per_request=_EQUIVALENCE_PROFILE.demand_per_request,
+                )
+                MicroserviceInstance(profile, container, self.engine, rng)
+            self.containers.append(container)
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "submit":
+            for _ in range(op[2]):
+                self.containers[op[1]].instance.submit("r", "svc", lambda *a: None)
+        elif kind == "step":
+            for _ in range(op[1]):
+                self.engine.step()
+        elif kind == "set_limit":
+            _, index, resource, fraction = op
+            self.containers[index].set_limit(resource, fraction * self.capacity[resource])
+        elif kind == "cpu":
+            self.containers[op[1]].set_limit(Resource.CPU, op[2])
+        elif kind == "set_limits":
+            _, index, fractions = op
+            self.containers[index].set_limits(
+                ResourceVector(
+                    {
+                        resource: fraction * self.capacity[resource]
+                        for resource, fraction in zip(RESOURCE_TYPES, fractions)
+                    }
+                )
+            )
+        elif kind == "threads":
+            self.containers[op[1]].threads = op[2]
+        elif kind == "enforce":
+            self.containers[op[1]].partition_enforced = op[2]
+        elif kind == "place":
+            container = self.containers[op[1]]
+            if container.node is not None:
+                container.node.remove_container(container)
+            if op[2] is not None:
+                self.nodes[op[2]].add_container(container)
+        elif kind == "pressure":
+            _, index, inject, fractions = op
+            pressure = ResourceVector(
+                {
+                    resource: fraction * self.capacity[resource]
+                    for resource, fraction in zip(RESOURCE_TYPES, fractions)
+                }
+            )
+            node = self.nodes[index]
+            (node.inject_pressure if inject else node.remove_pressure)(pressure)
+
+    def check(self, subset):
+        for node in self.nodes:
+            assert node.contention_factors() == _reference_contention_factors(node)
+            for container in node.containers:
+                expected = _reference_contention_factors(node, container)
+                assert node.contention_factors(container) == expected
+                restricted = {resource: expected[resource] for resource in subset}
+                assert node.contention_factors(container, subset) == restricted
+        for container in self.containers:
+            assert container.total_slowdown() == _reference_total_slowdown(container)
+
+
+class TestInvalidationOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_oracle_op, min_size=1, max_size=50),
+        st.lists(st.sampled_from(RESOURCE_TYPES), unique=True),
+    )
+    # Each example leaves a cache stale unless one invalidation runs, so
+    # dropping that invalidation fails deterministically.  ``_finish``'s pop
+    # with nothing queued behind it:
+    @example(ops=[("submit", 0, 1), ("step", 1)], subset=[])
+    # Enforcing a best-effort container that has demand:
+    @example(ops=[("submit", 0, 1), ("enforce", 0, True)], subset=[])
+    # Raising an enforced limit past capacity, which dilutes its guarantee:
+    @example(ops=[("submit", 2, 1), ("set_limit", 2, Resource.LLC, 1.5)], subset=[])
+    # Evicting a best-effort container that has demand, and placing one:
+    @example(ops=[("submit", 0, 2), ("place", 0, None)], subset=[])
+    @example(ops=[("submit", 3, 2), ("place", 3, 0)], subset=[])
+    # One dispatch that moves several spans into service: raising the CPU
+    # quota frees three slots while more spans queue than the new quota, so
+    # each move changes demand and must clear it before the next read.
+    @example(
+        ops=[("cpu", 2, 1.0), ("submit", 2, 8), ("cpu", 2, 4.0), ("submit", 2, 1)],
+        subset=[],
+    )
+    def test_cached_reads_match_stateless_reference(self, ops, subset):
+        cluster = _OracleCluster()
+        cluster.check(subset)
+        for op in ops:
+            cluster.apply(op)
+            cluster.check(subset)
