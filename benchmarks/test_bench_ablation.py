@@ -24,11 +24,11 @@ from repro.core.firm import FIRMConfig
 from repro.core.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.core.rl.transfer import transfer_agent
 from repro.experiments.harness import ExperimentHarness
+from repro.experiments.scenario import ScenarioSpec
 
 
-def _memory_anomaly_harness(seed=19, duration_s=80.0):
-    harness = ExperimentHarness.build("social_network", seed=seed)
-    harness.attach_workload(load_rps=50.0)
+def _memory_anomaly_harness(seed=19, duration_s=80.0, config=None):
+    """FIRM (with ``config``) managing social_network under memory + CPU anomalies."""
     campaign = AnomalyCampaign("ablation")
     campaign.add(
         AnomalySpec(
@@ -42,8 +42,15 @@ def _memory_anomaly_harness(seed=19, duration_s=80.0):
             start_s=15.0, duration_s=duration_s - 20.0, intensity=0.95,
         )
     )
-    harness.attach_injector(campaign)
-    return harness
+    spec = ScenarioSpec(
+        application="social_network",
+        seed=seed,
+        load_rps=50.0,
+        controller="firm",
+        controller_kwargs={"config": config},
+        campaign=campaign,
+    )
+    return ExperimentHarness.from_spec(spec)
 
 
 def test_bench_ablation_fine_grained_vs_cpu_only(benchmark, results_dir):
@@ -53,7 +60,6 @@ def test_bench_ablation_fine_grained_vs_cpu_only(benchmark, results_dir):
         duration = 80.0
         # Full FIRM.
         full = _memory_anomaly_harness()
-        full.attach_firm()
         full_result = full.run(duration_s=duration)
 
         # CPU-only FIRM: clamp the non-CPU action bounds to the default limits
@@ -69,8 +75,7 @@ def test_bench_ablation_fine_grained_vs_cpu_only(benchmark, results_dir):
                 cpu=16.0, memory_bandwidth=20.0, llc=8.0, disk_io=400.0, network=2.0
             ),
         )
-        cpu_only = _memory_anomaly_harness()
-        cpu_only.attach_firm(FIRMConfig(bounds=cpu_only_bounds))
+        cpu_only = _memory_anomaly_harness(config=FIRMConfig(bounds=cpu_only_bounds))
         cpu_only_result = cpu_only.run(duration_s=duration)
         return {"full": full_result, "cpu_only": cpu_only_result}
 
@@ -94,12 +99,12 @@ def test_bench_ablation_svm_filter(benchmark, results_dir):
     def run() -> dict:
         duration = 60.0
         filtered = _memory_anomaly_harness(seed=23)
-        firm_filtered = filtered.attach_firm()
+        firm_filtered = filtered.tenants[0].controller
         filtered.run(duration_s=duration)
         candidates_filtered = [len(r.candidates) for r in firm_filtered.rounds if r.slo_violated]
 
         unfiltered = _memory_anomaly_harness(seed=23)
-        firm_unfiltered = unfiltered.attach_firm()
+        firm_unfiltered = unfiltered.tenants[0].controller
         # Ablate the filter: make the SVM flag everything on the CP.
         firm_unfiltered.svm.cold_start_thresholds = np.array([1e-9, 1e-9])
         unfiltered.run(duration_s=duration)

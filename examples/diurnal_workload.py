@@ -38,6 +38,7 @@ def main() -> None:
         controller="firm",
     )
     harness = ExperimentHarness.from_spec(spec)
+    tenant = harness.tenants[0]
 
     timeline = []
 
@@ -45,8 +46,8 @@ def main() -> None:
         timeline.append(
             {
                 "t": engine.now,
-                "rate": harness.workload.pattern.rate_at(engine.now),
-                "p99_ms": harness.coordinator.latency_percentile_ms(99.0, 15.0),
+                "rate": tenant.workload.pattern.rate_at(engine.now),
+                "p99_ms": tenant.coordinator.latency_percentile_ms(99.0, 15.0),
                 "requested_cpu": harness.cluster.total_requested_cpu(),
             }
         )

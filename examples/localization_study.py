@@ -57,7 +57,7 @@ def main() -> None:
     print(f"Injecting CPU contention into {args.target!r} and collecting traces ...")
     harness.run(duration_s=55.0)
 
-    traces = harness.coordinator.recent_traces(window_s=45.0)
+    traces = harness.tenants[0].coordinator.recent_traces(window_s=45.0)
     path_extractor = CriticalPathExtractor()
     paths = path_extractor.extract_all(traces)
 
@@ -78,7 +78,7 @@ def main() -> None:
 
     candidates = component_extractor.extract(paths, traces)
     flagged_services = sorted({feature.service for feature in candidates})
-    ground_truth = harness.injector.log[0].spec.target_service
+    ground_truth = harness.tenants[0].injector.log[0].spec.target_service
     print(f"\nSVM candidates: {flagged_services or '(none)'}")
     print(f"ground truth:   ['{ground_truth}']")
     if ground_truth in flagged_services:

@@ -21,9 +21,10 @@ every substrate it depends on in pure Python:
 Quickstart
 ----------
 >>> from repro.experiments.harness import ExperimentHarness
->>> harness = ExperimentHarness.build(application="social_network", seed=1)
->>> harness.attach_firm()
->>> result = harness.run(duration_s=60.0, load_rps=50.0)
+>>> from repro.experiments.scenario import ScenarioSpec
+>>> spec = ScenarioSpec(application="social_network", seed=1, load_rps=50.0, controller="firm")
+>>> harness = ExperimentHarness.from_spec(spec)
+>>> result = harness.run(duration_s=60.0)
 >>> result.slo.violation_rate  # doctest: +SKIP
 0.01
 """

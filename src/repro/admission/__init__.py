@@ -23,9 +23,8 @@ gate attached the runtime is byte-identical to the pre-admission
 behaviour, and with one attached every retried/hedged/shed request is a
 first-class citizen of traces, telemetry, and the observability journal
 (``admission_decision`` / ``retry`` / ``breaker_transition`` records).
-Select a policy declaratively via ``ScenarioSpec.admission`` /
-``TenantSpec.admission`` (a preset name or an :class:`AdmissionConfig`),
-or imperatively via ``harness.attach_admission(...)``.
+Select a policy via ``ScenarioSpec.admission`` / ``TenantSpec.admission``
+(a preset name or an :class:`AdmissionConfig`).
 """
 
 from repro.admission.config import (

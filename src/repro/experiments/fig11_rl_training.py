@@ -120,10 +120,10 @@ def _training_episode(
         campaign=campaign,
     )
     harness = ExperimentHarness.from_spec(spec)
-    controller = harness.controller
+    controller = harness.tenants[0].controller
     agent.begin_episode()
 
-    result = harness.run(duration_s=episode_duration_s, load_rps=load_rps)
+    result = harness.run(duration_s=episode_duration_s)
 
     # Total reward: sum of the environment rewards observed by the controller.
     # The controller stores rewards through the replay buffer; approximate the

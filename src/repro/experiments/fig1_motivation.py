@@ -109,11 +109,11 @@ def _run_timeline(
 
     def _sample(engine) -> None:
         p99_series.append(
-            harness.coordinator.latency_percentile_ms(99.0, sample_period_s)
+            harness.tenants[0].coordinator.latency_percentile_ms(99.0, sample_period_s)
         )
 
     harness.engine.schedule_recurring(sample_period_s, _sample, name="fig1-sample")
-    harness.run(duration_s=duration_s, load_rps=load_rps)
+    harness.run(duration_s=duration_s)
     return p99_series
 
 

@@ -72,10 +72,10 @@ def run_fig3_for_application(
         ),
     )
     harness = ExperimentHarness.from_spec(spec)
-    harness.run(duration_s=duration_s, load_rps=load_rps)
+    harness.run(duration_s=duration_s)
 
     extractor = CriticalPathExtractor()
-    traces = harness.coordinator.store.completed_traces()
+    traces = harness.tenants[0].coordinator.store.completed_traces()
     paths = extractor.extract_all(traces)
     split = extractor.min_max_signature_latencies(paths)
     return CPDistribution(

@@ -86,7 +86,7 @@ def _run_configuration(
     if scale_service is not None:
         profile = harness.cluster.profile_of(scale_service)
         harness.cluster.deploy_service(profile, replicas=1)
-    harness.run(duration_s=duration_s, load_rps=load_rps)
+    harness.run(duration_s=duration_s)
     return harness
 
 
@@ -104,11 +104,11 @@ def run_fig4(
     def _latencies(harness: ExperimentHarness) -> List[float]:
         return [
             trace.end_to_end_latency_ms
-            for trace in harness.coordinator.store.completed_traces("post-compose")
+            for trace in harness.tenants[0].coordinator.store.completed_traces("post-compose")
             if (trace.arrival_time or 0.0) >= 10.0
         ]
 
-    per_service = before.coordinator.per_service_latencies_ms(duration_s)
+    per_service = before.tenants[0].coordinator.per_service_latencies_ms(duration_s)
     return Fig4Result(
         before=LatencyStats.from_samples(_latencies(before)),
         scale_compose=LatencyStats.from_samples(_latencies(scaled_compose)),

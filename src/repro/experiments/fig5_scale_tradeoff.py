@@ -108,19 +108,20 @@ def _run_point(
         )
     )
 
+    tenant = harness.tenants[0]
     # Apply the mitigation up front (the figure studies steady-state payoff).
     replicas = harness.cluster.replicas_of(target)
     if mitigation == "scale_up" and replicas:
         instance = replicas[0]
         boosted = instance.container.limits * 2.0
-        harness.orchestrator.set_resource_limits(instance, ResourceVector(dict(boosted.values)))
+        tenant.orchestrator.set_resource_limits(instance, ResourceVector(dict(boosted.values)))
     elif mitigation == "scale_out":
-        harness.orchestrator.scale_out(target)
+        tenant.orchestrator.scale_out(target)
 
-    harness.run(duration_s=duration_s, load_rps=load_rps)
+    harness.run(duration_s=duration_s)
     latencies = [
         trace.end_to_end_latency_ms
-        for trace in harness.coordinator.store.completed_traces()
+        for trace in tenant.coordinator.store.completed_traces()
         if (trace.arrival_time or 0.0) >= 10.0
     ]
     return Fig5Point(

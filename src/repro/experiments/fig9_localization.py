@@ -101,7 +101,7 @@ def _injected_nodes(harness: ExperimentHarness, min_intensity: float = 0.0) -> L
     Delegates to the injector so multi-node scopes (``service_wide``,
     ``tenant``) report every pressured node, not just the primary one.
     """
-    return harness.injector.injected_node_names(min_intensity=min_intensity)
+    return harness.tenants[0].injector.injected_node_names(min_intensity=min_intensity)
 
 
 def _collect_scored_samples(
@@ -116,7 +116,7 @@ def _collect_scored_samples(
     target or when it is co-located on an injected node (node-level
     interference makes such neighbours genuine victims).
     """
-    traces = harness.coordinator.recent_traces(window_s)
+    traces = harness.tenants[0].coordinator.recent_traces(window_s)
     if not traces:
         return []
     paths = CriticalPathExtractor().extract_all(traces)
@@ -193,7 +193,7 @@ def run_fig9a(
                 batch = _collect_scored_samples(h, extractor, spec.duration_s, culprits)
                 scored_accumulator.extend(batch)
                 if train:
-                    traces = h.coordinator.recent_traces(spec.duration_s)
+                    traces = h.tenants[0].coordinator.recent_traces(spec.duration_s)
                     paths = CriticalPathExtractor().extract_all(traces)
                     extractor.train_from_ground_truth(paths, traces, culprits)
 
@@ -203,7 +203,7 @@ def run_fig9a(
                     lambda eng, s=injection: _evaluate_injection(eng, s),
                     name="fig9a-evaluate",
                 )
-            harness.run(duration_s=spec.duration_s, load_rps=load_rps)
+            harness.run(duration_s=spec.duration_s)
             samples.extend(scored_accumulator)
 
         scores = [score for score, _ in samples]
@@ -286,11 +286,11 @@ def run_fig9b_for_application(
         nonlocal correct, total
         culprits = {
             record.spec.target_service
-            for record in harness.injector.active_anomalies()
+            for record in harness.tenants[0].injector.active_anomalies()
             if record.spec.intensity >= significant_intensity
         }
         injected_nodes = set(_injected_nodes(harness, min_intensity=significant_intensity))
-        traces = harness.coordinator.recent_traces(window_s)
+        traces = harness.tenants[0].coordinator.recent_traces(window_s)
         if not traces:
             return
         paths = path_extractor.extract_all(traces)
@@ -329,7 +329,7 @@ def run_fig9b_for_application(
         component_extractor.train_from_ground_truth(paths, traces, sorted(culprits))
 
     harness.engine.schedule_recurring(window_s, _evaluate, name="fig9b-evaluate")
-    harness.run(duration_s=spec.duration_s, load_rps=load_rps)
+    harness.run(duration_s=spec.duration_s)
 
     per_architecture = {
         arch: per_arch_correct.get(arch, 0) / count

@@ -9,13 +9,15 @@ figure/table module builds its harnesses from specs via
 sweep runner (:mod:`repro.experiments.sweep`) fans grids of specs out over
 worker processes.
 
-A spec describes either a classic **single-tenant** scenario (one
+A spec describes either a **single-application** scenario (one
 application, one workload, one controller — the fields on the spec itself)
 or a **multi-tenant** one: a list of :class:`TenantSpec` entries, each with
 its own application graph, workload, SLO targets, anomaly campaign, and
 controller, all co-located on one shared simulated cluster so contention
-flows across tenants.  Single-tenant specs are untouched by the
-multi-tenant machinery and produce byte-identical results.
+flows across tenants.  Both deploy through the same tenant path: the
+harness turns a single-application spec into one *untenanted*
+:class:`TenantSpec` (``name=None``), which sees the raw cluster, keeps its
+services' plain names, and draws from the master RNG.
 
 Specs must stay picklable so they can cross process boundaries: prefer
 module-level functions (or :func:`functools.partial` over them) for
@@ -32,7 +34,7 @@ from repro.anomaly.campaigns import AnomalyCampaign, random_campaign
 from repro.workload.patterns import ArrivalPattern
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.experiments.harness import ExperimentHarness, ExperimentResult
+    from repro.experiments.harness import ExperimentResult, TenantRuntime
 
 
 def _admission_name(admission: Optional[Any]) -> Optional[str]:
@@ -44,7 +46,7 @@ def _admission_name(admission: Optional[Any]) -> Optional[str]:
 
 @dataclass
 class TenantSpec:
-    """One tenant of a multi-tenant scenario.
+    """One tenant of a scenario.
 
     Attributes
     ----------
@@ -52,6 +54,9 @@ class TenantSpec:
         Unique tenant identity within the scenario (e.g. ``"victim"``).
         Service names are namespaced under it (``victim/nginx``), traces,
         spans, containers, and telemetry samples are tagged with it.
+        ``None`` is the untenanted tenant the harness builds from a
+        single-application spec: no namespacing, no tags, the master RNG,
+        and no entry in per-tenant results; it must be the only tenant.
     application:
         Benchmark application name (see :mod:`repro.apps.catalog`).
     load_rps / pattern / request_mix:
@@ -63,10 +68,10 @@ class TenantSpec:
         :class:`~repro.cluster.cluster.TenantClusterView`.
     campaign / campaign_builder:
         Optional per-tenant anomaly campaign.  The builder is invoked with
-        the tenant's runtime context (which exposes ``.app`` and ``.rng``
-        like a single-tenant harness, so
-        :func:`random_campaign_builder` works unchanged) and must stay
-        picklable for parallel sweeps.
+        the tenant's :class:`~repro.experiments.harness.TenantRuntime`
+        (read its ``.app`` and ``.rng``, as
+        :func:`random_campaign_builder` does) and must stay picklable for
+        parallel sweeps.
     slo_scale:
         Multiplier applied to the application's declared per-request-type
         SLO latencies (e.g. ``0.5`` = a premium tenant with twice-as-tight
@@ -98,7 +103,7 @@ class TenantSpec:
         requests bypass admission entirely).
     """
 
-    name: str
+    name: Optional[str]
     application: str = "social_network"
     load_rps: float = 50.0
     pattern: Optional[ArrivalPattern] = None
@@ -148,10 +153,11 @@ class ScenarioSpec:
     campaign:
         Optional pre-built anomaly campaign.
     campaign_builder:
-        Optional callable ``builder(harness) -> AnomalyCampaign | None``
-        invoked against the freshly built harness (use for campaigns that
-        need the harness RNG or service names); ignored when ``campaign``
-        is given.  Must be picklable for parallel sweeps.
+        Optional callable ``builder(tenant) -> AnomalyCampaign | None``
+        invoked with the deployed tenant's
+        :class:`~repro.experiments.harness.TenantRuntime` (use for
+        campaigns that need the tenant's RNG or service names); ignored
+        when ``campaign`` is given.  Must be picklable for parallel sweeps.
     warmup_s:
         Seconds at the start excluded from SLO accounting.
     sample_period_s:
@@ -233,7 +239,7 @@ class ScenarioSpec:
     controller: str = "none"
     controller_kwargs: Dict[str, Any] = field(default_factory=dict)
     campaign: Optional[AnomalyCampaign] = None
-    campaign_builder: Optional[Callable[["ExperimentHarness"], Optional[AnomalyCampaign]]] = None
+    campaign_builder: Optional[Callable[["TenantRuntime"], Optional[AnomalyCampaign]]] = None
     warmup_s: float = 0.0
     sample_period_s: float = 1.0
     tenants: Optional[Sequence[TenantSpec]] = None
@@ -300,16 +306,12 @@ class ScenarioSpec:
         """A copy of this spec with the given fields replaced."""
         return replace(self, **overrides)
 
-    def build(self) -> "ExperimentHarness":
-        """Build the fully wired harness for this spec."""
-        from repro.experiments.harness import ExperimentHarness
-
-        return ExperimentHarness.from_spec(self)
-
 
 def run_scenario(spec: ScenarioSpec) -> "ExperimentResult":
     """Build and run one scenario end to end, returning its result."""
-    harness = spec.build()
+    from repro.experiments.harness import ExperimentHarness
+
+    harness = ExperimentHarness.from_spec(spec)
     return harness.run(
         duration_s=spec.duration_s,
         sample_period_s=spec.sample_period_s,
@@ -318,7 +320,7 @@ def run_scenario(spec: ScenarioSpec) -> "ExperimentResult":
 
 
 def random_campaign_builder(
-    harness: "ExperimentHarness",
+    tenant: "TenantRuntime",
     duration_s: float,
     rate_per_s: float = 0.33,
     min_intensity: float = 0.3,
@@ -332,11 +334,9 @@ def random_campaign_builder(
     ``resource_only`` excludes workload-variation anomalies (the §4.1
     baseline-comparison setting) and ``scope`` selects each injection's
     :class:`~repro.anomaly.anomalies.AnomalyScope` (None keeps the
-    historical first-replica ``node`` scope).  ``harness`` may be either a
-    full :class:`~repro.experiments.harness.ExperimentHarness` or one
-    tenant's :class:`~repro.experiments.harness.TenantRuntime` — both
-    expose the ``.app`` and ``.rng`` this builder needs, so the same
-    builder serves single- and multi-tenant specs.
+    historical first-replica ``node`` scope).  ``tenant`` is the deployed
+    :class:`~repro.experiments.harness.TenantRuntime`; the campaign covers
+    its services (``.app``) and draws from its RNG (``.rng``).
     """
     from repro.anomaly.anomalies import AnomalyScope
 
@@ -346,8 +346,8 @@ def random_campaign_builder(
         else ANOMALY_TYPES
     )
     return random_campaign(
-        harness.app.service_names(),
-        harness.rng,
+        tenant.app.service_names(),
+        tenant.rng,
         duration_s=duration_s,
         rate_per_s=rate_per_s,
         min_intensity=min_intensity,

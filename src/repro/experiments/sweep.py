@@ -33,6 +33,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
+from repro.experiments.harness import ExperimentHarness
 from repro.experiments.interference import (
     aggressor_victim,
     identical_tenants,
@@ -246,7 +247,7 @@ def score_spec(spec: ScenarioSpec):
     ``spec.score_window_s`` a :class:`LocalizationScorer` is attached to
     the campaign tenant before the run starts.
     """
-    harness = spec.build()
+    harness = ExperimentHarness.from_spec(spec)
     target = next((t for t in harness.tenants if t.campaign is not None), None)
     scorer = None
     if spec.score_window_s is not None:
@@ -264,7 +265,7 @@ def score_spec(spec: ScenarioSpec):
     trigger_end = 0.0
     if target is not None:
         trigger_end = target.campaign.end_time()
-        if result.tenant_results:
+        if target.tenant_id is not None:
             scope = result.tenant_results[target.tenant_id]
             admission = (admission or {}).get(target.tenant_id)
     post_trigger = 0.0

@@ -86,12 +86,12 @@ def run_table1_case(
             campaign=campaign,
         )
     )
-    harness.run(duration_s=duration_s, load_rps=load_rps)
+    harness.run(duration_s=duration_s)
 
     extractor = CriticalPathExtractor()
     traces = [
         trace
-        for trace in harness.coordinator.store.completed_traces("post-compose")
+        for trace in harness.tenants[0].coordinator.store.completed_traces("post-compose")
         if (trace.arrival_time or 0.0) >= 15.0
     ]
     paths = extractor.extract_all(traces)

@@ -24,6 +24,7 @@ from repro.controllers import (
 )
 from repro.controllers import stages as stages_module
 from repro.core.firm import FIRMConfig, FIRMController
+from repro.experiments.scenario import ScenarioSpec
 
 
 class CountingCoordinator:
@@ -208,13 +209,22 @@ class TestControllerRegistry:
 
 
 # ---------------------------------------------------- FIRM fixes riding
+def _firm_on_social_network():
+    from repro.experiments.harness import ExperimentHarness
+
+    spec = ScenarioSpec(
+        application="social_network",
+        seed=9,
+        load_rps=20.0,
+        controller="firm",
+        controller_kwargs={"config": FIRMConfig(train_online=False)},
+    )
+    return ExperimentHarness.from_spec(spec).tenants[0].controller
+
+
 class TestFIRMStoppedRound:
     def test_stopped_loop_round_is_recorded(self):
-        from repro.experiments.harness import ExperimentHarness
-
-        harness = ExperimentHarness.build("social_network", seed=9)
-        harness.attach_workload(load_rps=20.0)
-        firm = harness.attach_firm(FIRMConfig(train_online=False))
+        firm = _firm_on_social_network()
         firm.stop()
         before = len(firm.rounds)
         record = firm.control_round()
@@ -224,11 +234,7 @@ class TestFIRMStoppedRound:
         assert record.actions_applied == 0
 
     def test_restart_clears_stopped_flag(self):
-        from repro.experiments.harness import ExperimentHarness
-
-        harness = ExperimentHarness.build("social_network", seed=9)
-        harness.attach_workload(load_rps=20.0)
-        firm = harness.attach_firm(FIRMConfig(train_online=False))
+        firm = _firm_on_social_network()
         firm.stop()
         assert firm._stopped
         firm.start()

@@ -14,33 +14,32 @@ from repro.experiments.fig9_localization import auc, roc_curve, run_fig9c
 from repro.experiments.fig10_end_to_end import run_fig10
 from repro.experiments.fig11_rl_training import train_variant
 from repro.experiments.harness import ExperimentHarness
+from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.table1_cp_changes import run_table1_case
 from repro.experiments.table6_operation_latency import run_table6, table6_rows
 from repro.experiments.summary import HeadlineNumbers
 
 
+def _hotel(load_rps: float) -> ExperimentHarness:
+    return ExperimentHarness.from_spec(
+        ScenarioSpec(application="hotel_reservation", seed=1, load_rps=load_rps)
+    )
+
+
 class TestHarness:
     def test_build_and_run_without_controller(self):
-        harness = ExperimentHarness.build("hotel_reservation", seed=1)
-        harness.attach_workload(load_rps=30.0)
-        result = harness.run(duration_s=20.0)
+        result = _hotel(30.0).run(duration_s=20.0)
         assert result.slo.completed > 0
         assert result.latency.p99 > 0
         assert result.controller == "none"
 
     def test_run_with_warmup_excludes_early_traces(self):
-        harness = ExperimentHarness.build("hotel_reservation", seed=1)
-        harness.attach_workload(load_rps=30.0)
-        result = harness.run(duration_s=20.0, warmup_s=10.0)
-        full = ExperimentHarness.build("hotel_reservation", seed=1)
-        full.attach_workload(load_rps=30.0)
-        full_result = full.run(duration_s=20.0)
+        result = _hotel(30.0).run(duration_s=20.0, warmup_s=10.0)
+        full_result = _hotel(30.0).run(duration_s=20.0)
         assert result.slo.completed < full_result.slo.completed
 
     def test_requested_cpu_sampled(self):
-        harness = ExperimentHarness.build("hotel_reservation", seed=1)
-        harness.attach_workload(load_rps=20.0)
-        result = harness.run(duration_s=15.0)
+        result = _hotel(20.0).run(duration_s=15.0)
         assert result.mean_requested_cpu > 0
         assert 0.0 <= result.mean_cluster_cpu_utilization <= 1.0
 

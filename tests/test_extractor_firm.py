@@ -11,57 +11,60 @@ from repro.cluster.resources import Resource
 from repro.core.extractor import Extractor
 from repro.core.firm import FIRMConfig
 from repro.experiments.harness import ExperimentHarness
+from repro.experiments.scenario import ScenarioSpec
 
 
-def _harness_with_anomaly(controller=None, seed=5, intensity=0.95, duration_s=60.0,
+def _social_network(seed, load_rps, **fields):
+    return ExperimentHarness.from_spec(
+        ScenarioSpec(application="social_network", seed=seed, load_rps=load_rps, **fields)
+    )
+
+
+def _harness_with_anomaly(controller="none", seed=5, intensity=0.95, duration_s=60.0,
                           target="composePost",
-                          anomaly=AnomalyType.CPU_UTILIZATION):
-    harness = ExperimentHarness.build("social_network", seed=seed)
-    harness.attach_workload(load_rps=50.0)
+                          anomaly=AnomalyType.CPU_UTILIZATION, load_rps=50.0, **controller_kwargs):
     campaign = AnomalyCampaign("test")
     campaign.add(
         AnomalySpec(anomaly, target, start_s=10.0, duration_s=duration_s - 15.0, intensity=intensity)
     )
-    harness.attach_injector(campaign)
-    if controller == "firm":
-        harness.attach_firm()
-    elif controller == "aimd":
-        harness.attach_aimd()
-    elif controller == "k8s":
-        harness.attach_kubernetes_autoscaler()
-    return harness
+    return _social_network(
+        seed, load_rps, campaign=campaign, controller=controller,
+        controller_kwargs=controller_kwargs,
+    )
 
 
 class TestExtractor:
     def test_no_violation_no_candidates(self):
-        harness = ExperimentHarness.build("social_network", seed=3)
-        harness.attach_workload(load_rps=30.0)
-        firm = harness.attach_firm()
+        harness = _social_network(3, 30.0, controller="firm")
+        firm = harness.tenants[0].controller
         harness.run(duration_s=30.0)
         result = firm.extractor.analyse()
         assert not result.slo_violated
         assert result.candidates == []
 
     def test_detects_violation_under_anomaly(self):
-        harness = _harness_with_anomaly(controller=None)
-        extractor = Extractor(harness.coordinator)  # detection only; no mitigation
+        harness = _harness_with_anomaly()
+        tenant = harness.tenants[0]
+        extractor = Extractor(tenant.coordinator)  # detection only; no mitigation
         harness.run(duration_s=40.0)
-        assert harness.orchestrator.history == []
+        assert tenant.orchestrator.history == []
         assert extractor.detect()
 
     def test_analyse_returns_critical_paths(self):
-        harness = _harness_with_anomaly(controller=None)
-        extractor = Extractor(harness.coordinator)
+        harness = _harness_with_anomaly()
+        tenant = harness.tenants[0]
+        extractor = Extractor(tenant.coordinator)
         harness.run(duration_s=40.0)
-        assert harness.orchestrator.history == []
+        assert tenant.orchestrator.history == []
         result = extractor.analyse(force=True)
         assert len(result.critical_paths) > 0
 
     def test_localizes_culprit_service(self):
-        harness = _harness_with_anomaly(controller=None, intensity=0.95)
-        extractor = Extractor(harness.coordinator)
+        harness = _harness_with_anomaly(intensity=0.95)
+        tenant = harness.tenants[0]
+        extractor = Extractor(tenant.coordinator)
         harness.run(duration_s=40.0)
-        assert harness.orchestrator.history == []
+        assert tenant.orchestrator.history == []
         result = extractor.analyse(force=True)
         # The anomaly targets the post-storage memcached's node; the flagged
         # services should include a service hosted there (often the target
@@ -71,7 +74,7 @@ class TestExtractor:
 
 class TestFIRMController:
     def test_firm_reduces_tail_latency_vs_none(self):
-        unmanaged = _harness_with_anomaly(controller=None)
+        unmanaged = _harness_with_anomaly()
         result_none = unmanaged.run(duration_s=60.0)
         managed = _harness_with_anomaly(controller="firm")
         result_firm = managed.run(duration_s=60.0)
@@ -79,7 +82,7 @@ class TestFIRMController:
 
     def test_firm_acts_on_violations(self):
         harness = _harness_with_anomaly(controller="firm")
-        firm = harness.controller
+        firm = harness.tenants[0].controller
         harness.run(duration_s=60.0)
         assert any(round_.actions_applied > 0 for round_ in firm.rounds)
 
@@ -90,38 +93,40 @@ class TestFIRMController:
         assert enforced
 
     def test_one_for_each_creates_per_service_agents(self):
-        harness = _harness_with_anomaly(controller=None)
-        firm = harness.attach_firm(FIRMConfig(per_service_agents=True))
+        harness = _harness_with_anomaly(
+            controller="firm", config=FIRMConfig(per_service_agents=True)
+        )
+        firm = harness.tenants[0].controller
         harness.run(duration_s=60.0)
         if any(round_.actions_applied > 0 for round_ in firm.rounds):
             assert len(firm._per_service_agents) > 0
 
     def test_shared_agent_mode_uses_single_agent(self):
-        harness = _harness_with_anomaly(controller=None)
-        firm = harness.attach_firm(FIRMConfig(per_service_agents=False))
+        harness = _harness_with_anomaly(
+            controller="firm", config=FIRMConfig(per_service_agents=False)
+        )
+        firm = harness.tenants[0].controller
         harness.run(duration_s=40.0)
         assert firm._per_service_agents == {}
         assert firm.agent_for("anything") is firm.shared_agent
 
     def test_firm_reclaims_requested_cpu_when_idle(self):
-        harness = ExperimentHarness.build("social_network", seed=4)
-        harness.attach_workload(load_rps=30.0)
-        harness.attach_firm()
+        harness = _social_network(4, 30.0, controller="firm")
         before = harness.cluster.total_requested_cpu()
         harness.run(duration_s=120.0)
         after = harness.cluster.total_requested_cpu()
         assert after < before
 
     def test_firm_training_populates_replay_buffer(self):
-        harness = _harness_with_anomaly(controller=None)
-        firm = harness.attach_firm(FIRMConfig(train_online=True))
+        harness = _harness_with_anomaly(controller="firm", config=FIRMConfig(train_online=True))
+        firm = harness.tenants[0].controller
         harness.run(duration_s=60.0)
         if any(round_.actions_applied > 0 for round_ in firm.rounds):
             assert len(firm.shared_agent.replay_buffer) > 0
 
     def test_svm_training_from_ground_truth(self):
         harness = _harness_with_anomaly(controller="firm")
-        firm = harness.controller
+        firm = harness.tenants[0].controller
         harness.run(duration_s=40.0)
         loss = firm.train_svm_from_ground_truth(["post-storage-memcached"])
         assert loss >= 0.0
@@ -132,12 +137,13 @@ class TestBaselines:
     def test_k8s_scales_out_under_cpu_pressure(self):
         harness = _harness_with_anomaly(
             controller="k8s", target="composePost", anomaly=AnomalyType.CPU_UTILIZATION,
-            intensity=0.95,
+            intensity=0.95, load_rps=80.0,
         )
-        harness.run(duration_s=90.0, load_rps=80.0)
+        harness.run(duration_s=90.0)
         # The HPA baseline should at least have executed control rounds.
-        assert isinstance(harness.controller, KubernetesAutoscaler)
-        assert harness.controller.rounds_executed > 0
+        controller = harness.tenants[0].controller
+        assert isinstance(controller, KubernetesAutoscaler)
+        assert controller.rounds_executed > 0
 
     def test_aimd_raises_limits_under_violation(self):
         harness = _harness_with_anomaly(controller="aimd", intensity=0.95)
@@ -149,20 +155,19 @@ class TestBaselines:
             c for c in harness.cluster.all_containers()
             if c.id in container_before and c.limits[Resource.CPU] > container_before[c.id]
         ]
-        assert isinstance(harness.controller, AIMDController)
+        assert isinstance(harness.tenants[0].controller, AIMDController)
         assert raised, "AIMD should have additively increased limits during violations"
 
     def test_aimd_decays_limits_when_comfortable(self):
-        harness = ExperimentHarness.build("social_network", seed=6)
-        harness.attach_workload(load_rps=20.0)
-        harness.attach_aimd()
+        harness = _social_network(6, 20.0, controller="aimd")
         before = harness.cluster.total_requested_cpu()
         harness.run(duration_s=90.0)
         assert harness.cluster.total_requested_cpu() < before
 
     def test_baseline_round_counter(self):
-        harness = ExperimentHarness.build("social_network", seed=6)
-        harness.attach_workload(load_rps=20.0)
-        controller = harness.attach_aimd(control_interval_s=10.0)
+        harness = _social_network(
+            6, 20.0, controller="aimd", controller_kwargs={"control_interval_s": 10.0}
+        )
+        controller = harness.tenants[0].controller
         harness.run(duration_s=45.0)
         assert controller.rounds_executed >= 3

@@ -8,13 +8,25 @@ from repro.cluster.resources import Resource, ResourceVector
 from repro.core.firm import FIRMConfig
 from repro.experiments.fig9_localization import DEFAULT_SWEEP_TARGETS
 from repro.experiments.harness import ExperimentHarness
+from repro.experiments.scenario import ScenarioSpec
+
+
+def _firm_harness(config: FIRMConfig) -> ExperimentHarness:
+    return ExperimentHarness.from_spec(
+        ScenarioSpec(
+            application="social_network",
+            seed=9,
+            load_rps=40.0,
+            controller="firm",
+            controller_kwargs={"config": config},
+        )
+    )
 
 
 @pytest.fixture
 def firm_setup():
-    harness = ExperimentHarness.build("social_network", seed=9)
-    harness.attach_workload(load_rps=40.0)
-    firm = harness.attach_firm(FIRMConfig(train_online=False))
+    harness = _firm_harness(FIRMConfig(train_online=False))
+    firm = harness.tenants[0].controller
     firm.stop()  # drive rounds manually
     return harness, firm
 
@@ -102,11 +114,8 @@ class TestRightSizing:
     @pytest.fixture
     def idle_firm(self):
         """A harness whose control loop never right-sizes on its own."""
-        harness = ExperimentHarness.build("social_network", seed=9)
-        harness.attach_workload(load_rps=40.0)
-        firm = harness.attach_firm(
-            FIRMConfig(train_online=False, scale_down_when_idle=False)
-        )
+        harness = _firm_harness(FIRMConfig(train_online=False, scale_down_when_idle=False))
+        firm = harness.tenants[0].controller
         harness.run(duration_s=70.0)
         return harness, firm
 

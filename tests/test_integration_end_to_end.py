@@ -14,32 +14,32 @@ from repro.anomaly.campaigns import AnomalyCampaign
 from repro.apps.catalog import APPLICATIONS
 from repro.cluster.resources import Resource
 from repro.experiments.harness import ExperimentHarness
+from repro.experiments.scenario import ScenarioSpec
+
+
+def _harness(application, seed, load_rps, **fields):
+    return ExperimentHarness.from_spec(
+        ScenarioSpec(application=application, seed=seed, load_rps=load_rps, **fields)
+    )
 
 
 @pytest.mark.parametrize("application", sorted(APPLICATIONS))
 def test_every_application_serves_requests_end_to_end(application):
     """All four benchmark applications deploy and serve traffic."""
-    harness = ExperimentHarness.build(application, seed=1)
-    harness.attach_workload(load_rps=30.0)
-    result = harness.run(duration_s=20.0)
+    result = _harness(application, 1, 30.0).run(duration_s=20.0)
     assert result.slo.completed > 100
     assert result.latency.p99 > result.latency.median > 0
 
 
 def test_contention_inflates_latency_without_controller():
     """Anomaly injection visibly inflates tail latency (the problem FIRM solves)."""
-    quiet = ExperimentHarness.build("social_network", seed=3)
-    quiet.attach_workload(load_rps=50.0)
-    quiet_result = quiet.run(duration_s=45.0)
+    quiet_result = _harness("social_network", 3, 50.0).run(duration_s=45.0)
 
-    noisy = ExperimentHarness.build("social_network", seed=3)
-    noisy.attach_workload(load_rps=50.0)
     campaign = AnomalyCampaign("contention")
     campaign.add(
         AnomalySpec(AnomalyType.CPU_UTILIZATION, "composePost", start_s=10.0, duration_s=30.0, intensity=0.95)
     )
-    noisy.attach_injector(campaign)
-    noisy_result = noisy.run(duration_s=45.0)
+    noisy_result = _harness("social_network", 3, 50.0, campaign=campaign).run(duration_s=45.0)
 
     assert noisy_result.latency.p99 > quiet_result.latency.p99 * 1.5
 
@@ -47,8 +47,6 @@ def test_contention_inflates_latency_without_controller():
 def test_firm_mitigates_contention_end_to_end():
     """With FIRM attached, the same contention produces a lower tail and fewer violations."""
     def scenario(with_firm: bool):
-        harness = ExperimentHarness.build("social_network", seed=4)
-        harness.attach_workload(load_rps=50.0)
         campaign = AnomalyCampaign("contention")
         campaign.add(
             AnomalySpec(AnomalyType.CPU_UTILIZATION, "composePost", start_s=10.0, duration_s=60.0, intensity=0.95)
@@ -56,9 +54,8 @@ def test_firm_mitigates_contention_end_to_end():
         campaign.add(
             AnomalySpec(AnomalyType.MEMORY_BANDWIDTH, "user-timeline-memcached", start_s=30.0, duration_s=40.0, intensity=0.95)
         )
-        harness.attach_injector(campaign)
-        if with_firm:
-            harness.attach_firm()
+        controller = "firm" if with_firm else "none"
+        harness = _harness("social_network", 4, 50.0, campaign=campaign, controller=controller)
         return harness.run(duration_s=80.0)
 
     unmanaged = scenario(False)
@@ -76,14 +73,11 @@ def test_firm_mitigates_contention_end_to_end():
 
 def test_firm_actions_respect_node_capacity():
     """No container limit ever exceeds its node's physical capacity."""
-    harness = ExperimentHarness.build("media_service", seed=5)
-    harness.attach_workload(load_rps=40.0)
     campaign = AnomalyCampaign("stress")
     campaign.add(
         AnomalySpec(AnomalyType.CPU_UTILIZATION, "composeReview", start_s=5.0, duration_s=40.0, intensity=0.95)
     )
-    harness.attach_injector(campaign)
-    harness.attach_firm()
+    harness = _harness("media_service", 5, 40.0, campaign=campaign, controller="firm")
     harness.run(duration_s=50.0)
     for container in harness.cluster.all_containers():
         node = container.node
@@ -94,9 +88,7 @@ def test_firm_actions_respect_node_capacity():
 
 def test_firm_does_not_degrade_a_healthy_cluster():
     """With no anomalies, FIRM's management keeps violations near zero."""
-    harness = ExperimentHarness.build("train_ticket", seed=6)
-    harness.attach_workload(load_rps=40.0)
-    harness.attach_firm()
+    harness = _harness("train_ticket", 6, 40.0, controller="firm")
     result = harness.run(duration_s=90.0)
     assert result.slo.violation_rate < 0.05
     # ...while right-sizing reduces the requested CPU below the initial allocation.
@@ -104,14 +96,11 @@ def test_firm_does_not_degrade_a_healthy_cluster():
 
 
 def test_mitigation_episodes_tracked():
-    harness = ExperimentHarness.build("social_network", seed=7)
-    harness.attach_workload(load_rps=50.0)
     campaign = AnomalyCampaign("episode")
     campaign.add(
         AnomalySpec(AnomalyType.CPU_UTILIZATION, "composePost", start_s=10.0, duration_s=20.0, intensity=0.95)
     )
-    harness.attach_injector(campaign)
-    harness.attach_firm()
+    harness = _harness("social_network", 7, 50.0, campaign=campaign, controller="firm")
     result = harness.run(duration_s=60.0)
     # The violation episode opened by the anomaly is eventually closed.
     assert result.mitigation.mean_mitigation_time_s() >= 0.0
@@ -119,9 +108,8 @@ def test_mitigation_episodes_tracked():
 
 def test_scale_out_replicas_share_load():
     """After a scale-out both replicas serve spans."""
-    harness = ExperimentHarness.build("hotel_reservation", seed=8)
-    harness.attach_workload(load_rps=60.0)
-    harness.orchestrator.scale_out("search")
+    harness = _harness("hotel_reservation", 8, 60.0)
+    harness.tenants[0].orchestrator.scale_out("search")
     harness.run(duration_s=30.0)
     replicas = harness.cluster.replicas_of("search")
     assert len(replicas) == 2

@@ -235,12 +235,48 @@ class TestSingleTenantCompatibility:
             ScenarioSpec(application="hotel_reservation", seed=1, load_rps=10.0)
         )
         assert len(harness.tenants) == 1
-        assert not harness.is_multi_tenant
+        assert harness.tenants[0].tenant_id is None
         assert all(c.tenant is None for c in harness.cluster.all_containers())
         assert "nginx" not in harness.cluster.services()  # hotel app, no namespacing
         result = harness.run(duration_s=5.0)
         assert result.tenant_results == {}
         assert result.slo.completed > 0
+
+    def test_untenanted_result_is_flat(self):
+        spec = ScenarioSpec(
+            application="hotel_reservation",
+            seed=1,
+            duration_s=4.0,
+            load_rps=10.0,
+            admission="survival_kit",
+        )
+        result = run_scenario(spec)
+        assert result.per_tenant_summary() == {}
+        assert "submitted" in result.admission  # the one gate's snapshot, not keyed
+
+    def test_one_named_tenant_result_is_keyed(self):
+        spec = ScenarioSpec(
+            seed=1,
+            duration_s=4.0,
+            admission="survival_kit",
+            tenants=[TenantSpec(name="solo", application="hotel_reservation", load_rps=10.0)],
+        )
+        result = run_scenario(spec)
+        assert list(result.per_tenant_summary()) == ["solo"]
+        assert list(result.admission) == ["solo"]
+        assert "submitted" in result.admission["solo"]
+        assert result.tenant_results["solo"].requested_cpu_samples
+
+    def test_single_tenant_campaign_builder_receives_the_tenant(self):
+        seen = []
+        spec = ScenarioSpec(application="hotel_reservation", seed=1, campaign_builder=seen.append)
+        harness = ExperimentHarness.from_spec(spec)
+        assert seen == [harness.tenants[0]]
+
+    def test_untenanted_tenant_must_be_alone(self):
+        harness = ExperimentHarness.from_spec(ScenarioSpec(application="hotel_reservation"))
+        with pytest.raises(ValueError, match="only tenant"):
+            harness.add_tenant(TenantSpec(name="extra", application="hotel_reservation"))
 
     def test_merge_slo_trackers(self):
         a = SLOTracker({"x": 100.0}, completed=3, violations=1, dropped=1)

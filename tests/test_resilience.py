@@ -8,6 +8,7 @@ from functools import partial
 import pytest
 
 from repro.cli import main
+from repro.experiments.harness import ExperimentHarness
 from repro.experiments.resilience import (
     CAMPAIGN_KINDS,
     build_resilience_campaign,
@@ -237,7 +238,6 @@ class TestPerfMacro:
     def test_campaign_macro_spec_is_campaign_heavy(self):
         (spec,) = MACRO_BENCHMARKS["resilience_campaign"].build_specs(10.0)
         assert spec.replicas and all(count == 2 for count in spec.replicas.values())
-        harness = spec.build()
-        campaign = harness.campaign
+        campaign = ExperimentHarness.from_spec(spec).tenants[0].campaign
         assert campaign is not None and len(campaign.specs) > 3
         assert all(s.scope.value == "service_wide" for s in campaign.specs)

@@ -366,7 +366,7 @@ class TestSpecThreading:
     def test_spec_unknown_routing_rejected_at_build(self):
         spec = ScenarioSpec(application="hotel_reservation", routing="nope")
         with pytest.raises(ValueError, match="unknown routing policy"):
-            spec.build()
+            ExperimentHarness.from_spec(spec)
 
     def test_spec_replica_overrides_applied(self):
         spec = ScenarioSpec(
@@ -383,7 +383,7 @@ class TestSpecThreading:
             application="hotel_reservation", seed=0, replicas={"not-a-service": 2}
         )
         with pytest.raises(ValueError, match="unknown service"):
-            spec.build()
+            ExperimentHarness.from_spec(spec)
 
     def test_tenant_routing_and_replicas(self):
         spec = ScenarioSpec(
@@ -432,7 +432,7 @@ class TestSpecThreading:
         )
         harness = ExperimentHarness.from_spec(spec)
         harness.run(duration_s=4.0)
-        traces = harness.coordinator.store.completed_traces()
+        traces = harness.tenants[0].coordinator.store.completed_traces()
         assert traces
         tagged = [span for trace in traces for span in trace.spans if span.tags]
         assert tagged

@@ -19,7 +19,7 @@ from repro.baselines.kubernetes_hpa import KubernetesAutoscaler
 from repro.cli import main
 from repro.core.firm import FIRMController
 from repro.experiments.harness import ExperimentHarness
-from repro.experiments.scenario import ScenarioSpec, run_scenario
+from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
 from repro.experiments.sweep import expand_grid, run_parallel, run_sweep, scenario_cell
 
 
@@ -76,20 +76,9 @@ class TestControllerRegistry:
         assert aimd.control_interval_s == pytest.approx(7.0)
 
     def test_harness_attach_unknown_controller_raises(self):
-        harness = ExperimentHarness.build("hotel_reservation", seed=0)
+        tenant = TenantSpec(name="a", application="hotel_reservation", controller="made-up-policy")
         with pytest.raises(ValueError, match="unknown controller"):
-            harness.attach_controller("made-up-policy")
-
-    def test_attach_controller_stops_replaced_controller(self):
-        """Swapping controllers mid-harness must stop the old control loop."""
-        harness = ExperimentHarness.build("hotel_reservation", seed=0)
-        first = harness.attach_controller("aimd", control_interval_s=5.0)
-        harness.attach_workload(load_rps=10.0)
-        harness.run(duration_s=11.0)
-        assert first.rounds_executed == 2
-        harness.attach_controller("k8s")
-        harness.run(duration_s=11.0)
-        assert first.rounds_executed == 2, "replaced controller kept running"
+            ExperimentHarness.from_spec(ScenarioSpec(seed=0, tenants=[tenant]))
 
 
 class TestResourceControllerLoop:
@@ -157,7 +146,7 @@ class TestScenarioSpec:
     def test_unknown_controller_rejected(self):
         spec = ScenarioSpec(application="hotel_reservation", controller="nope")
         with pytest.raises(ValueError, match="unknown controller"):
-            spec.build()
+            ExperimentHarness.from_spec(spec)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -190,31 +179,11 @@ class TestScenarioSpec:
             controller="k8s",
         )
         harness = ExperimentHarness.from_spec(spec)
-        assert isinstance(harness.controller, KubernetesAutoscaler)
-        assert harness.controller_name == "k8s"
-        assert harness.workload is not None
+        (tenant,) = harness.tenants
+        assert isinstance(tenant.controller, KubernetesAutoscaler)
+        assert tenant.controller_name == "k8s"
+        assert tenant.workload is not None
         assert harness.spec is spec
-
-    def test_build_matches_from_spec(self):
-        """``build`` and ``from_spec`` wire the same pipeline for one app and seed."""
-        from test_determinism import _fingerprint
-
-        spec = ScenarioSpec(
-            application="hotel_reservation",
-            seed=3,
-            duration_s=8.0,
-            load_rps=20.0,
-            controller="aimd",
-        )
-        built = ExperimentHarness.build(spec.application, spec.seed)
-        built.attach_workload(load_rps=spec.load_rps)
-        built.attach_controller(spec.controller)
-        from_spec = ExperimentHarness.from_spec(spec)
-        results = [harness.run(duration_s=spec.duration_s) for harness in (built, from_spec)]
-        assert _fingerprint(results[0]) == _fingerprint(results[1])
-        digests = [result.telemetry_digest for result in results]
-        assert digests[0] is not None
-        assert digests[0].as_dict() == digests[1].as_dict()
 
     def test_with_overrides(self):
         spec = ScenarioSpec(seed=1, controller="firm")
@@ -237,12 +206,13 @@ class TestStreamingSLOAccounting:
             ScenarioSpec(application="hotel_reservation", seed=1, load_rps=25.0)
         )
         result = harness.run(duration_s=15.0)
-        store = harness.coordinator.store
+        coordinator = harness.tenants[0].coordinator
+        store = coordinator.store
         # Retained = reservoir residents plus still-in-flight traces.
         assert len(store) <= DEFAULT_RESERVOIR_CAPACITY + 64
         # Accounting saw every completion, not just the retained sample.
         assert result.slo.completed >= len(store)
-        assert result.slo.completed == harness.coordinator.telemetry_digest().completed
+        assert result.slo.completed == coordinator.telemetry_digest().completed
 
     def test_drop_after_completion_counts_as_dropped(self):
         """A request that completes and is then dropped by a background call
