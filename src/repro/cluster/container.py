@@ -6,27 +6,34 @@ A container is the unit of resource control: it has per-resource limits
 microservice instance it hosts (how many requests are in service and what
 each request consumes).
 
-Throttle and contention factors are recomputed for every span a replica
+Throttle and contention factors are read for every span a replica
 dispatches, so this module is a simulation hot path: the class is slotted
 and the per-resource loops work on plain dicts instead of going through
 :class:`~repro.cluster.resources.ResourceVector` arithmetic.
 :meth:`Container.total_slowdown` is one fused pass over only the resources
-the service weights: it folds the cap factor in per resource and asks the
-node for just those contention factors.  :meth:`Container.throttle_factor`
-and :meth:`Container.node_contention_factor` keep the five-resource
-decomposition as a readable reference.
+the service weights: it takes each cap factor from the instance's current
+demand row and asks the node for just those contention factors.
+:meth:`Container.throttle_factor` and :meth:`Container.node_contention_factor`
+keep the five-resource decomposition as a readable reference.
 
-Demand is cached, and the writes that change it clear the cache (push
-invalidation; nothing is re-checked on read):
+Demand is looked up, not recomputed.  The hosted instance keeps a table of
+demand rows keyed by its *active* count (spans in service plus the queued
+ones that fit its concurrency); each row holds the raw demand, this
+container's capped demand and the cap slowdowns of the service's weighted
+resources.  The writes that change what is read point at another row or
+rebuild the table (nothing is re-checked on read):
 
 * the hosted instance's queue/in-service transitions (``submit``'s append,
-  the move into service, ``_finish``'s pop) clear the instance's raw
-  demand and this container's capped demand;
-* :meth:`Container.set_limit` (and so ``set_limits``) and the ``threads``
-  setter clear both as well, update the thread-capped CPU limit, and clear
-  the hosting node's partition layout;
+  the move into service, ``_finish``'s pop) point the instance and this
+  container at the row for the new active count, building it the first
+  time that count is seen;
+* :meth:`Container.set_limit`, :meth:`Container.set_limits` and the
+  ``threads`` setter update the thread-capped CPU limit and the instance's
+  concurrency, empty the table and point at a fresh row, and clear the
+  hosting node's partition layout;
 * the ``partition_enforced`` setter clears the hosting node's layout.
 
+A container with no instance holds one shared all-zero demand dict.
 Writing ``container.limits[...]`` directly, outside :meth:`set_limit`,
 bypasses all of this and is unsupported.
 """
@@ -50,6 +57,9 @@ _container_ids = itertools.count()
 
 #: Node contention factors of a container no node hosts.
 _NO_CONTENTION: Dict[Resource, float] = dict.fromkeys(RESOURCE_TYPES, 1.0)
+
+#: Capped demand of every container that hosts no instance (read-only).
+_NO_DEMAND: Dict[Resource, float] = dict.fromkeys(RESOURCE_TYPES, 0.0)
 
 
 class Container:
@@ -103,10 +113,10 @@ class Container:
         self.instance = None  # type: Optional["MicroserviceInstance"]  # noqa: F821
         self._started_cold = True
         self._partition_enforced = False
-        # Capped demand, or None once a write that changes it (see the
-        # module docstring) has cleared it; node-level contention reads it
-        # for every container on the node per dispatched span.
-        self._capped_demand: Optional[Dict[Resource, float]] = None
+        # Capped demand: the hosted instance's current demand row points it
+        # (see the module docstring); node-level contention reads it for
+        # every container on the node per dispatched span.  Read-only.
+        self._capped_demand: Dict[Resource, float] = _NO_DEMAND
         # Sets the thread-capped CPU limit too.
         self.threads = int(threads)
 
@@ -143,11 +153,10 @@ class Container:
         return self._cpu_limit
 
     def _limits_changed(self) -> None:
-        """Refresh the thread-capped CPU limit and clear what depends on limits."""
+        """Refresh the thread-capped CPU limit and everything derived from limits."""
         self._cpu_limit = min(self.limits.values[Resource.CPU], float(self._threads))
-        self._capped_demand = None
         if self.instance is not None:
-            self.instance._raw_demand = None
+            self.instance._limits_changed()
         if self.node is not None:
             self.node._layout = None
 
@@ -157,47 +166,19 @@ class Container:
         self._limits_changed()
 
     def set_limits(self, limits: ResourceVector) -> None:
-        """Replace all limits at once."""
+        """Replace all limits at once, each clamped to be non-negative."""
         for resource in RESOURCE_TYPES:
-            self.set_limit(resource, limits[resource])
+            self.limits[resource] = max(0.0, float(limits[resource]))
+        self._limits_changed()
 
     # ------------------------------------------------------------- demand
-    def _capped_demand_values(self) -> Dict[Resource, float]:
-        """Instantaneous demand as a plain dict (internal hot path).
-
-        Demand originates from the hosted instance (requests in service and
-        queued work); the cgroups-style limit caps how much of the node each
-        container can actually pull.  The result is cached until a write
-        that changes it clears the cache (see the module docstring); hot
-        paths read ``_capped_demand`` and call this only when it is None.
-        Callers treat the returned dict as read-only.
-        """
-        capped = self._capped_demand
-        if capped is not None:
-            return capped
-        instance = self.instance
-        if instance is None:
-            return {resource: 0.0 for resource in RESOURCE_TYPES}
-        raw = instance._demand_values()
-        limit_values = self.limits.values
-        effective_cpu = self._cpu_limit
-        capped = {}
-        for resource in RESOURCE_TYPES:
-            limit = (
-                effective_cpu if resource is Resource.CPU else limit_values[resource]
-            )
-            want = raw[resource]
-            capped[resource] = (want if want < limit else limit) if limit > 0 else 0.0
-        self._capped_demand = capped
-        return capped
-
     def current_demand(self) -> ResourceVector:
         """Instantaneous demand, bounded by the container's own limits."""
-        return ResourceVector._from_normalized(dict(self._capped_demand_values()))
+        return ResourceVector._from_normalized(dict(self._capped_demand))
 
     def usage(self) -> ResourceUsage:
         """Usage sample exported to telemetry (same shape as demand)."""
-        return ResourceUsage._from_normalized(dict(self._capped_demand_values()))
+        return ResourceUsage._from_normalized(dict(self._capped_demand))
 
     def demand_and_utilization(self) -> "tuple[Dict[Resource, float], Dict[Resource, float]]":
         """Capped demand and RU/RLT utilization from one demand pass.
@@ -206,7 +187,7 @@ class Container:
         utilization; telemetry sampling uses it so usage and utilization
         are derived from the same instant without recomputing demand.
         """
-        demand = dict(self._capped_demand_values())
+        demand = dict(self._capped_demand)
         limit_values = self.limits.values
         utilization: Dict[Resource, float] = {}
         for resource in RESOURCE_TYPES:
@@ -235,7 +216,7 @@ class Container:
         if self.instance is None:
             return {resource: 1.0 for resource in RESOURCE_TYPES}
         queueing_factor = Node._queueing_factor
-        raw = self.instance._demand_values()
+        raw = self.instance._raw_demand
         factors: Dict[Resource, float] = {}
         for resource in RESOURCE_TYPES:
             want = raw[resource]
@@ -292,10 +273,12 @@ class Container:
         before being weighted by the service's sensitivity.
 
         Runs once per dispatched span, so it visits only the resources
-        with a nonzero weight (in ``RESOURCE_TYPES`` order) and asks the
-        node for just those.  A zero weight contributes ``max(s, 1.0)``,
-        which never changes ``s``, so the result equals the five-resource
-        combination of :meth:`_cap_factors` and ``contention_factors``.
+        with a nonzero weight (in ``RESOURCE_TYPES`` order), asks the node
+        for just those, and reads their cap factors from the instance's
+        current demand row instead of recomputing them.  A zero weight
+        contributes ``max(s, 1.0)``, which never changes ``s``, so the
+        result equals the five-resource combination of :meth:`_cap_factors`
+        and ``contention_factors``.
         """
         instance = self.instance
         if instance is None:
@@ -305,26 +288,8 @@ class Container:
             node_factors = node.contention_factors(self, instance._slowdown_resources)
         else:
             node_factors = _NO_CONTENTION
-        raw = instance._raw_demand
-        if raw is None:
-            raw = instance._demand_values()
         slowdown = 1.0
-        for resource, weight in instance._slowdown_weights:
-            want = raw[resource]
-            if want <= 0:
-                cap = 1.0
-            else:
-                limit = self._limit_for(resource)
-                if limit <= 0:
-                    cap = Node._queueing_factor(Node.MAX_UTILIZATION)
-                else:
-                    # Node._queueing_factor(want / limit), inlined.
-                    rho = want / limit
-                    if rho < 0.0:
-                        rho = 0.0
-                    if rho > 0.97:
-                        rho = 0.97
-                    cap = 1.0 + (rho * rho) / (1.0 - rho)
+        for (resource, weight), cap in zip(instance._slowdown_weights, instance._caps):
             # ``max(cap, contention)`` and ``max(slowdown, weighted)``, spelled
             # out: each keeps its first argument unless the second is larger.
             contention = node_factors[resource]

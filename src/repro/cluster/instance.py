@@ -19,11 +19,19 @@ hottest non-engine code in the simulator: the service-time stream and its
 lognormal parameters are cached per instance, span bookkeeping objects are
 slotted, and listener dispatch avoids per-span list copies.
 
-Raw demand is cached too.  The three writes that change the instance's
-queue/in-service population (``submit``'s append, ``_try_dispatch``'s move
-into service, ``_finish``'s pop) each clear it and the container's capped
-demand, so contention reads never re-check them; the container's limit and
-``threads`` setters clear both as well.
+Demand depends on one small integer, the *active* count: spans in service
+plus the queued ones that fit the concurrency.  Each instance keeps a table
+of demand rows keyed by that count; a row holds the raw demand dict, the
+container's capped demand dict and the cap slowdowns of the weighted
+resources.  The three writes that change the queue/in-service population
+(``submit``'s append, ``_try_dispatch``'s move into service, ``_finish``'s
+pop) point the instance and its container at the row for the new count,
+building it only the first time that count is seen (a write that leaves
+the count unchanged keeps the current row), so neither contention nor
+slowdown reads recompute demand.  The container's limit and
+``threads`` writes recompute the concurrency, empty the table and point at
+a fresh row.  Nothing rebinds the profile or edits its demand or weights
+after construction.
 """
 
 from __future__ import annotations
@@ -35,11 +43,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.container import Container
+from repro.cluster.node import Node
 from repro.cluster.resources import RESOURCE_TYPES, Resource, ResourceVector
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SeededRNG
 
 _span_work_ids = itertools.count()
+
+#: One demand row: raw demand, the container's capped demand, and the cap
+#: slowdowns of the profile's weighted resources in ``_slowdown_weights``
+#: order.  Shared by every read at the row's active count; read-only.
+_DemandRow = Tuple[Dict[Resource, float], Dict[Resource, float], Tuple[float, ...]]
 
 
 @dataclass
@@ -137,7 +151,10 @@ class MicroserviceInstance:
         "_service_cursor",
         "_lognormal_params",
         "_finish_event_name",
+        "_concurrency",
+        "_demand_rows",
         "_raw_demand",
+        "_caps",
         "_slowdown_weights",
         "_slowdown_resources",
     )
@@ -156,8 +173,6 @@ class MicroserviceInstance:
         self.rng = rng
         self.replica_index = replica_index
         self.name = f"{profile.name}#{replica_index}"
-        container.instance = self
-        container.threads = profile.threads
 
         self._queue: Deque[SpanWork] = deque()
         self._in_service: Dict[int, SpanWork] = {}
@@ -187,9 +202,6 @@ class MicroserviceInstance:
             0.0,
         )
         self._finish_event_name = f"span-finish:{self.name}"
-        # Raw demand, or None once a population or limit change has cleared
-        # it (see the module docstring).
-        self._raw_demand: Optional[Dict[Resource, float]] = None
         #: The profile's nonzero ``(resource, weight)`` pairs in
         #: ``RESOURCE_TYPES`` order, and their resources: the only ones
         #: ``Container.total_slowdown`` visits per span.  Nothing rebinds
@@ -203,6 +215,13 @@ class MicroserviceInstance:
         self._slowdown_resources: Tuple[Resource, ...] = tuple(
             resource for resource, _ in self._slowdown_weights
         )
+        #: Demand rows keyed by active count (see the module docstring).
+        #: ``_limits_changed`` sets ``_concurrency``, empties the table and
+        #: points ``_raw_demand``, the container's capped demand and
+        #: ``_caps`` at a fresh row; the ``threads`` write below runs it.
+        self._demand_rows: Dict[int, _DemandRow] = {}
+        container.instance = self
+        container.threads = profile.threads
 
     # --------------------------------------------------------------- metrics
     @property
@@ -223,33 +242,71 @@ class MicroserviceInstance:
 
     def concurrency(self) -> int:
         """Parallel spans the instance can process, from its CPU quota."""
-        cpu = self.container.effective_cpu_limit()
-        return max(1, int(cpu))
+        return self._concurrency
 
-    def _demand_values(self) -> Dict[Resource, float]:
-        """Raw per-resource demand as a cached read-only dict.
+    def _limits_changed(self) -> None:
+        """Recompute the concurrency and drop the rows built against old limits.
 
-        Demand is ``active x demand_per_request`` where ``active`` only
-        moves when the queue/in-service population or the CPU quota
-        (concurrency) changes; each of those writes clears the cache.
+        Called by the container's limit and ``threads`` writes; the
+        instance and its container then point at a fresh row for the
+        current active count.
         """
-        values = self._raw_demand
-        if values is not None:
-            return values
+        self._concurrency = max(1, int(self.container._cpu_limit))
+        self._demand_rows.clear()
+        self._point_demand()
+
+    def _point_demand(self) -> None:
+        """Point demand reads at the row for the current active count.
+
+        Called by every population write that changes the active count and
+        by every limit write; builds the row the first time its count is
+        seen.
+        """
         queued = len(self._queue)
-        concurrency = self.concurrency()
-        active = len(self._in_service) + (
-            queued if queued < concurrency else concurrency
-        )
-        demand_values = self.profile.demand_per_request.values
+        concurrency = self._concurrency
+        active = len(self._in_service) + (queued if queued < concurrency else concurrency)
+        row = self._demand_rows.get(active)
+        if row is None:
+            row = self._demand_rows[active] = self._build_demand_row(active)
+        self._raw_demand, self.container._capped_demand, self._caps = row
+
+    def _build_demand_row(self, active: int) -> _DemandRow:
+        """Raw demand, capped demand and weighted cap slowdowns at ``active``.
+
+        Raw demand is ``active x demand_per_request``; the container's
+        limits (CPU thread-capped) cap how much of the node it can pull;
+        each weighted resource's cap slowdown follows the node's
+        queueing-delay curve of demand over limit.
+        """
         scale = float(active)
-        values = {resource: value * scale for resource, value in demand_values.items()}
-        self._raw_demand = values
-        return values
+        raw = {
+            resource: value * scale
+            for resource, value in self.profile.demand_per_request.values.items()
+        }
+        container = self.container
+        limit_values = container.limits.values
+        effective_cpu = container._cpu_limit
+        capped: Dict[Resource, float] = {}
+        for resource in RESOURCE_TYPES:
+            limit = effective_cpu if resource is Resource.CPU else limit_values[resource]
+            want = raw[resource]
+            capped[resource] = (want if want < limit else limit) if limit > 0 else 0.0
+        caps = []
+        for resource, _ in self._slowdown_weights:
+            want = raw[resource]
+            if want <= 0:
+                caps.append(1.0)
+                continue
+            limit = effective_cpu if resource is Resource.CPU else limit_values[resource]
+            if limit <= 0:
+                caps.append(Node._queueing_factor(Node.MAX_UTILIZATION))
+            else:
+                caps.append(Node._queueing_factor(want / limit))
+        return raw, capped, tuple(caps)
 
     def resource_demand(self) -> ResourceVector:
         """Instantaneous resource demand driven by in-flight work."""
-        return ResourceVector._from_normalized(dict(self._demand_values()))
+        return ResourceVector._from_normalized(dict(self._raw_demand))
 
     def utilization(self) -> ResourceVector:
         """Per-resource utilization of the hosting container."""
@@ -282,9 +339,12 @@ class MicroserviceInstance:
             base_time_ms=base_time_ms,
             on_complete=on_complete,
         )
-        self._queue.append(work)
-        self._raw_demand = None
-        self.container._capped_demand = None
+        queue = self._queue
+        queue.append(work)
+        # The append adds to the active count only while the queued spans
+        # fit the concurrency; past that the current row is still right.
+        if len(queue) <= self._concurrency:
+            self._point_demand()
         self._try_dispatch()
         return True
 
@@ -313,13 +373,17 @@ class MicroserviceInstance:
             return
         in_service = self._in_service
         container = self.container
-        concurrency = self.concurrency()
+        concurrency = self._concurrency
         while queue and len(in_service) < concurrency:
+            # A move into service adds to the active count only when more
+            # spans queue than the concurrency; otherwise a queued span that
+            # already counted starts, and the current row is still right.
+            repoint = len(queue) > concurrency
             work = queue.popleft()
             work.start_time = self.engine.now
             in_service[work.work_id] = work
-            self._raw_demand = None
-            container._capped_demand = None
+            if repoint:
+                self._point_demand()
             slowdown = container.total_slowdown()
             duration_s = (work.base_time_ms * slowdown) / 1000.0
             self.engine.schedule_after(
@@ -331,8 +395,7 @@ class MicroserviceInstance:
     def _finish(self, work: SpanWork) -> None:
         """Complete one span: record latency and notify the caller."""
         self._in_service.pop(work.work_id, None)
-        self._raw_demand = None
-        self.container._capped_demand = None
+        self._point_demand()
         self._completed_spans += 1
         finish_time = self.engine.now
         latency_ms = (finish_time - work.enqueue_time) * 1000.0

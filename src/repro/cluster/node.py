@@ -11,7 +11,9 @@ oversubscription of the resources it actually uses.
 How the hosted containers split into best-effort and enforced partitions
 changes only on orchestrator actions, so the node keeps that split as a
 cached partition layout (see :meth:`Node.contention_factors`) that the
-writes changing it clear.
+writes changing it clear.  Each hosted container's capped demand is a
+plain attribute that its instance's demand row points at (see
+:mod:`repro.cluster.instance`), so contention reads it without a call.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ class Node:
         """Aggregate instantaneous resource demand of hosted containers."""
         total: Dict[Resource, float] = {r: 0.0 for r in RESOURCE_TYPES}
         for container in self.containers:
-            demand_values = container._capped_demand_values()
+            demand_values = container._capped_demand
             for resource in RESOURCE_TYPES:
                 total[resource] = total[resource] + demand_values[resource]
         return ResourceVector._from_normalized(total)
@@ -213,14 +215,6 @@ class Node:
         reserved = min(protected_usage, capacity)
         return max(capacity - reserved, 0.05 * capacity)
 
-    @staticmethod
-    def _demands(containers: List["Container"]) -> List[_Values]:  # noqa: F821
-        """Each container's capped demand, recomputed only where it was cleared.
-
-        The dicts are never empty, so ``or`` falls through only on None.
-        """
-        return [c._capped_demand or c._capped_demand_values() for c in containers]
-
     def _partition_layout(self) -> _PartitionLayout:
         """The cached partition layout, rebuilt if a write has cleared it."""
         layout = self._layout
@@ -255,9 +249,8 @@ class Node:
         """
         _, enforced, enforced_limits, scales = self._partition_layout()
         capacity = self.capacity.values[resource]
-        return self._pool(
-            resource, capacity, scales[resource], enforced_limits, self._demands(enforced)
-        )
+        enforced_demands = [hosted._capped_demand for hosted in enforced]
+        return self._pool(resource, capacity, scales[resource], enforced_limits, enforced_demands)
 
     def contention_factors(
         self,
@@ -285,23 +278,24 @@ class Node:
         the resources its service weights.
 
         This runs once per dispatched span, so nothing it reads is
-        recomputed unless a write has cleared it:
+        recomputed on read:
 
         * the partition layout — best-effort and enforced containers in
           hosting order, the enforced limits and the per-resource dilution
           scales — is cleared by ``add_container``, ``remove_container``,
           ``Container.set_limit`` (and ``set_limits``, ``threads``) on a
           hosted container, and the ``partition_enforced`` setter;
-        * each hosted container's capped demand is cleared by its
-          instance's queue/in-service transitions and its own limit writes
-          (see :mod:`repro.cluster.container`).
+        * each hosted container's capped demand is a dict its instance's
+          demand row holds, repointed by the instance's queue/in-service
+          transitions and the container's own limit writes (see
+          :mod:`repro.cluster.instance`).
 
         An enforced container's call is O(R_w) for the R_w requested
         resources and never walks the node.  A best-effort call reads the
-        cached demand of each hosted container once and folds it per
+        capped demand of each hosted container once and folds it per
         resource, O(R_w·C); with no enforced container on the node the
         pool is the raw capacity.  Writing ``container.limits[...]``
-        directly bypasses the invalidation and is unsupported.
+        directly bypasses all of this and is unsupported.
 
         The reservation stays one ``sum()`` over the enforced containers in
         hosting order, and the protected usage one ``+=`` per container in
@@ -319,7 +313,7 @@ class Node:
         best_effort, enforced, enforced_limits, scales = layout
 
         if container is not None and container._partition_enforced:
-            demand_values = container._capped_demand or container._capped_demand_values()
+            demand_values = container._capped_demand
             limit_values = container.limits.values
             for resource in resources:
                 capacity = capacity_values[resource]
@@ -339,9 +333,9 @@ class Node:
                 factors[resource] = 1.0 + (rho * rho) / (1.0 - rho)
             return factors
 
-        pool_demands = self._demands(best_effort)
+        pool_demands = [hosted._capped_demand for hosted in best_effort]
         if enforced:
-            enforced_demands = self._demands(enforced)
+            enforced_demands = [hosted._capped_demand for hosted in enforced]
         pressure_values = self._injected_pressure.values
         for resource in resources:
             capacity = capacity_values[resource]

@@ -267,11 +267,6 @@ class ScenarioSpec:
             raise ValueError(f"score_window_s must be > 0, got {self.score_window_s!r}")
 
     @property
-    def is_multi_tenant(self) -> bool:
-        """Whether this spec describes a multi-tenant scenario."""
-        return bool(self.tenants)
-
-    @property
     def scenario_id(self) -> str:
         """Stable human-readable identity (used to key sweep results)."""
         routing_part = f"/routing={self.routing}" if self.routing else ""

@@ -270,9 +270,10 @@ class TestFusedSlowdownEquivalence:
 
 
 # ----------------------------------------------------------------------------
-# Push-invalidation guards: a ``total_slowdown`` recomputes only the demand
-# that a write has cleared, and an enforced call re-sums no reservation until
-# the node's partition layout changes.
+# Demand-row guards: a span builds a demand row only at an active count its
+# instance has not seen since the last limit write, a limit write builds one
+# row, and an enforced call re-sums no reservation until the node's partition
+# layout changes.
 
 
 class TestSlowdownDemandReads:
@@ -294,41 +295,65 @@ class TestSlowdownDemandReads:
         return node
 
     @pytest.fixture
-    def recomputes(self, monkeypatch):
-        """Containers whose capped demand is recomputed, in order."""
-        recomputed = []
-        original = Container._capped_demand_values
+    def row_builds(self, monkeypatch):
+        """``(instance, active)`` for every demand row built, in order."""
+        built = []
+        original = MicroserviceInstance._build_demand_row
 
-        def counted(container):
-            if container._capped_demand is None:
-                recomputed.append(container)
-            return original(container)
+        def counted(instance, active):
+            built.append((instance, active))
+            return original(instance, active)
 
-        monkeypatch.setattr(Container, "_capped_demand_values", counted)
-        return recomputed
+        monkeypatch.setattr(MicroserviceInstance, "_build_demand_row", counted)
+        return built
 
     @staticmethod
-    def _clear_every_demand(node):
-        # Rewriting a limit with its own value clears the container's demand.
-        for container in node.containers:
-            container.set_limit(Resource.NETWORK, container.limits[Resource.NETWORK])
+    def _two_core_instance(engine, rng):
+        container = Container("svc", limits=ResourceLimits.from_kwargs(cpu=2.0))
+        Node(NodeSpec(name="n1")).add_container(container)
+        profile = ServiceProfile(name="svc", demand_per_request=_DEMAND_PER_REQUEST)
+        return MicroserviceInstance(profile, container, engine, rng)
 
-    def test_best_effort_recomputes_only_changed_demand(self, mixed_node, recomputes):
-        best_effort = [c for c in mixed_node.containers if not c.partition_enforced]
-        self._clear_every_demand(mixed_node)
-        best_effort[0].total_slowdown()
-        assert sorted(map(id, recomputes)) == sorted(map(id, mixed_node.containers))
-        recomputes.clear()
-        changed = best_effort[1]
-        changed.instance.submit("extra", "svc", lambda *a: None)
-        best_effort[0].total_slowdown()
-        assert recomputes == [changed]
+    def test_seen_active_counts_build_no_row(self, mixed_node, engine, row_builds):
+        # Every instance has been at 0 and 1 active since its last limit write.
+        engine.run()
+        for container in mixed_node.containers:
+            container.instance.submit("again", "svc", lambda *a: None)
+            container.total_slowdown()
+        engine.run()
+        assert row_builds == []
 
-    def test_enforced_recomputes_only_its_own_demand(self, mixed_node, recomputes):
-        enforced = next(c for c in mixed_node.containers if c.partition_enforced)
-        self._clear_every_demand(mixed_node)
-        enforced.total_slowdown()
-        assert recomputes == [enforced]
+    def test_dispatch_at_unchanged_active_count_builds_nothing(self, engine, rng, row_builds):
+        instance = self._two_core_instance(engine, rng)
+        row_builds.clear()
+        for span in range(5):
+            instance.submit(f"r{span}", "svc", lambda *a: None)
+        # Each append to an idle slot moves straight into service at the same
+        # count; the last append's count (2 in service + 2 queued) was seen.
+        assert [active for _, active in row_builds] == [1, 2, 3, 4]
+        assert (len(instance._in_service), instance.queue_length) == (2, 3)
+        # A finish pops to 1 + 2 = 3 and its dispatch moves back to 2 + 2 = 4.
+        engine.step()
+        assert (len(instance._in_service), instance.queue_length) == (2, 2)
+        assert len(row_builds) == 4
+
+    def test_set_limit_makes_next_transition_build_one_row(
+        self, mixed_node, engine, row_builds
+    ):
+        changed = mixed_node.containers[0]
+        changed.set_limit(Resource.CPU, 0.5)
+        assert row_builds == [(changed.instance, 1)]
+        assert changed._capped_demand[Resource.CPU] == 0.5
+        engine.run()
+        # Every instance finishes its span; only the changed one had its
+        # table emptied, so only it builds the row for 0 active.
+        assert row_builds == [(changed.instance, 1), (changed.instance, 0)]
+
+    def test_set_limits_builds_one_row(self, mixed_node, row_builds):
+        container = mixed_node.containers[0]
+        container.set_limits(container.limits * 0.5)
+        assert row_builds == [(container.instance, 1)]
+        assert container.limits[Resource.CPU] == 4.0
 
     def test_enforced_calls_skip_reservation_between_layout_changes(
         self, mixed_node, monkeypatch

@@ -27,7 +27,6 @@ def _firm_harness(config: FIRMConfig) -> ExperimentHarness:
 def firm_setup():
     harness = _firm_harness(FIRMConfig(train_online=False))
     firm = harness.tenants[0].controller
-    firm.stop()  # drive rounds manually
     return harness, firm
 
 

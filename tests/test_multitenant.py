@@ -366,7 +366,7 @@ class TestInterference:
             noisy_neighbor_ramp(),
             identical_tenants(3),
         ):
-            assert spec.is_multi_tenant
+            assert spec.tenants
             names = [t.name for t in spec.tenants]
             assert len(names) == len(set(names))
 

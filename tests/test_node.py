@@ -211,6 +211,12 @@ def _reference_cpu_limit(container):
     return min(container.limits[Resource.CPU], float(container.threads))
 
 
+def _reference_limit(container, resource):
+    if resource is Resource.CPU:
+        return _reference_cpu_limit(container)
+    return container.limits[resource]
+
+
 def _reference_raw_demand(instance):
     queued = len(instance._queue)
     concurrency = max(1, int(_reference_cpu_limit(instance.container)))
@@ -227,14 +233,19 @@ def _reference_demand(container):
     raw = _reference_raw_demand(container.instance)
     capped = {}
     for resource in RESOURCE_TYPES:
-        limit = (
-            _reference_cpu_limit(container)
-            if resource is Resource.CPU
-            else container.limits[resource]
-        )
+        limit = _reference_limit(container, resource)
         want = raw[resource]
         capped[resource] = (want if want < limit else limit) if limit > 0 else 0.0
     return capped
+
+
+def _reference_utilization(container):
+    demand = _reference_demand(container)
+    utilization = {}
+    for resource in RESOURCE_TYPES:
+        limit = _reference_limit(container, resource)
+        utilization[resource] = demand[resource] / limit if limit > 0 else 0.0
+    return utilization
 
 
 def _reference_dilution_scale(node, resource):
@@ -381,10 +392,10 @@ class TestContentionEquivalence:
 
 
 # ----------------------------------------------------------------------------
-# Invalidation contract: contention and slowdown read cached demand and a
-# cached partition layout, which the writes that change them clear.  Random
-# interleavings of every such write must leave the cached reads equal to the
-# stateless reference after each step.
+# Invalidation contract: contention, slowdown and demand reads go through
+# demand rows and a cached partition layout, which the writes that change them
+# repoint or clear.  Random interleavings of every such write must leave the
+# cached reads equal to the stateless reference after each step.
 
 
 def _reference_total_slowdown(container):
@@ -400,11 +411,7 @@ def _reference_total_slowdown(container):
     slowdown = 1.0
     for resource in RESOURCE_TYPES:
         want = raw[resource]
-        limit = (
-            _reference_cpu_limit(container)
-            if resource is Resource.CPU
-            else container.limits[resource]
-        )
+        limit = _reference_limit(container, resource)
         if want <= 0:
             cap = 1.0
         elif limit <= 0:
@@ -543,6 +550,16 @@ class _OracleCluster:
                 assert node.contention_factors(container, subset) == restricted
         for container in self.containers:
             assert container.total_slowdown() == _reference_total_slowdown(container)
+            # The demand reads telemetry samples through.
+            expected = _reference_demand(container)
+            assert container.current_demand().values == expected
+            assert container.usage().values == expected
+            demand, utilization = container.demand_and_utilization()
+            assert demand == expected
+            assert utilization == _reference_utilization(container)
+            instance = container.instance
+            if instance is not None:
+                assert instance.resource_demand().values == _reference_raw_demand(instance)
 
 
 class TestInvalidationOracle:
@@ -569,6 +586,15 @@ class TestInvalidationOracle:
         ops=[("cpu", 2, 1.0), ("submit", 2, 8), ("cpu", 2, 4.0), ("submit", 2, 1)],
         subset=[],
     )
+    # A finish that frees a slot while more spans queue than the concurrency:
+    # the move into service behind it raises the active count again.
+    @example(ops=[("submit", 0, 5), ("step", 1)], subset=[])
+    # A CPU-limit write while spans are queued: concurrency, and with it the
+    # active count, moves without a population write.
+    @example(ops=[("cpu", 0, 1.0), ("submit", 0, 4), ("cpu", 0, 3.0)], subset=[])
+    # A ``threads`` write on an instance whose table already holds rows: the
+    # active count stays 2, but the row at 2 was built against the old cap.
+    @example(ops=[("submit", 0, 3), ("step", 1), ("threads", 0, 1)], subset=[])
     def test_cached_reads_match_stateless_reference(self, ops, subset):
         cluster = _OracleCluster()
         cluster.check(subset)
