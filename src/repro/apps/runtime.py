@@ -3,23 +3,26 @@
 The runtime is the glue between the application model (:mod:`repro.apps`),
 the cluster substrate (:mod:`repro.cluster`), and the tracing substrate
 (:mod:`repro.tracing`).  Given a :class:`~repro.apps.graph.ServiceGraph`
-it deploys every service onto the cluster and then, for each arriving user
-request, walks the request type's call plan:
+it deploys every service onto the cluster and compiles each request type's
+call plan into a static call tree (:func:`compile_plan`).  For each arriving
+user request it walks that tree:
 
 * **sequential** children run one after another,
 * **parallel** children are dispatched together and joined,
 * **background** children are dispatched fire-and-forget (they complete and
   are traced, but the parent does not wait for them).
 
+Each node of the tree already holds its span kind, its background children
+and its foreground stages, so a request only walks it: one slotted
+:class:`_Call` per RPC carries the state of that walk.
+
 Every span is reported to the Tracing Coordinator as it completes, so the
 execution history graph is available to FIRM's Extractor in near-real time,
 exactly as in the paper's architecture (Fig. 6, modules 1-3).
 
 Replica selection for the entry service and every downstream call goes
-through the cluster's pluggable request router (:mod:`repro.routing`);
-each span is stamped with the routing decision that placed it — policy
-name plus the selected replica's queue depth and in-flight count at
-decision time — so traces expose how the balancer distributed the load.
+through the cluster's pluggable request router (:mod:`repro.routing`),
+which counts every decision per replica.
 
 When an :class:`~repro.admission.gate.AdmissionGate` is attached
 (``runtime.admission``), :meth:`ApplicationRuntime.submit_request` routes
@@ -32,10 +35,11 @@ byte-identical to the pre-admission runtime.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.graph import CallEdge, CallPattern, RequestType, ServiceGraph
 from repro.cluster.cluster import Cluster
+from repro.cluster.instance import MicroserviceInstance
 from repro.cluster.resources import ResourceLimits
 from repro.sim.engine import SimulationEngine
 from repro.tracing.coordinator import TracingCoordinator
@@ -88,6 +92,8 @@ class ApplicationRuntime:
         #: Optional :class:`~repro.admission.gate.AdmissionGate`; when set,
         #: :meth:`submit_request` routes through it.
         self.admission = None
+        #: Compiled call tree per request type, built by :meth:`deploy`.
+        self._plans: Dict[str, _CallNode] = {}
         self._deployed = False
 
     # -------------------------------------------------------------- deploy
@@ -110,6 +116,7 @@ class ApplicationRuntime:
                 request_type.slo_latency_ms,
                 services=request_type.services(),
             )
+            self._plans[request_type.name] = compile_plan(request_type)
         self._deployed = True
 
     # -------------------------------------------------------------- execute
@@ -149,10 +156,15 @@ class ApplicationRuntime:
         """
         if not self._deployed:
             raise RuntimeError("application must be deployed before submitting requests")
-        request_type = self.app.request_types[request_type_name]
+        plan = self._plans[request_type_name]
         request_id = self.next_request_id(request_type_name, label)
         trace = self.coordinator.begin_trace(request_id, request_type_name, self.engine.now)
-        self._execute_entry(trace, request_type, on_complete)
+        instance = self.cluster.route(plan.callee)
+        entry = _EntryCall(self, trace, plan, None, instance)
+        entry.on_complete = on_complete
+        if not instance.submit(trace.request_id, plan.callee, entry.computed):
+            self.coordinator.drop_trace(trace)
+            self.dropped_requests += 1
         return trace
 
     def next_request_id(self, request_type_name: str, label: Optional[str] = None) -> str:
@@ -163,172 +175,167 @@ class ApplicationRuntime:
         return request_id
 
     # ------------------------------------------------------------ internals
-    def _execute_entry(
-        self,
-        trace: Trace,
-        request_type: RequestType,
-        on_complete: Optional[Callable[[Trace], None]],
-    ) -> None:
-        decision = self.cluster.route(request_type.entry_service)
-        entry_instance = decision.instance
-
-        def _entry_done(entry_span: Span) -> None:
-            self.coordinator.complete_trace(trace, self.engine.now)
-            self.completed_requests += 1
-            if on_complete is not None:
-                on_complete(trace)
-
-        def _entry_finished(eq: float, st: float, ft: float) -> None:
-            # The entry span's own compute is done; now run its call plan,
-            # then close the span when all foreground children complete.
-            entry_span = Span(
-                request_id=trace.request_id,
-                service=request_type.entry_service,
-                instance=entry_instance.name,
-                kind=SpanKind.ROOT,
-                parent_id=None,
-                enqueue_time=eq,
-                start_time=st,
-                tenant=self.tenant,
-                tags=decision.span_tags(),
-            )
-
-            def _children_done() -> None:
-                entry_span.end_time = self.engine.now
-                self.coordinator.record_span(trace, entry_span)
-                _entry_done(entry_span)
-
-            self._execute_children(trace, entry_span, request_type.call_plan, _children_done)
-
-        accepted = entry_instance.submit(
-            trace.request_id, request_type.entry_service, _entry_finished
-        )
-        if not accepted:
-            self.coordinator.drop_trace(trace)
-            self.dropped_requests += 1
-
-    def _execute_children(
-        self,
-        trace: Trace,
-        parent_span: Span,
-        calls: Sequence[CallEdge],
-        done: Callable[[], None],
-    ) -> None:
-        """Execute a list of sibling calls honouring their workflow patterns.
-
-        Parallel siblings are grouped into consecutive runs and dispatched
-        together; sequential siblings wait for all previously dispatched
-        foreground work; background siblings are dispatched immediately and
-        never waited on.
-        """
-        foreground = [c for c in calls if c.pattern is not CallPattern.BACKGROUND]
-        background = [c for c in calls if c.pattern is CallPattern.BACKGROUND]
-
-        # Background calls: fire-and-forget.
-        for call in background:
-            self._execute_call(trace, parent_span, call, on_done=None)
-
-        if not foreground:
-            done()
-            return
-
-        # Group foreground calls into stages: consecutive PARALLEL calls form
-        # one stage dispatched concurrently; a SEQUENTIAL call is its own stage.
-        stages: List[List[CallEdge]] = []
-        for call in foreground:
-            if (
-                call.pattern is CallPattern.PARALLEL
-                and stages
-                and stages[-1][0].pattern is CallPattern.PARALLEL
-            ):
-                stages[-1].append(call)
-            else:
-                stages.append([call])
-
-        def _run_stage(index: int) -> None:
-            if index >= len(stages):
-                done()
-                return
-            stage = stages[index]
-            remaining = len(stage)
-
-            def _one_done() -> None:
-                nonlocal remaining
-                remaining -= 1
-                if remaining == 0:
-                    _run_stage(index + 1)
-
-            for call in stage:
-                self._execute_call(trace, parent_span, call, on_done=_one_done)
-
-        _run_stage(0)
-
-    def _execute_call(
-        self,
-        trace: Trace,
-        parent_span: Span,
-        call: CallEdge,
-        on_done: Optional[Callable[[], None]],
-    ) -> None:
-        """Execute one RPC: run the callee's compute, then its own children."""
+    def _call(self, trace: Trace, parent: "_Call", node: "_CallNode") -> None:
+        """Execute one RPC: route it, then queue the callee's compute."""
         try:
-            decision = self.cluster.route(call.callee)
-            instance = decision.instance
+            instance = self.cluster.route(node.callee)
         except KeyError:
             # Service not deployed (should not happen for validated graphs);
             # treat the call as instantly failed so the request can proceed.
-            if on_done is not None:
-                on_done()
+            if node.kind is not SpanKind.BACKGROUND:
+                parent.child_done()
             return
+        call = _Call(self, trace, node, parent, instance)
+        if instance.submit(trace.request_id, node.callee, call.computed):
+            return
+        # The downstream queue is saturated; record a dropped span and
+        # unblock the caller so the request either completes degraded or
+        # is counted as dropped by the caller's SLO accounting.
+        now = self.engine.now
+        span = Span(
+            request_id=trace.request_id,
+            service=node.callee,
+            instance=instance.name,
+            kind=node.kind,
+            parent_id=parent.span.span_id,
+            enqueue_time=now,
+            start_time=now,
+            end_time=now,
+            dropped=True,
+            tenant=self.tenant,
+        )
+        self.coordinator.record_span(trace, span)
+        if not trace.dropped:
+            self.coordinator.drop_trace(trace)
+            self.dropped_requests += 1
+        if node.kind is not SpanKind.BACKGROUND:
+            parent.child_done()
 
-        kind = {
-            CallPattern.SEQUENTIAL: SpanKind.SEQUENTIAL,
-            CallPattern.PARALLEL: SpanKind.PARALLEL,
-            CallPattern.BACKGROUND: SpanKind.BACKGROUND,
-        }[call.pattern]
 
-        def _compute_finished(eq: float, st: float, ft: float) -> None:
-            span = Span(
-                request_id=trace.request_id,
-                service=call.callee,
-                instance=instance.name,
-                kind=kind,
-                parent_id=parent_span.span_id,
-                enqueue_time=eq,
-                start_time=st,
-                tenant=self.tenant,
-                tags=decision.span_tags(),
-            )
+class _CallNode:
+    """One RPC of a compiled call plan; static once built.
 
-            def _children_done() -> None:
-                span.end_time = self.engine.now
-                self.coordinator.record_span(trace, span)
-                if on_done is not None:
-                    on_done()
+    ``background`` holds the fire-and-forget child calls; ``stages`` the
+    foreground ones, grouped so that consecutive PARALLEL calls form one
+    stage dispatched together and every SEQUENTIAL call is a stage of its
+    own.  Stages run one after another.
+    """
 
-            self._execute_children(trace, span, call.children, _children_done)
+    __slots__ = ("callee", "kind", "background", "stages")
 
-        accepted = instance.submit(trace.request_id, call.callee, _compute_finished)
-        if not accepted:
-            # The downstream queue is saturated; record a dropped span and
-            # unblock the caller so the request either completes degraded or
-            # is counted as dropped by the caller's SLO accounting.
-            span = Span(
-                request_id=trace.request_id,
-                service=call.callee,
-                instance=instance.name,
-                kind=kind,
-                parent_id=parent_span.span_id,
-                enqueue_time=self.engine.now,
-                start_time=self.engine.now,
-                end_time=self.engine.now,
-                dropped=True,
-                tenant=self.tenant,
-                tags=decision.span_tags(),
-            )
-            self.coordinator.record_span(trace, span)
-            if not trace.dropped:
-                self.coordinator.drop_trace(trace)
-                self.dropped_requests += 1
-            if on_done is not None:
-                on_done()
+    def __init__(self, callee: str, kind: SpanKind, calls: Sequence[CallEdge]) -> None:
+        self.callee = callee
+        self.kind = kind
+        background: List[_CallNode] = []
+        stages: List[List[_CallNode]] = []
+        for call in calls:
+            child = _CallNode(call.callee, SpanKind(call.pattern.value), call.children)
+            if call.pattern is CallPattern.BACKGROUND:
+                background.append(child)
+            elif (
+                call.pattern is CallPattern.PARALLEL
+                and stages
+                and stages[-1][0].kind is SpanKind.PARALLEL
+            ):
+                stages[-1].append(child)
+            else:
+                stages.append([child])
+        self.background = tuple(background)
+        self.stages = tuple(tuple(stage) for stage in stages)
+
+
+def compile_plan(request_type: RequestType) -> _CallNode:
+    """The call tree of ``request_type``, rooted at its entry service."""
+    return _CallNode(request_type.entry_service, SpanKind.ROOT, request_type.call_plan)
+
+
+class _Call:
+    """One RPC in flight: a compiled node being served for one trace.
+
+    ``computed`` is the callee's completion callback; it opens the span and
+    starts the node's children.  Background children are submitted first,
+    then the foreground stages one at a time; each foreground child reports
+    back through ``child_done``, and the span closes when the last stage
+    has drained.
+    """
+
+    __slots__ = ("runtime", "trace", "node", "parent", "instance", "span", "stage", "pending")
+
+    def __init__(
+        self,
+        runtime: ApplicationRuntime,
+        trace: Trace,
+        node: _CallNode,
+        parent: Optional["_Call"],
+        instance: MicroserviceInstance,
+    ) -> None:
+        self.runtime = runtime
+        self.trace = trace
+        self.node = node
+        self.parent = parent
+        self.instance = instance
+
+    def computed(self, enqueue_time: float, start_time: float, finish_time: float) -> None:
+        parent = self.parent
+        node = self.node
+        runtime = self.runtime
+        trace = self.trace
+        self.span = Span(
+            request_id=trace.request_id,
+            service=node.callee,
+            instance=self.instance.name,
+            kind=node.kind,
+            parent_id=None if parent is None else parent.span.span_id,
+            enqueue_time=enqueue_time,
+            start_time=start_time,
+            tenant=runtime.tenant,
+        )
+        for child in node.background:
+            runtime._call(trace, self, child)
+        if node.stages:
+            self.stage = 0
+            self._run_stage(node.stages[0])
+        else:
+            self._close()
+
+    def _run_stage(self, stage: Tuple[_CallNode, ...]) -> None:
+        self.pending = len(stage)
+        runtime = self.runtime
+        trace = self.trace
+        for child in stage:
+            runtime._call(trace, self, child)
+
+    def child_done(self) -> None:
+        """One foreground child finished (or failed) its whole subtree."""
+        self.pending -= 1
+        if self.pending == 0:
+            stages = self.node.stages
+            self.stage += 1
+            if self.stage < len(stages):
+                self._run_stage(stages[self.stage])
+            else:
+                self._close()
+
+    def _close(self) -> None:
+        span = self.span
+        span.end_time = self.runtime.engine.now
+        self.runtime.coordinator.record_span(self.trace, span)
+        if self.node.kind is not SpanKind.BACKGROUND:
+            self.parent.child_done()
+
+
+class _EntryCall(_Call):
+    """The entry service's RPC: closing it completes the request."""
+
+    __slots__ = ("on_complete",)
+
+    def _close(self) -> None:
+        runtime = self.runtime
+        trace = self.trace
+        now = runtime.engine.now
+        self.span.end_time = now
+        runtime.coordinator.record_span(trace, self.span)
+        runtime.coordinator.complete_trace(trace, now)
+        runtime.completed_requests += 1
+        if self.on_complete is not None:
+            self.on_complete(trace)

@@ -13,11 +13,11 @@ per-tenant controllers and orchestrators operate on their own services
 while contention still flows through the shared nodes.
 
 Request routing is delegated to a pluggable
-:class:`~repro.routing.router.RequestRouter`: :meth:`Cluster.route` (and
-the legacy :meth:`Cluster.pick_replica`) resolve each service to a
-registered load-balancing policy — per-service override, then tenant
-default, then the cluster default ``least_in_flight`` — so experiments
-can swap balancers without touching the cluster or the runtimes.
+:class:`~repro.routing.router.RequestRouter`: :meth:`Cluster.route`
+resolves each service to a registered load-balancing policy —
+per-service override, then tenant default, then the cluster default
+``least_in_flight`` — so experiments can swap balancers without touching
+the cluster or the runtimes.
 """
 
 from __future__ import annotations
@@ -125,11 +125,16 @@ class Cluster:
         ``tenant`` records which tenant owns the service; its containers are
         tagged with the same identity so tenant-aware placement and
         per-tenant accounting can tell co-located tenants apart.  Scaling a
-        service re-uses the tenant it was first deployed under.
+        service re-uses the tenant it was first deployed under; an explicit
+        different tenant re-assigns the service, and the router drops its
+        policy instance so the next route resolves the new tenant's policy.
         """
         self._profiles[profile.name] = profile
+        previous = self._service_tenants.get(profile.name)
         if tenant is None:
-            tenant = self._service_tenants.get(profile.name)
+            tenant = previous
+        elif tenant != previous:
+            self.router.forget(profile.name)
         self._service_tenants[profile.name] = tenant
         instances: List[MicroserviceInstance] = []
         for _ in range(replicas):
@@ -236,17 +241,14 @@ class Cluster:
                 return instance
         raise KeyError(f"no instance named {instance_name!r}")
 
-    def pick_replica(self, service_name: str) -> MicroserviceInstance:
+    def route(self, service_name: str) -> MicroserviceInstance:
         """Load-balance: choose a replica through the configured policy.
 
         The default policy is ``least_in_flight`` (fewest in-flight spans,
         ties broken by lowest replica index); see :meth:`set_routing_policy`
-        for swapping it per cluster, tenant, or service.
+        for swapping it per cluster, tenant, or service.  Raises
+        ``KeyError`` when the service has no live replica.
         """
-        return self.route(service_name).instance
-
-    def route(self, service_name: str) -> "RoutingDecision":  # noqa: F821
-        """Pick a replica and return the full routing decision (for tags)."""
         return self.router.route(service_name)
 
     def set_routing_policy(
@@ -387,12 +389,7 @@ class TenantClusterView:
             raise KeyError(f"instance {instance_name!r} is not owned by tenant {self.tenant!r}")
         return self.cluster.instance_by_name(instance_name)
 
-    def pick_replica(self, service_name: str) -> MicroserviceInstance:
-        if not self._owns(service_name):
-            raise KeyError(f"service {service_name!r} is not owned by tenant {self.tenant!r}")
-        return self.cluster.pick_replica(service_name)
-
-    def route(self, service_name: str) -> "RoutingDecision":  # noqa: F821
+    def route(self, service_name: str) -> MicroserviceInstance:
         """Route within the tenant's own replicas (ownership enforced)."""
         if not self._owns(service_name):
             raise KeyError(f"service {service_name!r} is not owned by tenant {self.tenant!r}")

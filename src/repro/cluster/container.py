@@ -153,12 +153,16 @@ class Container:
         return self._cpu_limit
 
     def _limits_changed(self) -> None:
-        """Refresh the thread-capped CPU limit and everything derived from limits."""
+        """Refresh the thread-capped CPU limit and everything derived from limits.
+
+        The node's layout is cleared first: the instance may start queued
+        spans, whose slowdown reads it.
+        """
         self._cpu_limit = min(self.limits.values[Resource.CPU], float(self._threads))
-        if self.instance is not None:
-            self.instance._limits_changed()
         if self.node is not None:
             self.node._layout = None
+        if self.instance is not None:
+            self.instance._limits_changed()
 
     def set_limit(self, resource: Resource, value: float) -> None:
         """Set one resource limit, clamped to be non-negative."""

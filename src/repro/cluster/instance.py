@@ -143,9 +143,6 @@ class MicroserviceInstance:
         "_in_service",
         "_completed_spans",
         "_dropped_spans",
-        "_busy_time",
-        "_last_busy_update",
-        "recent_latencies_ms",
         "max_queue_length",
         "completion_listeners",
         "_service_cursor",
@@ -178,10 +175,6 @@ class MicroserviceInstance:
         self._in_service: Dict[int, SpanWork] = {}
         self._completed_spans = 0
         self._dropped_spans = 0
-        self._busy_time = 0.0
-        self._last_busy_update = engine.now
-        #: Recent span latencies (ms), kept for telemetry / extractor features.
-        self.recent_latencies_ms: List[float] = []
         #: Maximum queue length before requests are dropped (load shedding).
         self.max_queue_length = 512
         #: Observers invoked as ``listener(instance, latency_ms)`` after each
@@ -249,11 +242,13 @@ class MicroserviceInstance:
 
         Called by the container's limit and ``threads`` writes; the
         instance and its container then point at a fresh row for the
-        current active count.
+        current active count, and queued spans start in any slots a
+        raised concurrency freed.
         """
         self._concurrency = max(1, int(self.container._cpu_limit))
         self._demand_rows.clear()
         self._point_demand()
+        self._try_dispatch()
 
     def _point_demand(self) -> None:
         """Point demand reads at the row for the current active count.
@@ -399,20 +394,10 @@ class MicroserviceInstance:
         self._completed_spans += 1
         finish_time = self.engine.now
         latency_ms = (finish_time - work.enqueue_time) * 1000.0
-        recent = self.recent_latencies_ms
-        recent.append(latency_ms)
-        if len(recent) > 4096:
-            del recent[: len(recent) - 4096]
         work.on_complete(work.enqueue_time, work.start_time or work.enqueue_time, finish_time)
         self._try_dispatch()
         for listener in self.completion_listeners:
             listener(self, latency_ms)
-
-    def drain_latency_window(self) -> List[float]:
-        """Return and clear the recent span latencies (ms)."""
-        window = list(self.recent_latencies_ms)
-        self.recent_latencies_ms.clear()
-        return window
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -11,7 +11,7 @@ different slice of the stack:
   the multi-tenant interference shape;
 * ``routing_ewma_sweep`` — replicated services routed by ``ewma_latency``
   under random anomalies, the routing-subsystem shape (policy state,
-  completion listeners, span tags);
+  completion listeners);
 * ``resilience_campaign`` — dense service-wide anomaly arrivals over a
   replicated application, the anomaly-subsystem shape (multi-node target
   resolution, per-node pressure, scale-event refresh);

@@ -19,7 +19,7 @@ balancer into a subsystem mirroring the controller registry:
   distributed-dispatch regime where JIQ differentiates from P2C/EWMA;
 * :mod:`repro.routing.router` — the per-cluster :class:`RequestRouter`
   resolving service → policy (per-service override, then tenant default,
-  then cluster default) and stamping each decision into span tags.
+  then cluster default) and counting each decision per replica.
 
 Selecting a policy is declarative: set ``routing="p2c"`` on a
 :class:`~repro.experiments.scenario.ScenarioSpec` (cluster-wide) or a
@@ -44,7 +44,7 @@ from repro.routing.base import (
     resolve_policy_name,
 )
 from repro.routing.dispatchers import DISPATCH_VARIANTS, DispatcherSet
-from repro.routing.router import RequestRouter, RoutingDecision
+from repro.routing.router import RequestRouter
 
 __all__ = [
     "DEFAULT_POLICY",
@@ -52,7 +52,6 @@ __all__ = [
     "DispatcherSet",
     "RoutingPolicy",
     "RequestRouter",
-    "RoutingDecision",
     "available_policies",
     "create_policy",
     "register_policy",

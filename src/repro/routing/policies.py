@@ -55,6 +55,8 @@ class LeastInFlightPolicy(RoutingPolicy):
     """
 
     def select(self, replicas: Sequence["MicroserviceInstance"]) -> "MicroserviceInstance":
+        if len(replicas) == 1:
+            return replicas[0]
         return _least_loaded(replicas)
 
 

@@ -3,7 +3,8 @@
 The :class:`RequestRouter` is the cluster-side half of the routing
 subsystem: it owns one lazily created :class:`~repro.routing.base.RoutingPolicy`
 instance per deployed service and answers every "which replica serves
-this span?" query with a :class:`RoutingDecision`.
+this span?" query with the chosen
+:class:`~repro.cluster.instance.MicroserviceInstance`.
 
 Policy resolution is scoped, most specific first:
 
@@ -17,7 +18,11 @@ Policy resolution is scoped, most specific first:
 The router re-reads the live replica set from the cluster on every
 decision, so orchestrator actions are reflected immediately: a scaled-in
 replica can never be selected again and a fresh scale-out is routable as
-soon as its container is placed.  It also installs the instance
+soon as its container is placed.  The resolved policy, by contrast, is
+cached per service and only resolved again after a write drops the entry:
+each setter drops the entries of the services it re-scopes, and the
+cluster calls :meth:`RequestRouter.forget` when it moves a service to
+another tenant.  It also installs the instance
 completion listeners that feed stateful policies (JIQ idle queues, EWMA
 latency tables) and keeps per-replica decision counts for telemetry and
 experiments.
@@ -25,9 +30,7 @@ experiments.
 
 from __future__ import annotations
 
-import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.routing.base import (
@@ -40,48 +43,6 @@ from repro.routing.base import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
     from repro.cluster.instance import MicroserviceInstance
-
-
-#: Shared cache of small-integer strings for span tags.  Queue depths and
-#: in-flight counts repeat constantly across spans; reusing one interned
-#: string per value keeps every span's tag dict pointing at shared objects
-#: instead of allocating fresh ``str(int)`` results per decision.
-_INT_STR_CACHE: Dict[int, str] = {}
-
-
-def _int_str(value: int) -> str:
-    cached = _INT_STR_CACHE.get(value)
-    if cached is None:
-        cached = sys.intern(str(value))
-        _INT_STR_CACHE[value] = cached
-    return cached
-
-
-@dataclass(slots=True)
-class RoutingDecision:
-    """One routing decision: where a span was sent and why.
-
-    ``queue_depth`` and ``in_flight`` are the selected replica's load *at
-    decision time* (before the routed span is enqueued), so spans tagged
-    with a decision record the congestion the balancer actually saw.
-
-    One decision is allocated per routed span, so the dataclass is slotted
-    and the tag values are interned.
-    """
-
-    service: str
-    instance: "MicroserviceInstance"
-    policy: str
-    queue_depth: int
-    in_flight: int
-
-    def span_tags(self) -> Dict[str, str]:
-        """The tags stamped onto the span this decision routed."""
-        return {
-            "routing.policy": self.policy,
-            "routing.queue_depth": _int_str(self.queue_depth),
-            "routing.in_flight": _int_str(self.in_flight),
-        }
 
 
 class RequestRouter:
@@ -172,6 +133,10 @@ class RequestRouter:
     def set_service_policy(self, service_name: str, name: str, **kwargs) -> None:
         """Pin one service to a policy (overrides tenant/cluster defaults)."""
         self._service_policies[service_name] = (resolve_policy_name(name), dict(kwargs))
+        self.forget(service_name)
+
+    def forget(self, service_name: str) -> None:
+        """Drop ``service_name``'s policy instance; the next route rebuilds it."""
         self._policies.pop(service_name, None)
 
     def _invalidate(self, affected) -> None:
@@ -197,9 +162,9 @@ class RequestRouter:
         return self._default, self._default_kwargs
 
     def _entry(self, service_name: str) -> Tuple[str, RoutingPolicy]:
-        name, kwargs = self._configured(service_name)
         cached = self._policies.get(service_name)
-        if cached is None or cached[0] != name:
+        if cached is None:
+            name, kwargs = self._configured(service_name)
             cached = (
                 name,
                 create_policy(name, service_name, self.cluster.rng, **kwargs),
@@ -208,12 +173,15 @@ class RequestRouter:
         return cached
 
     # --------------------------------------------------------------- routing
-    def route(self, service_name: str) -> RoutingDecision:
+    def route(self, service_name: str) -> "MicroserviceInstance":
         """Pick the replica serving the next span of ``service_name``.
 
         Reads the live replica set from the cluster (so scale events take
-        effect immediately), ensures completion feedback is wired, and
-        records the decision.
+        effect immediately) and records the decision.  The service's policy
+        comes from ``_policies``; ``_entry`` runs only on a miss, because
+        every write that changes what a service resolves to drops its entry
+        (the three setters, and :meth:`forget` when the cluster re-assigns
+        a service's tenant).
         """
         # The live replica list, not the defensive copy `replicas_of`
         # returns: routing runs once per span and policies only read the
@@ -222,7 +190,10 @@ class RequestRouter:
         replicas = self.cluster.live_replicas(service_name)
         if not replicas:
             raise KeyError(f"service {service_name!r} is not deployed")
-        name, policy = self._entry(service_name)
+        entry = self._policies.get(service_name)
+        if entry is None:
+            entry = self._entry(service_name)
+        name, policy = entry
         instance = policy.select(replicas)
         self.decision_counts[service_name][instance.name] += 1
         if self._obs is not None:
@@ -242,13 +213,7 @@ class RequestRouter:
                     policy=name,
                     instance=instance.name,
                 )
-        return RoutingDecision(
-            service=service_name,
-            instance=instance,
-            policy=name,
-            queue_depth=instance.queue_length,
-            in_flight=instance.in_flight,
-        )
+        return instance
 
     def instrument(self, instance: "MicroserviceInstance") -> None:
         """Install the completion-feedback listener on one replica.

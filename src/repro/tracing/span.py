@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 _span_ids = itertools.count(1)
 
@@ -59,14 +59,13 @@ class Span:
     instance: str
     kind: SpanKind = SpanKind.SEQUENTIAL
     parent_id: Optional[int] = None
-    span_id: int = field(default_factory=lambda: next(_span_ids))
+    span_id: int = field(default_factory=_span_ids.__next__)
     enqueue_time: float = 0.0
     start_time: float = 0.0
     end_time: float = 0.0
     dropped: bool = False
     #: Tenant whose request produced this span (None when untenanted).
     tenant: Optional[str] = None
-    tags: Dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------- durations
     @property

@@ -96,13 +96,13 @@ class TestDeployment:
 class TestLoadBalancing:
     def test_pick_replica_requires_deployment(self, cluster):
         with pytest.raises(KeyError):
-            cluster.pick_replica("missing")
+            cluster.route("missing")
 
     def test_pick_replica_prefers_least_loaded(self, cluster, cpu_profile):
         instances = cluster.deploy_service(cpu_profile, replicas=2)
         instances[0].submit("r1", "cpu-service", lambda *a: None)
         instances[0].submit("r2", "cpu-service", lambda *a: None)
-        assert cluster.pick_replica("cpu-service") is instances[1]
+        assert cluster.route("cpu-service") is instances[1]
 
     def test_pick_replica_breaks_ties_by_lowest_replica_index(self, cluster, cpu_profile):
         """Equal in-flight counts must resolve by replica index, not by the
@@ -110,18 +110,16 @@ class TestLoadBalancing:
         instances = cluster.deploy_service(cpu_profile, replicas=3)
         # Perturb the bookkeeping order: the tie-break must not follow it.
         cluster._replicas["cpu-service"].reverse()
-        assert cluster.pick_replica("cpu-service") is instances[0]
+        assert cluster.route("cpu-service") is instances[0]
         instances[0].submit("r1", "cpu-service", lambda *a: None)
-        assert cluster.pick_replica("cpu-service") is instances[1]
+        assert cluster.route("cpu-service") is instances[1]
 
-    def test_route_returns_decision_with_load_snapshot(self, cluster, cpu_profile):
+    def test_route_counts_decision_under_resolved_policy(self, cluster, cpu_profile):
         instances = cluster.deploy_service(cpu_profile, replicas=2)
         instances[0].submit("r1", "cpu-service", lambda *a: None)
-        decision = cluster.route("cpu-service")
-        assert decision.instance is instances[1]
-        assert decision.policy == "least_in_flight"
-        assert decision.in_flight == 0
-        assert decision.span_tags()["routing.policy"] == "least_in_flight"
+        assert cluster.route("cpu-service") is instances[1]
+        assert cluster.router.policy_name_for("cpu-service") == "least_in_flight"
+        assert cluster.router.decision_counts["cpu-service"] == {"cpu-service#1": 1}
 
 
 class TestAggregateMetrics:

@@ -45,20 +45,47 @@ class TestSubmission:
         engine.run_until(1.0)
         assert instance.completed_spans == 5
 
-    def test_latency_recorded_in_recent_window(self, engine, rng):
+    def test_completion_listener_receives_latency(self, engine, rng):
         instance = _make_instance(engine, rng)
-        instance.submit("r1", "svc", lambda *a: None)
+        spans = []
+        seen = []
+        instance.completion_listeners.append(lambda inst, ms: seen.append((inst, ms)))
+        instance.submit("r1", "svc", lambda eq, st, ft: spans.append((ft - eq) * 1000.0))
         engine.run_until(1.0)
-        assert len(instance.recent_latencies_ms) == 1
-        assert instance.recent_latencies_ms[0] > 0
+        assert seen == [(instance, spans[0])]
+        assert spans[0] > 0
 
-    def test_drain_latency_window_clears(self, engine, rng):
-        instance = _make_instance(engine, rng)
-        instance.submit("r1", "svc", lambda *a: None)
+    def test_completion_listener_fires_once_per_span(self, engine, rng):
+        instance = _make_instance(engine, rng, cpu_limit=1.0)
+        seen = []
+        instance.completion_listeners.append(lambda inst, ms: seen.append(ms))
+        for index in range(3):
+            instance.submit(f"r{index}", "svc", lambda *a: None)
         engine.run_until(1.0)
-        window = instance.drain_latency_window()
-        assert len(window) == 1
-        assert instance.recent_latencies_ms == []
+        assert len(seen) == instance.completed_spans == 3
+        # One core: each span waits for the previous one, so latencies grow.
+        assert seen == sorted(seen)
+
+    def test_raising_cpu_limit_starts_queued_spans(self, engine, rng):
+        instance = _make_instance(engine, rng, cpu_limit=1.0)
+        for index in range(4):
+            instance.submit(f"r{index}", "svc", lambda *a: None)
+        assert (len(instance._in_service), instance.queue_length) == (1, 3)
+        instance.container.set_limit(Resource.CPU, 3.0)
+        assert instance.concurrency() == 3
+        assert (len(instance._in_service), instance.queue_length) == (3, 1)
+        # Demand counted 1 + min(3, 3) active before the write and still does.
+        assert instance.resource_demand()[Resource.CPU] == 4 * 0.5
+
+    def test_raising_threads_starts_queued_spans(self, engine, rng):
+        instance = _make_instance(engine, rng, cpu_limit=4.0, threads=1)
+        for index in range(3):
+            instance.submit(f"r{index}", "svc", lambda *a: None)
+        assert (len(instance._in_service), instance.queue_length) == (1, 2)
+        instance.container.threads = 4
+        assert (len(instance._in_service), instance.queue_length) == (3, 0)
+        engine.run_until(1.0)
+        assert instance.completed_spans == 3
 
     def test_queue_overflow_drops(self, engine, rng):
         instance = _make_instance(engine, rng)

@@ -161,7 +161,7 @@ class TestTenantScoping:
         assert all(c.tenant == "alpha" for c in view.all_containers())
         assert view.services() == harness.cluster.services(tenant="alpha")
         with pytest.raises(KeyError):
-            view.pick_replica(harness.cluster.services(tenant="beta")[0])
+            view.route(harness.cluster.services(tenant="beta")[0])
         total = harness.cluster.total_requested_cpu()
         assert view.total_requested_cpu() < total
 

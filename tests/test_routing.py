@@ -181,7 +181,7 @@ class TestRequestRouter:
         instances = cluster.deploy_service(cpu_profile, replicas=2)
         instances[0].submit("r", "cpu-service", _noop)
         assert cluster.router.default_policy == "least_in_flight"
-        assert cluster.route("cpu-service").instance is instances[1]
+        assert cluster.route("cpu-service") is instances[1]
 
     def test_route_missing_service_raises(self, cluster):
         with pytest.raises(KeyError):
@@ -209,9 +209,18 @@ class TestRequestRouter:
 
     def test_policy_change_takes_effect_immediately(self, cluster, cpu_profile):
         cluster.deploy_service(cpu_profile, replicas=2)
-        assert cluster.route("cpu-service").policy == "least_in_flight"
+        # Idle replicas: least-in-flight always ties to #0.
+        cluster.route("cpu-service")
+        cluster.route("cpu-service")
+        assert cluster.router.policy_name_for("cpu-service") == "least_in_flight"
         cluster.set_routing_policy("round_robin")
-        assert cluster.route("cpu-service").policy == "round_robin"
+        assert cluster.router.policy_name_for("cpu-service") == "round_robin"
+        cluster.route("cpu-service")
+        cluster.route("cpu-service")
+        assert cluster.router.decisions_for("cpu-service") == {
+            "cpu-service#0": 3,
+            "cpu-service#1": 1,
+        }
 
     def test_completion_listeners_feed_policy(self, cluster, cpu_profile, engine):
         cluster.deploy_service(cpu_profile, replicas=2)
@@ -266,7 +275,7 @@ class TestRouterScaleEvents:
         orchestrator = Orchestrator(cluster, engine, rng)
         # In-flight traffic on every replica (and listener installation).
         for _ in range(4):
-            cluster.route("cpu-service").instance.submit("r", "cpu-service", _noop)
+            cluster.route("cpu-service").submit("r", "cpu-service", _noop)
         removed = cluster.instance_by_name("cpu-service#2")
         orchestrator.scale_in("cpu-service")
         assert removed not in cluster.replicas_of("cpu-service")
@@ -276,7 +285,7 @@ class TestRouterScaleEvents:
         engine.run_until(engine.now + 5.0)
         live = set(cluster.replicas_of("cpu-service"))
         for _ in range(20):
-            choice = cluster.route("cpu-service").instance
+            choice = cluster.route("cpu-service")
             assert choice in live
             assert choice is not removed
 
@@ -288,7 +297,7 @@ class TestRouterScaleEvents:
         orchestrator.scale_out("cpu-service")
         engine.run_until(engine.now + 30.0)  # cold-start actuation delay
         assert len(cluster.replicas_of("cpu-service")) == 2
-        picks = {cluster.route("cpu-service").instance.name for _ in range(4)}
+        picks = {cluster.route("cpu-service").name for _ in range(4)}
         assert picks == {"cpu-service#0", "cpu-service#1"}
 
 
@@ -311,24 +320,24 @@ class TestTenantRouting:
     def test_view_never_selects_foreign_replicas(self, two_tenants):
         alpha, beta = two_tenants
         for _ in range(8):
-            decision = alpha.route("alpha/api")
-            assert decision.instance.container.tenant == "alpha"
+            assert alpha.route("alpha/api").container.tenant == "alpha"
         with pytest.raises(KeyError, match="not owned"):
             alpha.route("beta/api")
         with pytest.raises(KeyError, match="not owned"):
-            beta.pick_replica("alpha/api")
+            beta.route("alpha/api")
 
     def test_per_tenant_policies_coexist(self, two_tenants, cluster):
         alpha, beta = two_tenants
         alpha.set_routing_policy("round_robin")
         assert cluster.router.policy_name_for("alpha/api") == "round_robin"
         assert cluster.router.policy_name_for("beta/api") == "least_in_flight"
-        assert alpha.route("alpha/api").policy == "round_robin"
-        assert beta.route("beta/api").policy == "least_in_flight"
+        assert alpha.route("alpha/api").replica_index == 0
+        assert beta.route("beta/api").replica_index == 0
         # Round-robin keeps cycling for alpha (one decision already made
         # above) while beta stays least-loaded.
-        picks = [alpha.route("alpha/api").instance.replica_index for _ in range(4)]
+        picks = [alpha.route("alpha/api").replica_index for _ in range(4)]
         assert picks == [1, 0, 1, 0]
+        assert [beta.route("beta/api").replica_index for _ in range(2)] == [0, 0]
 
     def test_view_cannot_configure_foreign_service(self, two_tenants):
         alpha, _ = two_tenants
@@ -349,6 +358,67 @@ class TestTenantRouting:
         cluster.set_routing_policy("random")  # new cluster default
         assert cluster.router.policy_for("beta/api") is beta_policy
         assert cluster.router.policy_name_for("alpha/api") == "round_robin"
+
+
+class TestCachedPolicyInvalidation:
+    """``route`` reads each service's cached policy; every write that changes
+    what a service resolves to must drop exactly the affected entries."""
+
+    @pytest.fixture
+    def mid_run(self, cluster, engine):
+        """Four two-replica services, each routed under an EWMA policy that
+        has learned from completed spans before the reconfiguration."""
+        for name, tenant in [
+            ("plain", None), ("pinned", None), ("alpha/api", "alpha"), ("beta/api", "beta"),
+        ]:
+            cluster.deploy_service(ServiceProfile(name=name), replicas=2, tenant=tenant)
+        cluster.set_routing_policy("ewma")
+        cluster.set_routing_policy("ewma", service="pinned")
+        cluster.set_routing_policy("ewma", tenant="alpha")
+        for service in cluster.services():
+            for _ in range(2):
+                cluster.route(service).submit("r", service, _noop)
+        engine.run_until(1.0)
+        policies = {s: cluster.router.policy_for(s) for s in cluster.services()}
+        for service, policy in policies.items():
+            warm = cluster.instance_by_name(f"{service}#0")
+            assert policy.score(warm) != pytest.approx(policy.COLD_EWMA_MS)
+        return policies
+
+    @staticmethod
+    def _round_robin_picks(cluster, service):
+        return [cluster.route(service).replica_index for _ in range(4)]
+
+    @staticmethod
+    def _kept(cluster, policies, services):
+        return all(cluster.router.policy_for(s) is policies[s] for s in services)
+
+    def test_default_policy(self, cluster, mid_run):
+        cluster.set_routing_policy("round_robin")
+        # plain and beta/api resolve to the default; pinned and alpha do not.
+        assert self._round_robin_picks(cluster, "plain") == [0, 1, 0, 1]
+        assert self._round_robin_picks(cluster, "beta/api") == [0, 1, 0, 1]
+        assert self._kept(cluster, mid_run, ["pinned", "alpha/api"])
+
+    def test_tenant_policy(self, cluster, mid_run):
+        cluster.set_routing_policy("round_robin", tenant="alpha")
+        assert self._round_robin_picks(cluster, "alpha/api") == [0, 1, 0, 1]
+        assert self._kept(cluster, mid_run, ["plain", "pinned", "beta/api"])
+
+    def test_service_policy(self, cluster, mid_run):
+        cluster.set_routing_policy("round_robin", service="plain")
+        assert self._round_robin_picks(cluster, "plain") == [0, 1, 0, 1]
+        assert self._kept(cluster, mid_run, ["pinned", "alpha/api", "beta/api"])
+
+    def test_tenant_reassignment(self, cluster, mid_run):
+        cluster.set_routing_policy("round_robin", tenant="gamma")
+        # A scale-out through deploy_service keeps the tenant and the policy.
+        cluster.deploy_service(ServiceProfile(name="beta/api"))
+        assert self._kept(cluster, mid_run, ["beta/api"])
+        cluster.deploy_service(ServiceProfile(name="beta/api"), tenant="gamma")
+        assert cluster.router.policy_name_for("beta/api") == "round_robin"
+        assert self._round_robin_picks(cluster, "beta/api") == [0, 1, 2, 3]
+        assert self._kept(cluster, mid_run, ["plain", "pinned", "alpha/api"])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +492,7 @@ class TestSpecThreading:
         explicit = run_scenario(base.with_overrides(routing="least_in_flight"))
         assert implicit.summary() == explicit.summary()
 
-    def test_spans_tagged_with_routing_decision(self):
+    def test_every_span_routed_by_spec_policy(self):
         spec = ScenarioSpec(
             application="hotel_reservation",
             seed=0,
@@ -432,14 +502,15 @@ class TestSpecThreading:
         )
         harness = ExperimentHarness.from_spec(spec)
         harness.run(duration_s=4.0)
+        router = harness.cluster.router
         traces = harness.tenants[0].coordinator.store.completed_traces()
         assert traces
-        tagged = [span for trace in traces for span in trace.spans if span.tags]
-        assert tagged
-        for span in tagged:
-            assert span.tags["routing.policy"] == "round_robin"
-            assert "routing.queue_depth" in span.tags
-            assert "routing.in_flight" in span.tags
+        spans = [span for trace in traces for span in trace.spans]
+        for span in spans:
+            assert router.policy_name_for(span.service) == "round_robin"
+            assert router.decision_counts[span.service][span.instance] > 0
+        decisions = sum(sum(c.values()) for c in router.decision_counts.values())
+        assert decisions >= len(spans)
 
 
 # ---------------------------------------------------------------------------

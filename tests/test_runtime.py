@@ -162,3 +162,131 @@ class TestExecution:
         runtime.submit_request("main")
         engine.run_until(5.0)
         assert runtime.dropped_requests == before + 1
+
+
+# ---------------------------------------------------------------------------
+# Span structure pin: every request type of every catalog application
+# ---------------------------------------------------------------------------
+
+def _span_structure(application: str, seed: int, squeeze: bool) -> str:
+    """One line per span of a few seeded requests of every request type.
+
+    Each line holds the span's service, kind, parent service, dropped flag,
+    enqueue/start/end times (``repr``, so exact) and its rank among the
+    trace's span ids; spans are listed in the order they were recorded.
+    With ``squeeze`` every third non-entry service rejects every span and
+    the last one has no replicas left, so the drop path and the
+    undeployed-callee path are pinned too.
+    """
+    from repro.apps.catalog import build_application
+
+    app = build_application(application)
+    engine = SimulationEngine()
+    cluster = Cluster(engine, SeededRNG(seed))
+    coordinator = TracingCoordinator(engine)
+    runtime = ApplicationRuntime(app, cluster, coordinator, engine)
+    runtime.deploy()
+    if squeeze:
+        entries = {rt.entry_service for rt in app.request_types.values()}
+        inner = [service for service in cluster.services() if service not in entries]
+        for service in inner[::3]:
+            for instance in cluster.replicas_of(service):
+                instance.max_queue_length = 0
+        for instance in cluster.replicas_of(inner[-1]):
+            cluster.remove_instance(instance)
+    traces = []
+    for index, name in enumerate(sorted(app.request_types) * 3):
+        engine.schedule(
+            0.0005 * index,
+            lambda eng, name=name: traces.append(runtime.submit_request(name)),
+        )
+    engine.run_until(30.0)
+    lines = [f"completed={runtime.completed_requests} dropped={runtime.dropped_requests}"]
+    for trace in traces:
+        recorded = list(trace._spans.values())
+        ranks = {span_id: rank for rank, span_id in enumerate(sorted(trace._spans))}
+        lines.append(f"{trace.request_type} dropped={trace.dropped}")
+        for span in recorded:
+            parent = trace._spans.get(span.parent_id)
+            lines.append(
+                f"  {ranks[span.span_id]} {span.service} {span.kind.value} "
+                f"<- {parent.service if parent is not None else '-'} "
+                f"dropped={span.dropped} {span.enqueue_time!r} "
+                f"{span.start_time!r} {span.end_time!r}"
+            )
+    return "\n".join(lines)
+
+
+#: sha256 of :func:`_span_structure` per (application, squeeze).
+_SPAN_STRUCTURE_DIGESTS = {
+    ("social_network", False): "d7980fb7ee3964da4107a45aa144e0f48c3222b867db96bb2d42b1c9dc42ed9d",
+    ("social_network", True): "605e2d63d051ae6b45e09833fa81dca4a23c8ea8457078b5fe4671b90d63db42",
+    ("media_service", False): "2e5b1ae453fb47b467219834a2db95208486ce5c77ee0f7d1826e8268c5b158a",
+    ("media_service", True): "2f3e757ac5349eb18a1aac445d58e96dae5471e4c92c0bd0616178363c5efeff",
+    ("hotel_reservation", False): "653f12cfbf0ebf955d9e0f3add4ea70898b9ccb2f56039cd24c762be16094530",
+    ("hotel_reservation", True): "e3431fd6c5b39ac945bbe718af4769566e1c103bb9670647d7a003d09778c6ec",
+    ("train_ticket", False): "88c044caaffa95bc7678c98d1210584d032101be8a67f437ab670fa8a7ee76ff",
+    ("train_ticket", True): "6680d377675d19af28b1b45ced1c15e309fd65734c00756f6b0b046a3f7e1b8a",
+}
+
+
+class TestSpanStructurePin:
+    """The request path's spans, byte for byte, on every catalog app."""
+
+    @pytest.mark.parametrize("squeeze", [False, True], ids=["free", "squeezed"])
+    @pytest.mark.parametrize(
+        "application", ["social_network", "media_service", "hotel_reservation", "train_ticket"]
+    )
+    def test_span_structure_is_pinned(self, application, squeeze):
+        import hashlib
+
+        text = _span_structure(application, seed=5, squeeze=squeeze)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == _SPAN_STRUCTURE_DIGESTS[(application, squeeze)], text
+
+
+class TestCompileOnce:
+    """Each request type's call tree is compiled once, at deploy."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The request-type name of every plan compiled, in order."""
+        from repro.apps import runtime as runtime_module
+
+        built = []
+        original = runtime_module.compile_plan
+
+        def counted(request_type):
+            built.append(request_type.name)
+            return original(request_type)
+
+        monkeypatch.setattr(runtime_module, "compile_plan", counted)
+        return built
+
+    @pytest.mark.parametrize("tenanted", [False, True], ids=["steady", "two_tenants"])
+    def test_one_compile_per_request_type_per_runtime(self, compiled, tenanted):
+        from repro.experiments.harness import ExperimentHarness
+        from repro.experiments.scenario import ScenarioSpec, TenantSpec
+
+        if tenanted:
+            spec = ScenarioSpec(
+                seed=0,
+                duration_s=6.0,
+                tenants=[
+                    TenantSpec(name="a", application="social_network", load_rps=30.0),
+                    TenantSpec(name="b", application="hotel_reservation", load_rps=30.0),
+                ],
+            )
+        else:
+            spec = ScenarioSpec(
+                application="social_network", seed=0, duration_s=6.0, load_rps=60.0
+            )
+        harness = ExperimentHarness.from_spec(spec)
+        harness.run(duration_s=spec.duration_s)
+        runtimes = [tenant.runtime for tenant in harness.tenants]
+        expected = [name for runtime in runtimes for name in runtime.app.request_types]
+        assert sum(runtime.completed_requests for runtime in runtimes) > 100
+        assert compiled == expected
+        for runtime in runtimes:
+            runtime.deploy()  # idempotent: compiles nothing
+        assert compiled == expected
