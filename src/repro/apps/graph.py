@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import networkx as nx
 
@@ -138,13 +139,15 @@ class ServiceGraph:
         return request_type
 
     # ---------------------------------------------------------------- queries
+    # Read-only live views, not copies: the admission gate reads a request
+    # type per admitted request.
     @property
-    def services(self) -> Dict[str, ServiceNode]:
-        return dict(self._services)
+    def services(self) -> Mapping[str, ServiceNode]:
+        return MappingProxyType(self._services)
 
     @property
-    def request_types(self) -> Dict[str, RequestType]:
-        return dict(self._request_types)
+    def request_types(self) -> Mapping[str, RequestType]:
+        return MappingProxyType(self._request_types)
 
     def service_names(self) -> List[str]:
         return sorted(self._services)

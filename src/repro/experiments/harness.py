@@ -290,10 +290,11 @@ class ExperimentHarness:
     def _apply_dispatch_policy(self) -> None:
         """Install the spec's distributed-dispatch policy (if any).
 
-        ``dispatchers=1`` installs nothing: the classic omniscient router
-        keeps running byte-identically.  ``dispatchers >= 2`` sets the
-        cluster-wide policy to the requested ``stale_*`` variant; it is
-        mutually exclusive with an explicit ``routing`` policy.
+        ``dispatchers=1`` installs nothing, leaving ``spec.routing`` (or
+        the default) in charge.  ``dispatchers >= 2`` sets the cluster-wide
+        policy to the ``dispatch_variant`` rule with the spec's dispatcher
+        count and staleness; it is mutually exclusive with an explicit
+        ``routing`` policy.
         """
         spec = self.spec
         if int(spec.dispatchers) <= 1:
@@ -309,7 +310,7 @@ class ExperimentHarness:
                 f"unknown dispatch variant {spec.dispatch_variant!r}; known: {known}"
             )
         self.cluster.set_routing_policy(
-            f"stale_{spec.dispatch_variant}",
+            spec.dispatch_variant,
             dispatchers=int(spec.dispatchers),
             staleness_s=float(spec.dispatch_staleness_s),
         )

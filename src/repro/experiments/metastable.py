@@ -58,13 +58,15 @@ RETRY_STORM_PRESETS: Tuple[str, ...] = ("none", "naive_retries", "survival_kit")
 #: Rate limits (rps) the shed-vs-violate sweep walks.
 SHED_VS_VIOLATE_RATES: Tuple[float, ...] = (40.0, 60.0, 80.0, 100.0, 120.0)
 
-#: (dispatchers, staleness_s) grid of the staleness campaign.
-STALENESS_GRID: Tuple[Tuple[int, float], ...] = (
-    (1, 0.0),
-    (2, 0.05),
-    (2, 0.5),
-    (4, 0.05),
-    (4, 0.5),
+#: (dispatchers, staleness_s, routing) grid of the staleness campaign.
+#: Every cell routes by the JIQ rule: ``dispatchers=1`` installs no rule
+#: of its own, so the omniscient control cell names it as its ``routing``.
+STALENESS_GRID: Tuple[Tuple[int, float, Optional[str]], ...] = (
+    (1, 0.0, "jiq"),
+    (2, 0.05, None),
+    (2, 0.5, None),
+    (4, 0.05, None),
+    (4, 0.5, None),
 )
 
 #: Quick-mode shrink of every campaign cell: shorter scenarios, the same
@@ -84,6 +86,7 @@ def metastable(
     duration_s: float = 30.0,
     admission: str = "none",
     rate_limit_rps: Optional[float] = None,
+    routing: Optional[str] = None,
     dispatchers: int = 1,
     dispatch_variant: str = "jiq",
     dispatch_staleness_s: float = 0.25,
@@ -101,8 +104,10 @@ def metastable(
     whether the system *recovers* or stays metastable.  ``admission`` is
     an :data:`~repro.admission.config.ADMISSION_PRESETS` name;
     ``rate_limit_rps`` overrides its token-bucket rate (the
-    shed-vs-violate sweep's moving part).  ``replicas_per_service > 1``
-    gives dispatchers a replica set to disagree about.
+    shed-vs-violate sweep's moving part).  ``routing`` is the cluster-wide
+    routing policy (exclusive with ``dispatchers > 1``, which installs the
+    ``dispatch_variant`` rule).  ``replicas_per_service > 1`` gives
+    dispatchers a replica set to disagree about.
     """
     from repro.experiments.routing import replicated_services
 
@@ -141,6 +146,7 @@ def metastable(
             if replicas_per_service > 1
             else None
         ),
+        routing=routing,
         dispatchers=dispatchers,
         dispatch_variant=dispatch_variant,
         dispatch_staleness_s=dispatch_staleness_s,
@@ -166,8 +172,9 @@ def metastable_campaign_grid(campaign: str, quick: bool = False) -> Dict:
     if campaign == "shed_vs_violate":
         rates = (50.0, 80.0, 110.0) if quick else SHED_VS_VIOLATE_RATES
         return {"admission": ("shed_only",), "rate_limit_rps": rates}
-    cells = ((1, 0.0), (2, 0.5), (4, 0.5)) if quick else STALENESS_GRID
-    return {("dispatchers", "dispatch_staleness_s"): cells}
+    # Quick mode keeps the control and the 0.5 s cells.
+    cells = STALENESS_GRID[::2] if quick else STALENESS_GRID
+    return {("dispatchers", "dispatch_staleness_s", "routing"): cells}
 
 
 #: Builder parameters that identify a campaign row.

@@ -187,16 +187,16 @@ class ScenarioSpec:
         tenant overrides it; None keeps the default ``least_in_flight``
         (byte-identical to the pre-routing-subsystem behaviour).
     dispatchers / dispatch_variant / dispatch_staleness_s:
-        Distributed-dispatch knobs.  ``dispatchers >= 2`` replaces the
-        omniscient router with a :class:`~repro.routing.DispatcherSet` of
-        that many dispatchers, each holding a bounded-staleness partial
-        view refreshed every ``dispatch_staleness_s`` simulated seconds,
-        selecting replicas per ``dispatch_variant`` (``"jiq"``,
-        ``"ewma"``, or ``"p2c"``; see
-        :data:`~repro.routing.DISPATCH_VARIANTS`).  Mutually exclusive
-        with ``routing``.  ``dispatchers=1`` (the default) never
-        instantiates a dispatcher set — the classic router runs
-        byte-identically.
+        Distributed-dispatch knobs: the parameters of one load-aware
+        routing rule (a :class:`~repro.routing.DispatcherSet`).
+        ``dispatchers >= 2`` routes every service by the
+        ``dispatch_variant`` rule (``"jiq"``, ``"ewma"``, or ``"p2c"``;
+        see :data:`~repro.routing.DISPATCH_VARIANTS`) run by that many
+        dispatchers, each holding a partial view refreshed every
+        ``dispatch_staleness_s`` simulated seconds.  Mutually exclusive
+        with ``routing``.  ``dispatchers=1`` (the default) installs no
+        rule and leaves ``routing`` in charge; the omniscient form of a
+        rule is ``routing="jiq"`` (one dispatcher, zero staleness).
     admission:
         Optional admission-control policy applied to every tenant's
         workload entry: a preset name (``"naive_retries"``,

@@ -9,14 +9,15 @@ balancer into a subsystem mirroring the controller registry:
 * :mod:`repro.routing.base` — the :class:`RoutingPolicy` ABC, the
   ``@register_policy`` registry, and the determinism contract (sim RNG
   substreams only; live replica sets only);
-* :mod:`repro.routing.policies` — the built-in policies:
+* :mod:`repro.routing.policies` — the load-blind policies:
   ``least_in_flight`` (the default, bit-identical to the pre-subsystem
-  behaviour), ``round_robin``, ``random``, ``power_of_two_choices``,
-  ``ewma_latency``, and ``join_the_idle_queue``;
-* :mod:`repro.routing.dispatchers` — :class:`DispatcherSet`: N
-  dispatchers with bounded-staleness partial views behind one policy
-  (``stale_jiq`` private I-queues, ``stale_ewma``, ``stale_p2c``), the
-  distributed-dispatch regime where JIQ differentiates from P2C/EWMA;
+  behaviour), ``round_robin`` and ``random``;
+* :mod:`repro.routing.dispatchers` — the load-aware rules
+  ``join_the_idle_queue``, ``power_of_two_choices`` and ``ewma_latency``,
+  one :class:`DispatcherSet` class each: N dispatchers with
+  bounded-staleness partial views, the regime where JIQ differentiates
+  from P2C/EWMA.  The omniscient balancer is the one-dispatcher,
+  zero-staleness case (the default);
 * :mod:`repro.routing.router` — the per-cluster :class:`RequestRouter`
   resolving service → policy (per-service override, then tenant default,
   then cluster default) and counting each decision per replica.
@@ -24,7 +25,8 @@ balancer into a subsystem mirroring the controller registry:
 Selecting a policy is declarative: set ``routing="p2c"`` on a
 :class:`~repro.experiments.scenario.ScenarioSpec` (cluster-wide) or a
 :class:`~repro.experiments.scenario.TenantSpec` (that tenant only), or
-imperatively via ``cluster.set_routing_policy(...)``.  Adding a policy is
+imperatively via ``cluster.set_routing_policy(...)`` (which also takes a
+rule's ``dispatchers=``/``staleness_s=``).  Adding a policy is
 one class::
 
     from repro.routing import RoutingPolicy, register_policy

@@ -88,6 +88,15 @@ class RoutingPolicy(abc.ABC):
         its idle queue here and EWMA updates its latency table.
         """
 
+    @property
+    def takes_feedback(self) -> bool:
+        """Whether this policy reads span completions at all.
+
+        The router installs completion listeners only for such policies,
+        so a load-blind policy costs nothing per completed span.
+        """
+        return type(self).observe_completion is not RoutingPolicy.observe_completion
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(service={self.service_name!r})"
 

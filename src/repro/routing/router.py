@@ -23,9 +23,9 @@ cached per service and only resolved again after a write drops the entry:
 each setter drops the entries of the services it re-scopes, and the
 cluster calls :meth:`RequestRouter.forget` when it moves a service to
 another tenant.  It also installs the instance
-completion listeners that feed stateful policies (JIQ idle queues, EWMA
-latency tables) and keeps per-replica decision counts for telemetry and
-experiments.
+completion listeners that feed the policies reading feedback (JIQ idle
+enrollment, EWMA latency tables) — on those policies' replicas only — and
+keeps per-replica decision counts for telemetry and experiments.
 """
 
 from __future__ import annotations
@@ -165,11 +165,12 @@ class RequestRouter:
         cached = self._policies.get(service_name)
         if cached is None:
             name, kwargs = self._configured(service_name)
-            cached = (
-                name,
-                create_policy(name, service_name, self.cluster.rng, **kwargs),
-            )
+            policy = create_policy(name, service_name, self.cluster.rng, **kwargs)
+            cached = (name, policy)
             self._policies[service_name] = cached
+            if policy.takes_feedback:
+                for instance in self.cluster.live_replicas(service_name) or ():
+                    self._listen(instance)
         return cached
 
     # --------------------------------------------------------------- routing
@@ -216,12 +217,20 @@ class RequestRouter:
         return instance
 
     def instrument(self, instance: "MicroserviceInstance") -> None:
-        """Install the completion-feedback listener on one replica.
+        """Feed a newly deployed replica's completions to its service's policy.
 
         Called by the cluster as each replica is deployed (initial deploys
-        and scale-outs alike), so stateful policies receive feedback from
-        every span — including spans completed before the first routing
-        decision — without the routing hot path re-checking listeners."""
+        and scale-outs alike).  Only a policy that reads feedback gets a
+        listener: one created later installs it on the replicas live at
+        that point (:meth:`_entry`), and a scale-out while it routes gets
+        it here.  Completions before a policy exists had no policy to feed
+        and still have none, so a load-blind policy costs no call per span.
+        """
+        cached = self._policies.get(instance.profile.name)
+        if cached is not None and cached[1].takes_feedback:
+            self._listen(instance)
+
+    def _listen(self, instance: "MicroserviceInstance") -> None:
         if self._dispatch_completion not in instance.completion_listeners:
             instance.completion_listeners.append(self._dispatch_completion)
 

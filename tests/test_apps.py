@@ -32,6 +32,21 @@ class TestServiceGraph:
         graph.add_service(logic_profile("svc"))
         assert "svc" in graph.services
 
+    def test_returned_mappings_cannot_mutate_the_graph(self):
+        graph = ServiceGraph("app")
+        graph.add_service(frontend_profile("fe"))
+        graph.add_request_type(RequestType(name="r", entry_service="fe"))
+        with pytest.raises(TypeError):
+            graph.services["ghost"] = graph.services["fe"]
+        with pytest.raises(TypeError):
+            del graph.request_types["r"]
+        assert list(graph.services) == ["fe"]
+        assert list(graph.request_types) == ["r"]
+        # The views are live: a later registration shows through them.
+        types = graph.request_types
+        graph.add_request_type(RequestType(name="s", entry_service="fe"))
+        assert sorted(types) == ["r", "s"]
+
     def test_duplicate_service_rejected(self):
         graph = ServiceGraph("app")
         graph.add_service(logic_profile("svc"))

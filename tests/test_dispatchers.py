@@ -2,10 +2,11 @@
 
 Unit tier: the stale-view machinery (rotation, bounded-staleness refresh,
 optimistic local increments, JIQ idle enrollment) directly on deployed
-replicas.  Determinism tier: ``dispatchers=1`` on a scenario spec is
-byte-identical to the classic omniscient router on pinned families, and
-``dispatchers>=2`` is repeat-identical across runs and across the
-serial/parallel sweep modes.
+replicas, through the rule names with explicit ``dispatchers`` and
+``staleness_s``.  Determinism tier: ``dispatchers=1`` on a scenario spec
+installs no rule and is byte-identical to the default router on pinned
+families; ``dispatchers>=2`` is repeat-identical across runs and across
+the serial/parallel sweep modes, and pinned to fixed outputs per rule.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 
 import pytest
 
+from repro.experiments.harness import ExperimentHarness
 from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
 from repro.experiments.sweep import run_sweep
 from repro.routing import available_policies, create_policy, resolve_policy_name
@@ -98,11 +100,37 @@ def _replicated_spec(variant: str = "jiq", **overrides) -> ScenarioSpec:
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
-    def test_stale_policies_registered(self):
-        assert {"stale_jiq", "stale_ewma", "stale_p2c"} <= set(available_policies())
+    def test_one_policy_per_rule(self):
+        assert available_policies() == [
+            "ewma_latency",
+            "join_the_idle_queue",
+            "least_in_flight",
+            "power_of_two_choices",
+            "random",
+            "round_robin",
+        ]
+        for retired in ("stale_jiq", "stale_ewma", "stale_p2c", "dispatchers"):
+            with pytest.raises(ValueError, match="unknown routing policy"):
+                resolve_policy_name(retired)
 
-    def test_dispatchers_alias_resolves_to_jiq(self):
-        assert resolve_policy_name("dispatchers") == "stale_jiq"
+    def test_variants_resolve_to_dispatcher_sets(self, rng):
+        for variant in DISPATCH_VARIANTS:
+            policy = create_policy(variant, "svc", rng)
+            assert isinstance(policy, DispatcherSet)
+            # The omniscient balancer: one dispatcher, never stale.
+            assert (policy.dispatchers, policy.staleness_s) == (1, 0.0)
+
+    def test_rng_substream_labels_are_kept_per_rule(self, rng):
+        # Seeded runs of the dispatcher path draw from these substreams.
+        streams = {
+            variant: create_policy(variant, "svc", rng, dispatchers=3).stream_name()
+            for variant in DISPATCH_VARIANTS
+        }
+        assert streams == {
+            "jiq": "routing:stale_jiq:svc",
+            "ewma": "routing:stale_ewma:svc",
+            "p2c": "routing:stale_p2c:svc",
+        }
 
     def test_variants_tuple_matches_policies(self):
         assert DISPATCH_VARIANTS == ("jiq", "ewma", "p2c")
@@ -136,14 +164,14 @@ class TestDispatcherViews:
 
     def test_constructor_validates(self, rng):
         with pytest.raises(ValueError, match="dispatchers"):
-            DispatcherSet("svc", rng, dispatchers=0)
+            create_policy("jiq", "svc", rng, dispatchers=0)
         with pytest.raises(ValueError, match="staleness_s"):
-            DispatcherSet("svc", rng, staleness_s=-1.0)
+            create_policy("p2c", "svc", rng, staleness_s=-1.0)
         with pytest.raises(ValueError, match="alpha"):
-            DispatcherSet("svc", rng, alpha=0.0)
+            create_policy("ewma", "svc", rng, alpha=0.0)
 
     def test_arrivals_rotate_over_dispatchers(self, rng, replicas):
-        policy = create_policy("stale_p2c", "cpu-service", rng, dispatchers=3)
+        policy = create_policy("p2c", "cpu-service", rng, dispatchers=3, staleness_s=0.25)
         for expected in (1, 2, 0, 1):
             policy.select(replicas)
             busiest = max(policy._views, key=lambda v: sum(v.in_flight.values()))
@@ -154,7 +182,7 @@ class TestDispatcherViews:
 
     def test_zero_staleness_refreshes_every_arrival(self, rng, replicas):
         policy = create_policy(
-            "stale_ewma", "cpu-service", rng, dispatchers=1, staleness_s=0.0
+            "ewma", "cpu-service", rng, dispatchers=1, staleness_s=0.0
         )
         policy.select(replicas)
         view = policy._views[0]
@@ -165,19 +193,19 @@ class TestDispatcherViews:
 
     def test_view_stays_stale_within_window(self, rng, replicas):
         policy = create_policy(
-            "stale_ewma", "cpu-service", rng, dispatchers=1, staleness_s=10.0
+            "ewma", "cpu-service", rng, dispatchers=1, staleness_s=10.0
         )
         policy.select(replicas)
         view = policy._views[0]
         # True load changes, but the view must not see it until refresh.
         replicas[2].submit("r", "cpu-service", _noop)
         replicas[2].submit("r", "cpu-service", _noop)
-        assert view.stale_load(replicas[2]) == 0
+        assert view.in_flight.get(replicas[2], 0) == 0
         assert policy.select(replicas) is not replicas[0]  # own increment seen
 
     def test_optimistic_local_increment(self, rng, replicas):
         policy = create_policy(
-            "stale_ewma", "cpu-service", rng, dispatchers=1, staleness_s=10.0
+            "ewma", "cpu-service", rng, dispatchers=1, staleness_s=10.0
         )
         first = policy.select(replicas)
         # The dispatcher saw its own send: the same replica cannot win the
@@ -186,30 +214,28 @@ class TestDispatcherViews:
         assert second is not first
 
     def test_jiq_enrolls_idle_replica_with_one_dispatcher(self, rng, replicas):
-        policy = create_policy("stale_jiq", "cpu-service", rng, dispatchers=2)
+        policy = create_policy("jiq", "cpu-service", rng, dispatchers=2, staleness_s=0.25)
         policy.observe_completion(replicas[0], 5.0)
         enrolled = [view for view in policy._views if replicas[0] in view.idle]
         assert len(enrolled) == 1
 
     def test_jiq_first_sight_seeds_idle_queues(self, rng, replicas):
-        policy = create_policy("stale_jiq", "cpu-service", rng, dispatchers=2)
+        policy = create_policy("jiq", "cpu-service", rng, dispatchers=2, staleness_s=0.25)
         picks = {policy.select(replicas) for _ in range(3)}
         assert picks == set(replicas)  # all three idle tokens consumed
 
     def test_jiq_refresh_evicts_busy_enrollee(self, rng, replicas):
-        policy = create_policy(
-            "stale_jiq", "cpu-service", rng, dispatchers=1, staleness_s=0.0
-        )
+        policy = create_policy("jiq", "cpu-service", rng, dispatchers=1, staleness_s=0.0)
         policy.observe_completion(replicas[1], 5.0)
         replicas[1].submit("r", "cpu-service", _noop)
-        view = policy._views[0]
-        view.refresh(0.0, replicas, {})
-        assert replicas[1] not in view.idle
+        # Replica 1 heads the I-queue, but the arrival's refresh sees it busy.
+        assert policy.select(replicas) is replicas[0]
+        assert replicas[1] not in policy._views[0].idle
 
     def test_jiq_saturated_fallback_is_seed_deterministic(self, rng, replicas):
-        policy = create_policy("stale_jiq", "cpu-service", rng, dispatchers=2)
+        policy = create_policy("jiq", "cpu-service", rng, dispatchers=2, staleness_s=0.25)
         twin = create_policy(
-            "stale_jiq", "cpu-service", type(rng)(rng.seed), dispatchers=2
+            "jiq", "cpu-service", type(rng)(rng.seed), dispatchers=2, staleness_s=0.25
         )
         for _ in range(3):  # drain both seeded idle-token sets while idle
             policy.select(replicas)
@@ -221,9 +247,7 @@ class TestDispatcherViews:
         assert picks == [twin.select(replicas).replica_index for _ in range(10)]
 
     def test_p2c_prefers_less_loaded_stale_probe(self, rng, replicas):
-        policy = create_policy(
-            "stale_p2c", "cpu-service", rng, dispatchers=1, staleness_s=0.0
-        )
+        policy = create_policy("p2c", "cpu-service", rng, dispatchers=1, staleness_s=0.0)
         replicas[0].submit("r", "cpu-service", _noop)
         replicas[0].submit("r", "cpu-service", _noop)
         replicas[1].submit("r", "cpu-service", _noop)
@@ -263,6 +287,66 @@ def test_dispatcher_variants_actually_differ():
         for variant in DISPATCH_VARIANTS
     }
     assert len(set(prints.values())) == len(DISPATCH_VARIANTS)
+
+
+#: ``summary()`` and processed-event count of the 4 s replicated runs with
+#: three dispatchers, per rule.  Any change to a rule's picks, its RNG
+#: draws or its feedback moves these.
+THREE_DISPATCHER_PINS = {
+    "jiq": (
+        {
+            "completed": 182.0,
+            "dropped": 0.0,
+            "mean_mitigation_time_s": 0.0,
+            "mean_requested_cpu": 224.0,
+            "p50_ms": 46.86391097533371,
+            "p99_ms": 66.81972262062118,
+            "violation_rate": 0.0,
+            "violations": 0.0,
+        },
+        2682,
+    ),
+    "p2c": (
+        {
+            "completed": 182.0,
+            "dropped": 0.0,
+            "mean_mitigation_time_s": 0.0,
+            "mean_requested_cpu": 224.0,
+            "p50_ms": 46.240410580436155,
+            "p99_ms": 66.73900756522313,
+            "violation_rate": 0.0,
+            "violations": 0.0,
+        },
+        2682,
+    ),
+    "ewma": (
+        {
+            "completed": 182.0,
+            "dropped": 0.0,
+            "mean_mitigation_time_s": 0.0,
+            "mean_requested_cpu": 224.0,
+            "p50_ms": 46.21571306812639,
+            "p99_ms": 68.39551146099708,
+            "violation_rate": 0.0,
+            "violations": 0.0,
+        },
+        2682,
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", DISPATCH_VARIANTS)
+def test_three_dispatcher_runs_match_pins(variant):
+    spec = _replicated_spec(variant, duration_s=4.0)
+    harness = ExperimentHarness.from_spec(spec)
+    result = harness.run(
+        duration_s=spec.duration_s,
+        sample_period_s=spec.sample_period_s,
+        warmup_s=spec.warmup_s,
+    )
+    summary, events = THREE_DISPATCHER_PINS[variant]
+    assert result.summary() == summary
+    assert harness.engine.processed_events == events
 
 
 def test_dispatcher_sweep_serial_and_parallel_identical():

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments.harness import ExperimentHarness
 from repro.experiments.metastable import (
     METASTABLE_CAMPAIGNS,
     QUICK,
@@ -122,6 +123,17 @@ class TestCampaigns:
         cells = {(spec.dispatchers, spec.dispatch_staleness_s) for spec in specs}
         assert (1, 0.0) in cells  # the omniscient control point
         assert len(cells) == len(specs)
+        # Staleness is the only axis: every cell, the control included,
+        # routes by the JIQ rule with its own dispatcher count and staleness.
+        for spec in specs:
+            harness = ExperimentHarness.from_spec(spec)
+            service = harness.cluster.services()[0]
+            policy = harness.cluster.router.policy_for(service)
+            assert policy.name == "join_the_idle_queue"
+            assert (policy.dispatchers, policy.staleness_s) == (
+                spec.dispatchers,
+                spec.dispatch_staleness_s,
+            )
 
     def test_quick_mode_shrinks_durations_and_grids(self):
         full = _campaign_specs("shed_vs_violate")

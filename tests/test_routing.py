@@ -19,6 +19,7 @@ from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
 from repro.experiments.sweep import expand_grid, run_sweep
 from repro.routing import (
     DEFAULT_POLICY,
+    RequestRouter,
     RoutingPolicy,
     available_policies,
     create_policy,
@@ -229,8 +230,51 @@ class TestRequestRouter:
         instance = cluster.replicas_of("cpu-service")[0]
         instance.submit("r", "cpu-service", _noop)
         engine.run_until(5.0)
-        policy = cluster.router.policy_for("cpu-service")
-        assert policy.score(instance) > 0.0
+        # Replica 0's observed latency now loses to replica 1's cold prior;
+        # without the feedback the idle tie would go to replica 0.
+        assert cluster.route("cpu-service") is cluster.replicas_of("cpu-service")[1]
+
+    @pytest.mark.parametrize(
+        "policy, feeds",
+        [
+            ("least_in_flight", False),
+            ("round_robin", False),
+            ("random", False),
+            ("power_of_two_choices", False),
+            ("join_the_idle_queue", True),
+            ("ewma_latency", True),
+        ],
+    )
+    def test_completion_listener_only_where_policy_reads_it(self, monkeypatch, policy, feeds):
+        calls = []
+        original = RequestRouter._dispatch_completion
+
+        def counting(router, instance, latency_ms):
+            calls.append(instance)
+            original(router, instance, latency_ms)
+
+        monkeypatch.setattr(RequestRouter, "_dispatch_completion", counting)
+        spec = ScenarioSpec(
+            application="hotel_reservation", seed=0, duration_s=3.0, load_rps=20.0,
+            routing=policy, replicas={"frontend": 2},
+        )
+        result = run_scenario(spec)
+        assert result.summary()["completed"] > 0
+        assert bool(calls) is feeds
+
+    def test_scale_out_replica_feeds_the_policy(self, cluster, cpu_profile, engine, rng):
+        cluster.deploy_service(cpu_profile, replicas=1)
+        cluster.set_routing_policy("jiq")
+        cluster.route("cpu-service")  # instantiates the policy and its listeners
+        Orchestrator(cluster, engine, rng).scale_out("cpu-service")
+        engine.run_until(engine.now + 30.0)  # cold-start actuation delay
+        fresh = cluster.instance_by_name("cpu-service#1")
+        assert cluster.router._dispatch_completion in fresh.completion_listeners
+        cluster.set_routing_policy("least_in_flight", service="cpu-service")
+        cluster.route("cpu-service")
+        Orchestrator(cluster, engine, rng).scale_out("cpu-service")
+        engine.run_until(engine.now + 30.0)
+        assert not cluster.instance_by_name("cpu-service#2").completion_listeners
 
     def test_fresh_replica_does_not_inherit_dead_namesakes_state(
         self, cluster, cpu_profile, engine, rng
@@ -243,14 +287,16 @@ class TestRequestRouter:
         policy = cluster.router.policy_for("cpu-service")
         doomed = cluster.instance_by_name("cpu-service#1")
         policy.observe_completion(doomed, 10_000.0)  # terrible history
+        policy.observe_completion(cluster.instance_by_name("cpu-service#0"), 5.0)
         orchestrator = Orchestrator(cluster, engine, rng)
         orchestrator.scale_in("cpu-service")
         orchestrator.scale_out("cpu-service")
         engine.run_until(engine.now + 30.0)
         reborn = cluster.instance_by_name("cpu-service#1")
         assert reborn is not doomed
-        # No inherited EWMA: the fresh namesake scores the cold prior.
-        assert policy.score(reborn) == pytest.approx(policy.COLD_EWMA_MS)
+        # No inherited EWMA: the fresh namesake's cold prior beats #0's
+        # 5 ms, where the dead namesake's 10 s history would lose to it.
+        assert policy.select(cluster.replicas_of("cpu-service")) is reborn
         # JIQ: the fresh namesake is unknown, so it seeds the idle queue.
         jiq = create_policy("jiq", "cpu-service", rng)
         jiq.observe_completion(doomed, 5.0)
@@ -376,13 +422,12 @@ class TestCachedPolicyInvalidation:
         cluster.set_routing_policy("ewma", service="pinned")
         cluster.set_routing_policy("ewma", tenant="alpha")
         for service in cluster.services():
-            for _ in range(2):
-                cluster.route(service).submit("r", service, _noop)
+            cluster.route(service).submit("r", service, _noop)  # the idle tie: #0
         engine.run_until(1.0)
         policies = {s: cluster.router.policy_for(s) for s in cluster.services()}
-        for service, policy in policies.items():
-            warm = cluster.instance_by_name(f"{service}#0")
-            assert policy.score(warm) != pytest.approx(policy.COLD_EWMA_MS)
+        for service in policies:
+            # Learned: #0's observed latency loses to #1's cold prior.
+            assert cluster.route(service).replica_index == 1
         return policies
 
     @staticmethod
