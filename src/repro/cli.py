@@ -17,7 +17,6 @@ Usage::
         --grid controller=firm,aimd,none --workers 2
     python -m repro.cli controllers --list
     python -m repro.cli inspect record/
-    python -m repro.cli perf --quick --repeats 3 --compare
 
 ``run <name>`` calls an experiment function (:data:`EXPERIMENTS`) with the
 ``--set`` values as keyword arguments, or builds one spec from a preset
@@ -190,52 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run-record directory (from run <preset> --obs-dir) or a "
         "journal.jsonl path",
     )
-
-    perf_parser = subparsers.add_parser(
-        "perf",
-        help="run the repro.perf macro-benchmarks (simulator throughput)",
-    )
-    perf_parser.add_argument(
-        "--quick", action="store_true",
-        help="short CI durations instead of the full benchmark durations",
-    )
-    perf_parser.add_argument(
-        "--benchmarks", default=None,
-        help="comma-separated benchmark subset (default: all macro benchmarks)",
-    )
-    perf_parser.add_argument(
-        "--profile", action="store_true",
-        help="run under cProfile and attach a hot-spot report "
-        "(several-fold slower; never use profiled numbers as baselines)",
-    )
-    perf_parser.add_argument(
-        "--compare", action="store_true",
-        help="compare against the committed baseline and exit non-zero on "
-        "a >threshold normalized events/sec regression",
-    )
-    perf_parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="overwrite the committed baseline with this run's results",
-    )
-    perf_parser.add_argument(
-        "--baseline", default=None,
-        help="baseline path (default: benchmarks/results/perf.json)",
-    )
-    perf_parser.add_argument(
-        "--threshold", type=float, default=None,
-        help="regression threshold as a fraction (default 0.20 = 20%%)",
-    )
-    perf_parser.add_argument(
-        "--repeats", type=int, default=1,
-        help="median-of-N runs per benchmark (use >=3 for baselines and CI gates)",
-    )
-    perf_parser.add_argument("--out", default=None, help="write the JSON report to this path")
     return parser
-
-
-def _csv_list(text: str, convert=str) -> list:
-    """Split a comma-separated CLI value, dropping empty items."""
-    return [convert(item.strip()) for item in text.split(",") if item.strip()]
 
 
 def _literal(text: str) -> Any:
@@ -303,67 +257,9 @@ def _sweep(args: argparse.Namespace) -> List[Dict[str, Any]]:
     return [{**cell, **outcome.as_dict()} for cell, outcome in zip(grid_cells(grid), outcomes)]
 
 
-def _run_perf(args: argparse.Namespace) -> int:
-    """``repro.cli perf``: run, report, and optionally gate on regressions."""
-    from repro.perf import (
-        DEFAULT_BASELINE_PATH,
-        REGRESSION_THRESHOLD,
-        compare_reports,
-        load_report,
-        run_perf,
-        save_report,
-    )
-
-    report = run_perf(
-        quick=args.quick,
-        benchmarks=_csv_list(args.benchmarks) if args.benchmarks else None,
-        profile=args.profile,
-        repeats=args.repeats,
-    )
-    for name, result in sorted(report.benchmarks.items()):
-        print(
-            f"[perf] {name}: {result.events_per_s:,.0f} events/s, "
-            f"{result.requests_per_s:,.1f} req/s over {result.wall_s:.2f}s wall",
-            file=sys.stderr,
-        )
-    print(f"[perf] peak RSS {report.peak_rss_mb:.1f} MiB", file=sys.stderr)
-    payload = report.as_dict()
-
-    baseline_path = args.baseline if args.baseline else DEFAULT_BASELINE_PATH
-    threshold = args.threshold if args.threshold is not None else REGRESSION_THRESHOLD
-    exit_code = 0
-    if args.update_baseline:
-        save_report(report, baseline_path)
-        print(f"wrote baseline {baseline_path}", file=sys.stderr)
-    elif args.compare:
-        comparisons = compare_reports(report, load_report(baseline_path), threshold=threshold)
-        payload["comparison"] = [vars(comparison) for comparison in comparisons]
-        for comparison in comparisons:
-            print(f"[perf] {comparison.describe()}", file=sys.stderr)
-        if any(comparison.regressed for comparison in comparisons):
-            print(
-                "[perf] FAILED: throughput or peak RSS regressed past the "
-                f"gate thresholds vs {baseline_path}",
-                file=sys.stderr,
-            )
-            exit_code = 1
-
-    text = json.dumps(payload, indent=2, default=str)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    return exit_code
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-
-    if args.command == "perf":
-        return _run_perf(args)
 
     if args.command == "list":
         for name in sorted(EXPERIMENTS):

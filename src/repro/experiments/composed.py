@@ -7,7 +7,7 @@ in ``svm_gated_rl`` mode (FIRM's RL estimator behind the critic-trust /
 admission-calm gate, AIMD as the heuristic fallback, online DDPG
 fine-tuning while serving), co-located with an aggressor tenant running a
 ``priority_chain`` composition of the same members.  The same spec backs
-the ``controller_stack`` perf macro and the ``controllers-smoke`` CI step.
+the ``controllers-smoke`` CI step.
 """
 
 from __future__ import annotations

@@ -119,6 +119,14 @@ class TenantSpec:
     replicas: Optional[Dict[str, int]] = None
     admission: Optional[Any] = None
 
+    def __post_init__(self) -> None:
+        if not self.load_rps >= 0:
+            raise ValueError(f"load_rps must be >= 0, got {self.load_rps!r}")
+        if not self.slo_scale > 0:
+            raise ValueError(f"slo_scale must be > 0, got {self.slo_scale!r}")
+        if self.node_quota is not None and not self.node_quota >= 1:
+            raise ValueError(f"node_quota must be >= 1, got {self.node_quota!r}")
+
     def with_overrides(self, **overrides) -> "TenantSpec":
         """A copy of this tenant spec with the given fields replaced."""
         return replace(self, **overrides)

@@ -19,7 +19,7 @@ collector and tracing coordinator are built from:
   tracing coordinator publishes and the tenant-order fold that combines
   them into one run-level digest;
 * :mod:`repro.telemetry.memory` — honest retained-footprint accounting
-  used by the ``telemetry_fleet`` perf macro and the constant-memory
+  used by firmbench's ``retained_mb`` metrics and the constant-memory
   regression test.
 """
 

@@ -77,7 +77,3 @@ def deep_sizeof(obj: Any) -> int:
                         continue
     return total
 
-
-def retained_mb(*objects: Any) -> float:
-    """Combined retained size of several roots, in MiB (each counted once)."""
-    return sum(deep_sizeof(obj) for obj in objects) / (1024.0 * 1024.0)

@@ -119,6 +119,15 @@ class TestErrorPaths:
             (["run", "scenario", "--workers", "2"], "--workers applies to experiments"),
             (["run", "scenario", "--set", "duration_s=-1"], "duration_s must be > 0"),
             (["run", "scenario", "--set", "load_rps=-5"], "load_rps must be >= 0"),
+            (
+                ["run", "aggressor_victim", "--set", "victim_load_rps=-5"],
+                "load_rps must be >= 0",
+            ),
+            (["run", "identical_tenants", "--set", "node_quota=0"], "node_quota must be >= 1"),
+            (
+                ["run", "aggressor_victim", "--set", "victim_slo_scale=0.0"],
+                "slo_scale must be > 0",
+            ),
         ],
     )
     def test_user_errors_exit_2_with_one_line(self, argv, message, capsys):

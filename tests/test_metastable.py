@@ -18,7 +18,6 @@ from repro.experiments.metastable import (
 )
 from repro.experiments.scenario import _admission_name
 from repro.experiments.sweep import expand_grid, run_sweep
-from repro.perf.scenarios import MACRO_BENCHMARKS
 
 #: A tiny cell: 6 simulated seconds, the trigger at 1 s for 2 s.
 QUICK_CELL = dict(
@@ -84,15 +83,6 @@ class TestCase:
         assert injection.start_s == QUICK_CELL["anomaly_start_s"]
         assert injection.duration_s == QUICK_CELL["anomaly_duration_s"]
         assert injection.scope.value == "service_wide"
-
-    def test_macro_spec_keeps_anomaly_inside_quick_window(self):
-        (spec,) = MACRO_BENCHMARKS["dispatch_admission"].build_specs(5.0)
-        assert spec.duration_s == 5.0
-        injection = spec.campaign.specs[0]
-        assert injection.start_s + injection.duration_s <= 5.0
-        assert spec.dispatchers == 3
-        assert spec.admission == "survival_kit"
-        assert spec.score_window_s is None
 
 
 # ---------------------------------------------------------------------------

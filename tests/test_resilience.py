@@ -8,7 +8,6 @@ from functools import partial
 import pytest
 
 from repro.cli import main
-from repro.experiments.harness import ExperimentHarness
 from repro.experiments.resilience import (
     CAMPAIGN_KINDS,
     build_resilience_campaign,
@@ -16,7 +15,6 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.scenario import ScenarioSpec, random_campaign_builder, run_scenario
 from repro.experiments.sweep import expand_grid, run_sweep, score_spec
-from repro.perf.scenarios import MACRO_BENCHMARKS
 
 #: Deliberately tiny settings so each cell simulates in well under a second
 #: of wall time; determinism, shapes, and scoring do not need scale.
@@ -232,12 +230,3 @@ class TestSweepDeterminism:
         seen = []
         run_sweep(specs, workers=1, progress=lambda done, total, outcome: seen.append((done, total)))
         assert seen == [(1, 2), (2, 2)]
-
-
-class TestPerfMacro:
-    def test_campaign_macro_spec_is_campaign_heavy(self):
-        (spec,) = MACRO_BENCHMARKS["resilience_campaign"].build_specs(10.0)
-        assert spec.replicas and all(count == 2 for count in spec.replicas.values())
-        campaign = ExperimentHarness.from_spec(spec).tenants[0].campaign
-        assert campaign is not None and len(campaign.specs) > 3
-        assert all(s.scope.value == "service_wide" for s in campaign.specs)

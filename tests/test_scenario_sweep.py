@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -158,13 +159,24 @@ class TestScenarioSpec:
             ("load_rps", -5.0, "load_rps must be >= 0"),
             ("dispatchers", 0, "dispatchers must be >= 1"),
             ("score_window_s", 0.0, "score_window_s must be > 0"),
+            ("slo_scale", 0.0, "slo_scale must be > 0"),
+            ("slo_scale", -1.0, "slo_scale must be > 0"),
+            ("node_quota", 0, "node_quota must be >= 1"),
         ],
     )
     def test_invalid_timing_and_load_rejected(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
-            ScenarioSpec(**{field: value})
-        with pytest.raises(ValueError, match=message):
-            ScenarioSpec().with_overrides(**{field: value})
+        # Every spec class with the field rejects the value, built directly
+        # and through with_overrides alike.
+        builders = [
+            build for build in (ScenarioSpec, partial(TenantSpec, name="t"))
+            if hasattr(build(), field)
+        ]
+        assert builders
+        for build in builders:
+            with pytest.raises(ValueError, match=message):
+                build(**{field: value})
+            with pytest.raises(ValueError, match=message):
+                build().with_overrides(**{field: value})
 
     def test_zero_load_and_warmup_accepted(self):
         spec = ScenarioSpec(load_rps=0.0, warmup_s=0.0)

@@ -196,23 +196,45 @@ class TestWindowedSketches:
         assert neg.pearson(29.0, 30.0) < -0.9
 
 
+def _telemetry_memory_mb(harness) -> float:
+    """Retained telemetry+trace footprint of one finished harness (MiB).
+
+    Sums the collector's samples/sketches with every tenant
+    coordinator's traces, sketches, and reservoir, via their
+    ``memory_bytes()`` deep-size walks: what the run holds alive, not
+    the process's high-water mark.
+    """
+    total = harness.telemetry.memory_bytes()
+    for tenant in harness.tenants:
+        total += tenant.coordinator.memory_bytes()
+    return total / (1024.0 * 1024.0)
+
+
 class TestFleetConstantMemory:
     def test_footprint_constant_in_run_length(self):
-        """The telemetry_fleet guarantee on the real harness code path.
+        """The streaming pipeline's constant-memory guarantee on the real
+        harness code path.
 
-        Runs the replicated-fleet scenario at two durations 3x apart and
-        asserts the retained telemetry+trace footprint (collector +
-        coordinator/store/reservoir, via ``memory_bytes``) grows by at
-        most 1.25x: the pipeline's memory is bounded by ring and
+        Runs a replicated social_network fleet (every service x3, which
+        triples the containers the collector samples) at two durations
+        3x apart and asserts the retained telemetry+trace footprint grows
+        by at most 1.25x: the pipeline's memory is bounded by ring and
         reservoir sizes, not by how long the run lasted.
         """
         from repro.experiments.harness import ExperimentHarness
-        from repro.perf.harness import _telemetry_memory_mb
-        from repro.perf.scenarios import MACRO_BENCHMARKS
+        from repro.experiments.routing import replicated_services
+        from repro.experiments.scenario import ScenarioSpec
 
         footprints = []
         for duration_s in (20.0, 60.0):
-            (spec,) = MACRO_BENCHMARKS["telemetry_fleet"].build_specs(duration_s)
+            spec = ScenarioSpec(
+                application="social_network",
+                seed=0,
+                duration_s=duration_s,
+                load_rps=120.0,
+                controller="none",
+                replicas=replicated_services("social_network", 3),
+            )
             harness = ExperimentHarness.from_spec(spec)
             harness.run(
                 duration_s=spec.duration_s,
