@@ -29,7 +29,6 @@ Select a policy via ``ScenarioSpec.admission`` / ``TenantSpec.admission``
 
 from repro.admission.config import (
     ADMISSION_PRESETS,
-    PRESET_NAMES,
     AdmissionConfig,
     CircuitBreakerConfig,
     HedgePolicy,
@@ -41,7 +40,6 @@ from repro.admission.gate import AdmissionGate, CircuitBreaker, TokenBucket
 
 __all__ = [
     "ADMISSION_PRESETS",
-    "PRESET_NAMES",
     "AdmissionConfig",
     "AdmissionGate",
     "CircuitBreaker",

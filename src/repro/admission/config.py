@@ -10,7 +10,7 @@ should do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 __all__ = [
     "ADMISSION_PRESETS",
@@ -285,7 +285,3 @@ def admission_name(config: Optional[Union[str, AdmissionConfig]]) -> Optional[st
     if config is None:
         return None
     return config if isinstance(config, str) else config.name
-
-
-#: Preset-name tuple (the CLI's fail-fast validation axis).
-PRESET_NAMES: Tuple[str, ...] = tuple(sorted(ADMISSION_PRESETS))

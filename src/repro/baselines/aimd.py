@@ -91,18 +91,3 @@ class AIMDController(BaselineController):
                 self.orchestrator.set_resource_limits(
                     container.instance, ResourceVector(clamped)
                 )
-
-    def _is_comfortable(self, window_s: float) -> bool:
-        """True when every request type's tail latency is well inside its SLO.
-
-        Delegates to the ``comfortable`` stage (the logic lives there so a
-        staged stack shares one computation per window); kept as a method
-        because tests and subclasses call it directly.
-        """
-        cfg = self.config
-        return self.stages.pull(
-            "comfortable",
-            window_s=window_s,
-            percentile=cfg.tail_percentile,
-            slack_threshold=cfg.slack_threshold,
-        )

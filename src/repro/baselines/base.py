@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.orchestrator import Orchestrator
+from repro.controllers.manager import ControllerManager
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event
 from repro.tracing.coordinator import TracingCoordinator
@@ -49,41 +50,20 @@ class ResourceController(abc.ABC):
         #: directly without ever starting their loops).
         self._stopped = False
         self._control_event: Optional[Event] = None
-        self._stages = None
+        #: The controller's sensing reads (a
+        #: :class:`~repro.controllers.manager.ControllerManager` over its
+        #: own coordinator and view); the harness replaces it with the
+        #: tenant's manager, which also sees the admission gate.
+        self.stages = ControllerManager(coordinator, cluster)
         #: Observability bundle (set by the harness when enabled; None
         #: keeps the control loop uninstrumented).
         self.obs = None
         #: Journal source label for this controller's records.
         self.obs_source = type(self).__name__
 
-    #: Stage names this controller pulls each round (documentation +
-    #: ``describe_controllers`` output; the DAG itself is declared by the
-    #: stages' own ``requires``).
+    #: Sensor names this controller pulls each round (documentation and
+    #: ``describe_controllers`` output).
     stage_subscriptions: tuple = ()
-
-    @property
-    def stages(self):
-        """The controller's :class:`~repro.controllers.manager.StageRuntime`.
-
-        The harness binds one per tenant through :meth:`bind_stages`
-        (sharing the tenant's manager and cache); a controller built
-        outside a harness lazily self-binds to a private manager over its
-        own cluster view so stage pulls always work.
-        """
-        if self._stages is None:
-            from repro.controllers.manager import ControllerManager, StageBinding
-
-            manager = ControllerManager(self.engine, cluster=self.cluster)
-            binding = StageBinding(
-                coordinator=self.coordinator, view=self.cluster, engine=self.engine
-            )
-            self.bind_stages(manager.runtime_for(binding))
-        return self._stages
-
-    def bind_stages(self, runtime) -> None:
-        """Attach a stage runtime.  Subclasses extend this to donate
-        stateful helpers into the shared binding (see FIRM)."""
-        self._stages = runtime
 
     def start(self) -> None:
         """Start the periodic control loop."""

@@ -57,10 +57,8 @@ class KubernetesAutoscaler(BaselineController):
 
         ``desired = ceil(current_replicas * observed / target)`` with a
         tolerance dead-band, exactly as the Kubernetes controller computes
-        it from the mean CPU utilization of a service's pods.  The
-        observation comes from the cluster-scoped
-        ``service_cpu_utilization`` stage, so co-resident controller
-        stacks share one utilization sweep per window.
+        it from the mean CPU utilization of a service's pods, read through
+        the ``service_cpu_utilization`` sensor.
         """
         cfg = self.config
         for service_name in self.cluster.services():

@@ -1,43 +1,14 @@
-"""Staged controller framework: stages, the manager, and composed policies.
+"""Controller sensing and composed policies.
 
-Layers:
-
-* :mod:`repro.controllers.stages` — :class:`ControllerStage` ABC,
-  ``@register_stage``, and the built-in sensing stages (SLO verdicts,
-  critical-path extraction, SVM detection, admission signals, service
-  utilization) with declared dependencies.
-* :mod:`repro.controllers.manager` — :class:`ControllerManager` +
-  :class:`StageRuntime`: topological ordering, per-``(window, tenant)``
-  memoization, scale-event invalidation, ``stage_run`` journaling.
+* :mod:`repro.controllers.manager` — :class:`ControllerManager`, one per
+  tenant: the sensing reads (SLO verdict, comfort, detection, admission
+  signals, service utilization) every controller round starts with,
+  pulled by name.
 * :mod:`repro.controllers.composed` — the ``composed`` controller family:
   priority chains and SVM-gated RL with heuristic fallback and online
   DDPG fine-tuning.
 """
 
-from repro.controllers.manager import (
-    ControllerManager,
-    StageBinding,
-    StageCache,
-    StageContext,
-    StageRuntime,
-)
-from repro.controllers.stages import (
-    ControllerStage,
-    available_stages,
-    get_stage,
-    register_stage,
-    stage_order,
-)
+from repro.controllers.manager import ControllerManager
 
-__all__ = [
-    "ControllerManager",
-    "ControllerStage",
-    "StageBinding",
-    "StageCache",
-    "StageContext",
-    "StageRuntime",
-    "available_stages",
-    "get_stage",
-    "register_stage",
-    "stage_order",
-]
+__all__ = ["ControllerManager"]

@@ -1,28 +1,28 @@
 """Composed controller policies: priority chains and SVM-gated RL.
 
-The composition layer on top of the staged framework: a
-:class:`ComposedController` owns a stack of member controllers (built
-through the same registry, sharing the tenant's wiring and stage
-runtime) and decides each round which members act.
+A :class:`ComposedController` owns a stack of member controllers (built
+through the same registry, sharing the tenant's wiring) and decides each
+round which members act.  Members sense through their own
+:class:`~repro.controllers.manager.ControllerManager` over the same
+coordinator and view; the gate senses through the tenant's.
 
 Two modes:
 
 ``priority_chain``
-    Every member runs, in declared order, each round.  The value over
-    running them as separate controllers is the shared stage runtime:
-    the chain pulls detection once and every member's own pull is a
-    cache hit (with the manager enabled).
+    Every member runs, in declared order, each round.
 
 ``svm_gated_rl``
     The paper's RL estimator guarded by a heuristic fallback.  The first
     FIRM-family member is the RL policy; the remaining members are the
-    fallback chain.  Each round the gate pulls the shared SVM detection
-    verdict and the tenant's admission signals, then routes the round to
-    the RL member only while the critic looks trustworthy — its mean
-    TD-error at or below ``td_error_threshold`` — and the admission gate
-    is calm (no open circuit breakers, shed rate at or below
+    fallback chain.  Each round the gate pulls the SLO verdict and the
+    tenant's admission signals, then routes the round to the RL member
+    only while the critic looks trustworthy — its mean TD-error at or
+    below ``td_error_threshold`` — and the admission gate is calm (no
+    open circuit breakers, shed rate at or below
     ``shed_rate_threshold``).  Otherwise the fallback members act.
-    Switches are journaled as ``policy_switch`` records.
+    Switches are journaled as ``policy_switch`` records.  Full detection
+    (critical paths and the SVM) runs only inside the RL member, so a
+    fallback round never runs it.
 
 ``online_learning`` (default True) keeps the FIRM members' DDPG agents
 fine-tuning while serving — the fig11 transfer-learning story extended
@@ -84,7 +84,7 @@ class ComposedController(ResourceController):
         Admission shed rate above which the fallback chain takes over.
     """
 
-    stage_subscriptions = ("detection", "admission_signals")
+    stage_subscriptions = ("slo_verdict", "admission_signals")
 
     def __init__(
         self,
@@ -157,13 +157,6 @@ class ComposedController(ResourceController):
         for member in getattr(self, "members", ()):
             member.obs = value
 
-    def bind_stages(self, runtime) -> None:
-        """Share one stage runtime (and thus one cache and one Extractor)
-        across the gate and every member."""
-        super().bind_stages(runtime)
-        for member in self.members:
-            member.bind_stages(runtime)
-
     @property
     def rl_member(self) -> Optional[FIRMController]:
         """The first FIRM-family member (the gated RL policy), if any."""
@@ -180,13 +173,13 @@ class ComposedController(ResourceController):
 
     # ----------------------------------------------------------------- loop
     def control_round(self) -> ComposedRoundRecord:
-        """One composed round: shared sensing, gate decision, member rounds."""
+        """One composed round: SLO verdict, gate decision, member rounds."""
         window_s, percentile = self._detection_params()
-        extraction = self.stages.pull("detection", window_s=window_s, percentile=percentile)
+        violated = self.stages.pull("slo_verdict", window_s=window_s, percentile=percentile)
         if self.mode == "priority_chain":
-            record = self._priority_chain_round(extraction)
+            record = self._priority_chain_round(violated)
         else:
-            record = self._gated_round(extraction)
+            record = self._gated_round(violated)
         self.rounds.append(record)
         if self.obs is not None:
             self.obs.journal.record(
@@ -199,17 +192,17 @@ class ComposedController(ResourceController):
             )
         return record
 
-    def _priority_chain_round(self, extraction) -> ComposedRoundRecord:
+    def _priority_chain_round(self, violated: bool) -> ComposedRoundRecord:
         for member in self.members:
             member.control_round()
         return ComposedRoundRecord(
             time_s=self.engine.now,
             active_policy="+".join(self.member_names),
-            slo_violated=extraction.slo_violated,
+            slo_violated=violated,
             reason="priority_chain",
         )
 
-    def _gated_round(self, extraction) -> ComposedRoundRecord:
+    def _gated_round(self, violated: bool) -> ComposedRoundRecord:
         rl = self.rl_member
         if rl is None:
             raise ValueError("svm_gated_rl mode needs a FIRM-family member")
@@ -262,6 +255,6 @@ class ComposedController(ResourceController):
         return ComposedRoundRecord(
             time_s=self.engine.now,
             active_policy=policy,
-            slo_violated=extraction.slo_violated,
+            slo_violated=violated,
             reason=reason,
         )

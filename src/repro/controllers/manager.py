@@ -1,224 +1,130 @@
-"""The controller manager: memoized, dependency-ordered stage execution.
+"""The controller manager: the sensing reads every controller round starts with.
 
-One :class:`ControllerManager` is owned by each
-:class:`~repro.experiments.harness.TenantRuntime` (the harness also keeps
-one shared :class:`StageCache` for cluster-scoped stages).  Controllers
-reach it through a :class:`StageRuntime` — a manager bound to the
-tenant's coordinator/cluster-view — handed to them by
-``ResourceController.bind_stages``.
-
-Memoization contract
---------------------
-A stage result is valid for exactly one engine instant: the cache is
-keyed ``(stage, tenant-key, params)`` and cleared whenever ``engine.now``
-advances past the instant it was filled at, and eagerly on cluster scale
-events (replicas appearing or disappearing change what every stage
-observes).  Within one control window every subscribing controller —
-including the members of a composed stack — therefore shares a single
-computation of each stage.  Stages are pure reads, so memoization
-changes only *how often* the work runs, never its result.
+FIRM's loop is detect -> localize -> estimate -> actuate.  Its sensing
+half — SLO verdicts, detection plus localization, the admission gate's
+pressure signals, per-service utilization — is a handful of pure reads of
+one tenant's tracing coordinator, cluster view and application runtime.
+A :class:`ControllerManager` holds those three and answers
+:meth:`ControllerManager.pull` by name; each name is one plain function
+below.  Nothing is memoized: every pull reads the state at the instant it
+is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict
 
-from repro.controllers.stages import get_stage, stage_order
-
-
-def _params_key(params: Dict[str, Any]) -> Tuple:
-    """A hashable, order-insensitive cache key for stage kwargs."""
-    return tuple(sorted(params.items()))
+from repro.cluster.resources import Resource
 
 
-class StageCache:
-    """Per-instant memo of stage results, with invalidation counters."""
-
-    def __init__(self) -> None:
-        self.now: Optional[float] = None
-        self.entries: Dict[Tuple, Any] = {}
-        self.invalidations = 0
-
-    def sync(self, now: float) -> None:
-        """Drop all entries if the engine clock moved past our instant."""
-        if self.now != now:
-            self.now = now
-            self.entries.clear()
-
-    def invalidate(self) -> None:
-        """Eagerly drop all entries (cluster topology changed)."""
-        if self.entries:
-            self.entries.clear()
-        self.invalidations += 1
+def slo_verdict(manager: ControllerManager, window_s: float, percentile: float = 99.0) -> bool:
+    """Whether any request type's windowed tail latency violates its SLO."""
+    return manager.coordinator.has_slo_violation(window_s, percentile=percentile)
 
 
-@dataclass
-class StageBinding:
-    """What a stage sees: one tenant's observation surface.
+def comfortable(
+    manager: ControllerManager, window_s: float, percentile: float, slack_threshold: float
+) -> bool:
+    """True when every request type's tail latency is well inside its SLO.
 
-    ``key`` distinguishes tenants in the cache (None for the anonymous
-    single-tenant binding); ``runtime`` is the owning ``TenantRuntime``
-    when there is one (admission signals live there); ``providers`` lets
-    a controller donate long-lived stateful helpers — e.g. FIRM provides
-    its online-trained :class:`~repro.core.extractor.Extractor` so the
-    detection stage runs the *same* SVM the agent trains.
+    A request type blocks comfort when its windowed tail exceeds
+    ``slack_threshold`` times its SLO; empty windows (tail <= 0) don't
+    count, and a tenant without SLOs is never comfortable.
     """
-
-    coordinator: Any
-    view: Any
-    engine: Any
-    key: Optional[str] = None
-    runtime: Any = None
-    source: str = ""
-    providers: Dict[Tuple, Any] = field(default_factory=dict)
-
-    def provide(self, key: Tuple, value: Any) -> Any:
-        """Donate a helper under ``key``; first provider wins."""
-        return self.providers.setdefault(key, value)
-
-    def extractor_for(self, window_s: float, percentile: float):
-        """The tenant's Extractor for this (window, percentile) config.
-
-        Returns the provided one when a controller donated it (FIRM's,
-        with its online-trained SVM); otherwise lazily creates and keeps
-        a default so repeated pulls share state.
-        """
-        key = ("extractor", float(window_s), float(percentile))
-        extractor = self.providers.get(key)
-        if extractor is None:
-            from repro.core.extractor import Extractor
-
-            extractor = Extractor(
-                self.coordinator,
-                window_s=window_s,
-                detection_percentile=percentile,
-            )
-            self.providers[key] = extractor
-        return extractor
-
-    def path_extractor(self):
-        """The shared critical-path extractor (stateless, one per tenant)."""
-        key = ("path_extractor",)
-        extractor = self.providers.get(key)
-        if extractor is None:
-            from repro.core.critical_path import CriticalPathExtractor
-
-            extractor = CriticalPathExtractor()
-            self.providers[key] = extractor
-        return extractor
+    coordinator = manager.coordinator
+    slos = coordinator.slo_latency_ms
+    if not slos:
+        return False
+    for request_type, slo in slos.items():
+        tail = coordinator.latency_percentile_ms(percentile, window_s, request_type)
+        if tail <= 0:
+            continue
+        if tail > slack_threshold * slo:
+            return False
+    return True
 
 
-class StageContext:
-    """What a stage's ``compute`` receives: the binding plus dep access."""
+def detection(manager: ControllerManager, extractor, force: bool = False):
+    """One detect -> extract -> localize round (modules 2-3) of ``extractor``.
 
-    __slots__ = ("manager", "binding")
+    The caller passes its own :class:`~repro.core.extractor.Extractor`
+    (FIRM passes the one whose SVM it trains online); the result is an
+    :class:`~repro.core.extractor.ExtractionResult`.
+    """
+    return extractor.analyse(force=force)
 
-    def __init__(self, manager: "ControllerManager", binding: StageBinding) -> None:
-        self.manager = manager
-        self.binding = binding
 
-    @property
-    def coordinator(self):
-        return self.binding.coordinator
+def admission_signals(manager: ControllerManager) -> Dict[str, object]:
+    """The tenant's admission-gate pressure signals as detection features.
 
-    @property
-    def view(self):
-        return self.binding.view
+    Cumulative shed rate and per-service circuit-breaker states; a tenant
+    without a gate (or a manager without a runtime) reports the quiet
+    baseline (``available: False``).
+    """
+    gate = manager.runtime.admission if manager.runtime is not None else None
+    if gate is None:
+        return {
+            "available": False,
+            "shed_rate": 0.0,
+            "shed": 0,
+            "submitted": 0,
+            "breakers": {},
+            "breakers_open": 0,
+        }
+    submitted = int(gate.stats["submitted"])
+    shed = int(gate.stats["shed"])
+    breakers = {service: breaker.state for service, breaker in sorted(gate._breakers.items())}
+    return {
+        "available": True,
+        "shed_rate": (shed / submitted) if submitted else 0.0,
+        "shed": shed,
+        "submitted": submitted,
+        "breakers": breakers,
+        "breakers_open": sum(1 for state in breakers.values() if state == "open"),
+    }
 
-    def require(self, name: str, **params):
-        """Pull a dependency stage through the same memo."""
-        return self.manager.pull(name, self.binding, **params)
+
+def service_cpu_utilization(manager: ControllerManager, service: str):
+    """``(replica_count, mean_cpu_utilization)`` of one service, or None
+    when it has no replicas (the HPA's observation)."""
+    replicas = manager.view.replicas_of(service)
+    if not replicas:
+        return None
+    utilizations = [replica.utilization()[Resource.CPU] for replica in replicas]
+    return len(replicas), sum(utilizations) / len(utilizations)
+
+
+#: Every name :meth:`ControllerManager.pull` answers.
+SENSORS = {
+    sensor.__name__: sensor
+    for sensor in (slo_verdict, comfortable, detection, admission_signals, service_cpu_utilization)
+}
 
 
 class ControllerManager:
-    """Executes stages at most once per instant per tenant.
+    """One tenant's sensing surface: its coordinator, view and runtime.
 
-    Parameters
-    ----------
-    engine:
-        The simulation engine (its clock keys cache validity).
-    cluster:
-        When given, a scale listener is registered so replica churn
-        invalidates both caches immediately.
-    obs:
-        Optional observability sink; cache misses journal ``stage_run``
-        records and bump the ``controller.stage_runs`` counter.
-    cluster_cache:
-        Shared :class:`StageCache` for ``scope="cluster"`` stages —
-        the harness passes one instance to every tenant's manager so
-        cluster-wide results are computed once for all tenants.
+    ``runtime`` is the tenant's
+    :class:`~repro.apps.runtime.ApplicationRuntime` (where the admission
+    gate lives); a controller built outside a harness senses through a
+    manager over its own coordinator and view, with no runtime.
     """
 
-    def __init__(
-        self,
-        engine,
-        cluster=None,
-        obs=None,
-        cluster_cache: Optional[StageCache] = None,
-    ) -> None:
-        self.engine = engine
-        self.obs = obs
-        self.cache = StageCache()
-        self.cluster_cache = cluster_cache if cluster_cache is not None else StageCache()
-        self.stats: Dict[str, int] = {"computed": 0, "hits": 0}
-        # Validate the registered stage DAG up front (raises on cycles).
-        self.order = stage_order()
-        if cluster is not None:
-            add_listener = getattr(cluster, "add_scale_listener", None)
-            if add_listener is not None:
-                add_listener(self._on_scale_event)
+    __slots__ = ("coordinator", "view", "runtime")
 
-    def _on_scale_event(self, service_name, instance, added) -> None:
-        self.cache.invalidate()
-        self.cluster_cache.invalidate()
-
-    def runtime_for(self, binding: StageBinding) -> "StageRuntime":
-        """A runtime view of this manager bound to one tenant."""
-        return StageRuntime(self, binding)
-
-    def pull(self, name: str, binding: StageBinding, **params):
-        """The result of stage ``name`` for this tenant at this instant."""
-        stage = get_stage(name)
-        cache = self.cluster_cache if stage.scope == "cluster" else self.cache
-        cache.sync(self.engine.now)
-        tenant_key = None if stage.scope == "cluster" else binding.key
-        key = (name, tenant_key, _params_key(params))
-        if key in cache.entries:
-            self.stats["hits"] += 1
-            return cache.entries[key]
-        result = stage.compute(StageContext(self, binding), **params)
-        cache.entries[key] = result
-        self.stats["computed"] += 1
-        if self.obs is not None:
-            self.obs.journal.record(
-                self.engine.now,
-                "stage_run",
-                binding.source or "ControllerManager",
-                stage=name,
-                tenant=binding.key,
-                scope=stage.scope,
-            )
-            self.obs.registry.counter("stage_runs_total", stage=name).inc()
-        return result
-
-
-class StageRuntime:
-    """A manager pre-bound to one tenant's :class:`StageBinding`.
-
-    This is the object controllers hold as ``self.stages``: ``pull`` by
-    stage name, ``provide`` to donate stateful helpers into the shared
-    binding.
-    """
-
-    __slots__ = ("manager", "binding")
-
-    def __init__(self, manager: ControllerManager, binding: StageBinding) -> None:
-        self.manager = manager
-        self.binding = binding
+    def __init__(self, coordinator, view, runtime=None) -> None:
+        self.coordinator = coordinator
+        self.view = view
+        self.runtime = runtime
 
     def pull(self, name: str, **params):
-        return self.manager.pull(name, self.binding, **params)
-
-    def provide(self, key: Tuple, value: Any) -> Any:
-        return self.binding.provide(key, value)
+        """The sensor ``name``'s reading for this tenant, now."""
+        # The one entry for every sensing read, rather than controllers
+        # calling the sensors directly: bench/layertrace.py times this
+        # method as the ``controllers.stages`` layer.
+        try:
+            sensor = SENSORS[name]
+        except KeyError:
+            known = ", ".join(sorted(SENSORS))
+            raise ValueError(f"unknown sensor {name!r}; known: {known}") from None
+        return sensor(self, **params)

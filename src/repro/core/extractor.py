@@ -98,33 +98,14 @@ class Extractor:
         sample); the per-instance features feeding the SVM come from the
         coordinator's windowed sketches.
         """
-        return self.localize(self.detect(), force=force)
-
-    def localize(
-        self,
-        violated: bool,
-        force: bool = False,
-        traces=None,
-        paths=None,
-    ) -> ExtractionResult:
-        """Localization half of :meth:`analyse` from a known verdict.
-
-        The staged controller path pre-computes the verdict
-        (``slo_verdict`` stage) and the window's traces + critical paths
-        (``critical_path`` stage) and passes them in so a shared pull
-        feeds every subscriber; with ``traces``/``paths`` None the data
-        is fetched here, reproducing ``analyse`` exactly.
-        """
+        violated = self.detect()
         result = ExtractionResult(time_s=self.coordinator.engine.now, slo_violated=violated)
         if not violated and not force:
             return result
-        if traces is None:
-            traces = self.coordinator.recent_traces(self.window_s)
+        traces = self.coordinator.recent_traces(self.window_s)
         if not traces:
             return result
-        if paths is None:
-            paths = self.path_extractor.extract_all(traces)
-        result.critical_paths = list(paths)
+        result.critical_paths = self.path_extractor.extract_all(traces)
         features = self._sketch_features(result.critical_paths)
         result.candidates = self.component_extractor.select(features)
         return result

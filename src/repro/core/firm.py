@@ -113,7 +113,7 @@ class ControlRoundRecord:
 class FIRMController(ResourceController):
     """The full FIRM resource-management loop over a simulated cluster."""
 
-    stage_subscriptions = ("slo_verdict", "critical_path", "detection")
+    stage_subscriptions = ("detection",)
 
     def __init__(
         self,
@@ -152,19 +152,6 @@ class FIRMController(ResourceController):
         #: None until any agent has run an update.  Composed policies gate
         #: on this as the critic-uncertainty signal.
         self.last_critic_loss: Optional[float] = None
-
-    def bind_stages(self, runtime) -> None:
-        """Donate the online-trained Extractor so the shared detection
-        stage runs the same SVM this controller trains."""
-        super().bind_stages(runtime)
-        runtime.provide(
-            (
-                "extractor",
-                float(self.extractor.window_s),
-                float(self.extractor.detection_percentile),
-            ),
-            self.extractor,
-        )
 
     # ----------------------------------------------------------------- agents
     def agent_for(self, service_name: str) -> DDPGAgent:
@@ -224,11 +211,7 @@ class FIRMController(ResourceController):
 
         self._settle_pending_rewards()
 
-        extraction = self.stages.pull(
-            "detection",
-            window_s=self.extractor.window_s,
-            percentile=self.extractor.detection_percentile,
-        )
+        extraction = self.stages.pull("detection", extractor=self.extractor)
         actions_applied = 0
         rewards: List[float] = []
 

@@ -1,13 +1,12 @@
-"""Composed-policy experiment: the staged controller stack end to end.
+"""Composed-policy experiment: the composed controller stack end to end.
 
-One canonical two-tenant scenario exercising the whole
-:mod:`repro.controllers` framework at once — a latency-sensitive victim
-tenant under an anomaly campaign, managed by the ``composed`` controller
-in ``svm_gated_rl`` mode (FIRM's RL estimator behind the critic-trust /
-admission-calm gate, AIMD as the heuristic fallback, online DDPG
-fine-tuning while serving), co-located with an aggressor tenant running a
-``priority_chain`` composition of the same members.  The same spec backs
-the ``controllers-smoke`` CI step.
+One canonical two-tenant scenario exercising :mod:`repro.controllers` at
+once — a latency-sensitive victim tenant under an anomaly campaign,
+managed by the ``composed`` controller in ``svm_gated_rl`` mode (FIRM's
+RL estimator behind the critic-trust / admission-calm gate, AIMD as the
+heuristic fallback, online DDPG fine-tuning while serving), co-located
+with an aggressor tenant running a ``priority_chain`` composition of the
+same members.  The same spec backs the ``controllers-smoke`` CI step.
 """
 
 from __future__ import annotations
@@ -80,9 +79,8 @@ def run_composed(
 ) -> Dict[str, Any]:
     """Run the composed stack and report the gate's behaviour.
 
-    Returns headline numbers plus, per tenant: the active composition,
-    every journaled-style policy switch, and the tenant manager's stage
-    cache counters (``computed`` vs ``hits`` — the shared-detection win).
+    Returns headline numbers plus, per tenant: the active composition and
+    every journaled-style policy switch.
     """
     from repro.experiments.harness import ExperimentHarness
 
@@ -107,7 +105,6 @@ def run_composed(
             "online_learning": getattr(controller, "online_learning", None),
             "rounds": len(getattr(controller, "rounds", ())),
             "active_policy": getattr(controller, "active_policy", None),
-            "stage_stats": dict(tenant.manager.stats),
             "policy_switches": [
                 {
                     "time_s": switch.time_s,

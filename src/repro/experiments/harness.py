@@ -28,7 +28,7 @@ counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.admission.config import resolve_admission_config
@@ -43,7 +43,7 @@ from repro.cluster.cluster import Cluster, TenantClusterView
 from repro.cluster.orchestrator import Orchestrator
 from repro.cluster.scheduler import PlacementPolicy, Scheduler
 from repro.cluster.telemetry import TelemetryCollector
-from repro.controllers.manager import ControllerManager, StageBinding, StageCache
+from repro.controllers.manager import ControllerManager
 from repro.experiments.scenario import ScenarioSpec, TenantSpec
 from repro.metrics.latency import LatencyStats
 from repro.metrics.slo import MitigationTracker, SLOTracker, merge_slo_trackers
@@ -56,6 +56,17 @@ from repro.tracing.coordinator import TracingCoordinator
 from repro.tracing.trace import Trace
 from repro.workload.generators import WorkloadGenerator
 from repro.workload.patterns import ConstantPattern
+
+
+#: The per-application fields a single-application spec hands its
+#: untenanted tenant: every field the two spec types share, except the
+#: run-wide ``routing`` and ``admission`` the harness applies itself.
+_UNTENANTED_FIELDS = tuple(
+    sorted(
+        ({f.name for f in fields(ScenarioSpec)} & {f.name for f in fields(TenantSpec)})
+        - {"routing", "admission"}
+    )
+)
 
 
 class TenantRuntime:
@@ -90,7 +101,7 @@ class TenantRuntime:
         self.runtime = runtime
         self.orchestrator = orchestrator
         self.rng = rng
-        #: The tenant's controller-stage manager.
+        #: The tenant's sensing reads (its controller pulls through it).
         self.manager = manager
         self.workload: Optional[WorkloadGenerator] = None
         self.injector: Optional[PerformanceAnomalyInjector] = None
@@ -231,10 +242,6 @@ class ExperimentHarness:
         self.spec = spec
         self.engine = SimulationEngine()
         self.rng = SeededRNG(spec.seed)
-        #: Cache shared by every tenant's manager for cluster-scoped
-        #: stages (service names are globally unique, so one computation
-        #: serves all tenants).
-        self._cluster_stage_cache = StageCache()
         #: Per-run observability bundle (journal + metrics registry), or
         #: None when disabled — every instrumentation site checks for None
         #: so the disabled path stays byte-identical to pre-obs behaviour.
@@ -271,15 +278,7 @@ class ExperimentHarness:
         tenant_specs = spec.tenants or [
             TenantSpec(
                 name=None,
-                application=spec.application,
-                load_rps=spec.load_rps,
-                pattern=spec.pattern,
-                request_mix=spec.request_mix,
-                controller=spec.controller,
-                controller_kwargs=spec.controller_kwargs,
-                campaign=spec.campaign,
-                campaign_builder=spec.campaign_builder,
-                replicas=spec.replicas,
+                **{name: getattr(spec, name) for name in _UNTENANTED_FIELDS},
             )
         ]
         for tenant_spec in tenant_specs:
@@ -354,9 +353,7 @@ class ExperimentHarness:
         )
         runtime = ApplicationRuntime(app, view, coordinator, self.engine, tenant=name)
         orchestrator = Orchestrator(view, self.engine, rng)
-        manager = ControllerManager(
-            self.engine, cluster=self.cluster, obs=self.obs, cluster_cache=self._cluster_stage_cache
-        )
+        manager = ControllerManager(coordinator, view, runtime)
         tenant = TenantRuntime(name, app, view, coordinator, runtime, orchestrator, rng, manager)
         if self.obs is not None:
             orchestrator.obs = self.obs
@@ -434,7 +431,7 @@ class ExperimentHarness:
     def _attach_controller(
         self, tenant: TenantRuntime, name: str, **kwargs
     ) -> None:
-        """Create the tenant's registry controller and bind it to its stages.
+        """Create the tenant's registry controller, sensing through its manager.
 
         Raises ``ValueError`` for names missing from the registry; the
         ``"none"`` policy leaves the tenant without a controller.
@@ -446,15 +443,7 @@ class ExperimentHarness:
             if self.obs is not None:
                 controller.obs = self.obs
                 controller.obs_source = tenant.display_name
-            binding = StageBinding(
-                coordinator=tenant.coordinator,
-                view=tenant.view,
-                engine=self.engine,
-                key=tenant.display_name,
-                runtime=tenant,
-                source=tenant.display_name,
-            )
-            controller.bind_stages(tenant.manager.runtime_for(binding))
+            controller.stages = tenant.manager
         tenant.controller = controller
         tenant.controller_name = name
 

@@ -29,19 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
+from repro.admission.config import admission_name
 from repro.anomaly.anomalies import ANOMALY_TYPES, AnomalyType
 from repro.anomaly.campaigns import AnomalyCampaign, random_campaign
 from repro.workload.patterns import ArrivalPattern
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.experiments.harness import ExperimentResult, TenantRuntime
-
-
-def _admission_name(admission: Optional[Any]) -> Optional[str]:
-    """The display name of an ``admission`` field value (None when unset)."""
-    if admission is None:
-        return None
-    return admission if isinstance(admission, str) else admission.name
 
 
 @dataclass
@@ -283,7 +277,7 @@ class ScenarioSpec:
                 f"/dispatchers={self.dispatchers}:{self.dispatch_variant}"
                 f"@{self.dispatch_staleness_s:g}"
             )
-        admission = _admission_name(self.admission)
+        admission = admission_name(self.admission)
         if admission is not None and admission != "none":
             routing_part += f"/admission={admission}"
         if self.tenants:

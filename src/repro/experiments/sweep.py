@@ -33,6 +33,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
+from repro.admission.config import admission_name
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.interference import (
     aggressor_victim,
@@ -46,11 +47,7 @@ from repro.experiments.routing import (
     routing_anomaly_spec,
     routing_interference_spec,
 )
-from repro.experiments.scenario import (
-    ScenarioSpec,
-    _admission_name,
-    random_campaign_builder,
-)
+from repro.experiments.scenario import ScenarioSpec, random_campaign_builder
 
 
 @dataclass
@@ -103,7 +100,7 @@ class SweepOutcome:
         }
         if spec.routing:
             row["routing"] = spec.routing
-        admission = _admission_name(spec.admission)
+        admission = admission_name(spec.admission)
         if admission is not None:
             row["admission"] = admission
         if spec.tenants:

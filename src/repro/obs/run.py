@@ -76,7 +76,7 @@ def write_run_record(
     if journal_records is None and registry is None:
         raise ValueError(
             "result carries no observability state; run with "
-            "ScenarioSpec.observability=True (or --obs)"
+            "ScenarioSpec.observability=True (or --obs-dir)"
         )
     os.makedirs(directory, exist_ok=True)
     paths: Dict[str, str] = {}

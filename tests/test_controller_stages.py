@@ -1,10 +1,9 @@
-"""Unit tests for the staged controller-manager (:mod:`repro.controllers`).
+"""Unit tests for controller sensing (:mod:`repro.controllers`).
 
-Covers the memoization contract (once per stage per tenant per instant),
-eager invalidation on cluster scale events, the stage dependency DAG,
-the controller registry description backing ``repro.cli controllers
---list``, and the two FIRM fixes that ride along this refactor (the
-stopped-loop bookkeeping and the per-instance SLO selection).
+Covers every :meth:`ControllerManager.pull` name against the direct
+coordinator, view or gate query it stands for, the controller registry
+description backing ``repro.cli controllers --list``, FIRM's
+stopped-loop bookkeeping and its per-instance SLO selection.
 """
 
 from __future__ import annotations
@@ -15,177 +14,129 @@ import pytest
 
 from repro.baselines.base import describe_controllers
 from repro.cli import main
-from repro.controllers import (
-    ControllerManager,
-    ControllerStage,
-    StageBinding,
-    available_stages,
-    stage_order,
-)
-from repro.controllers import stages as stages_module
+from repro.cluster.resources import Resource
+from repro.controllers import ControllerManager
 from repro.core.firm import FIRMConfig, FIRMController
+from repro.experiments.composed import composed_stack_spec
+from repro.experiments.harness import ExperimentHarness
 from repro.experiments.scenario import ScenarioSpec
 
 
-class CountingCoordinator:
-    """Fake coordinator that counts has_slo_violation queries."""
-
-    def __init__(self) -> None:
-        self.calls = 0
-
-    def has_slo_violation(self, window_s, percentile=99.0):
-        self.calls += 1
-        return False
+def _ran(spec):
+    harness = ExperimentHarness.from_spec(spec)
+    harness.run(duration_s=spec.duration_s)
+    return harness
 
 
-class CountingView:
-    """Fake cluster view that counts replicas_of queries."""
-
-    def __init__(self) -> None:
-        self.calls = 0
-
-    def replicas_of(self, service):
-        self.calls += 1
-        return []
+@pytest.fixture(scope="module")
+def composed_harness():
+    """The composed stack after 8 s: the victim violates its SLOs, the
+    aggressor is comfortable."""
+    return _ran(composed_stack_spec(duration_s=8.0, seed=1))
 
 
-def _runtime(manager, coordinator=None, view=None, key=None):
-    binding = StageBinding(
-        coordinator=coordinator if coordinator is not None else CountingCoordinator(),
-        view=view if view is not None else CountingView(),
-        engine=manager.engine,
-        key=key,
+@pytest.fixture(scope="module")
+def gated_harness():
+    """An overloaded tenant behind the survival-kit gate (it sheds)."""
+    return _ran(
+        ScenarioSpec(
+            application="hotel_reservation", seed=0, duration_s=6.0, load_rps=200.0,
+            admission="survival_kit", cluster_nodes=(1, 0),
+        )
     )
-    return manager.runtime_for(binding)
 
 
-# ------------------------------------------------------------- stage DAG
-class TestStageOrder:
-    def test_all_builtin_stages_registered(self):
-        names = available_stages()
-        for expected in (
-            "slo_verdict",
-            "comfortable",
-            "critical_path",
-            "detection",
-            "admission_signals",
-            "service_cpu_utilization",
-        ):
-            assert expected in names
+# ---------------------------------------------------------------- pulls
+class TestPulls:
+    @pytest.mark.parametrize("window_s", [2.0, 10.0])
+    def test_slo_verdict_is_the_coordinator_query(self, composed_harness, window_s):
+        verdicts = []
+        for tenant in composed_harness.tenants:
+            expected = tenant.coordinator.has_slo_violation(window_s, percentile=99.0)
+            pulled = tenant.manager.pull("slo_verdict", window_s=window_s, percentile=99.0)
+            assert pulled is expected
+            verdicts.append(pulled)
+        assert verdicts == [True, False]
 
-    def test_dependencies_precede_dependents(self):
-        order = stage_order()
-        assert set(order) == set(available_stages())
-        assert order.index("slo_verdict") < order.index("detection")
-        assert order.index("critical_path") < order.index("detection")
+    @pytest.mark.parametrize("slack_threshold", [0.5, 5.0])
+    def test_comfortable_is_every_tail_within_slack(self, composed_harness, slack_threshold):
+        for tenant in composed_harness.tenants:
+            coordinator = tenant.coordinator
+            tails = {
+                request_type: coordinator.latency_percentile_ms(99.0, 2.0, request_type)
+                for request_type in coordinator.slo_latency_ms
+            }
+            expected = all(
+                tail <= 0 or tail <= slack_threshold * coordinator.slo_latency_ms[request_type]
+                for request_type, tail in tails.items()
+            )
+            pulled = tenant.manager.pull(
+                "comfortable", window_s=2.0, percentile=99.0, slack_threshold=slack_threshold
+            )
+            assert pulled is expected
 
-    def test_subset_pulls_in_dependency_closure(self):
-        order = stage_order(["detection"])
-        assert "slo_verdict" in order
-        assert "critical_path" in order
-        assert order[-1] == "detection"
+    def test_comfortable_is_false_without_slos(self):
+        manager = ControllerManager(SimpleNamespace(slo_latency_ms={}), view=None)
+        assert manager.pull(
+            "comfortable", window_s=2.0, percentile=99.0, slack_threshold=0.5
+        ) is False
 
-    def test_unknown_dependency_rejected(self, monkeypatch):
-        class Broken(ControllerStage):
-            name = "broken_dep"
-            requires = ("no_such_stage",)
+    @pytest.mark.parametrize("name, force", [("victim", False), ("aggressor", True)])
+    def test_detection_is_the_extractors_analysis(self, composed_harness, name, force):
+        tenant = composed_harness.tenant(name)
+        extractor = tenant.controller.rl_member.extractor
+        pulled = tenant.manager.pull("detection", extractor=extractor, force=force)
+        direct = extractor.analyse(force=force)
+        assert (pulled.time_s, pulled.slo_violated) == (direct.time_s, direct.slo_violated)
+        assert pulled.candidate_instances == direct.candidate_instances
+        assert [path.services for path in pulled.critical_paths] == [
+            path.services for path in direct.critical_paths
+        ]
+        # The victim localizes because it violates, the aggressor because forced.
+        assert pulled.critical_paths
 
-            def compute(self, ctx):
-                return None
+    def test_admission_signals_are_the_gates_state(self, gated_harness):
+        tenant = gated_harness.tenants[0]
+        gate = tenant.admission
+        signals = tenant.manager.pull("admission_signals")
+        assert signals["available"] is True
+        assert signals["shed"] == gate.stats["shed"] > 0
+        assert signals["submitted"] == gate.stats["submitted"]
+        assert signals["shed_rate"] == gate.stats["shed"] / gate.stats["submitted"]
+        assert signals["breakers"] == {
+            service: breaker.state for service, breaker in gate._breakers.items()
+        }
+        assert signals["breakers_open"] == sum(
+            state == "open" for state in signals["breakers"].values()
+        )
 
-        monkeypatch.setitem(stages_module._STAGES, "broken_dep", Broken())
-        with pytest.raises(ValueError, match="unknown stage"):
-            stage_order()
+    def test_admission_signals_without_gate_are_quiet(self, composed_harness):
+        for tenant in composed_harness.tenants:
+            signals = tenant.manager.pull("admission_signals")
+            assert signals["available"] is False
+            assert signals["shed_rate"] == 0.0
+            assert signals["breakers_open"] == 0
 
-    def test_cycle_rejected(self, monkeypatch):
-        class CycleA(ControllerStage):
-            name = "cycle_a"
-            requires = ("cycle_b",)
+    def test_service_cpu_utilization_is_the_views_replicas(self, gated_harness):
+        tenant = gated_harness.tenants[0]
+        busy = 0
+        for service in tenant.view.services():
+            replicas = tenant.view.replicas_of(service)
+            cpu = [replica.utilization()[Resource.CPU] for replica in replicas]
+            pulled = tenant.manager.pull("service_cpu_utilization", service=service)
+            assert pulled == (len(replicas), sum(cpu) / len(cpu))
+            busy += pulled[1] > 0
+        assert busy > 0
+        assert tenant.manager.pull("service_cpu_utilization", service="no-such") is None
 
-            def compute(self, ctx):
-                return None
+    def test_unknown_name_rejected(self):
+        manager = ControllerManager(coordinator=None, view=None)
+        with pytest.raises(ValueError, match="unknown sensor"):
+            manager.pull("critical_path", window_s=2.0)
 
-        class CycleB(ControllerStage):
-            name = "cycle_b"
-            requires = ("cycle_a",)
-
-            def compute(self, ctx):
-                return None
-
-        monkeypatch.setitem(stages_module._STAGES, "cycle_a", CycleA())
-        monkeypatch.setitem(stages_module._STAGES, "cycle_b", CycleB())
-        with pytest.raises(ValueError, match="cycle"):
-            stage_order()
-
-
-# ---------------------------------------------------------- memoization
-class TestMemoization:
-    def test_enabled_manager_computes_once_per_instant(self):
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine)
-        runtime = _runtime(manager)
-        coordinator = runtime.binding.coordinator
-        first = runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        second = runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        assert first is second is False
-        assert coordinator.calls == 1
-        assert manager.stats == {"computed": 1, "hits": 1}
-
-    def test_distinct_params_are_distinct_entries(self):
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine)
-        runtime = _runtime(manager)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        runtime.pull("slo_verdict", window_s=4.0, percentile=99.0)
-        assert runtime.binding.coordinator.calls == 2
-        assert manager.stats == {"computed": 2, "hits": 0}
-
-    def test_distinct_tenants_are_distinct_entries(self):
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine)
-        first = _runtime(manager, key="a")
-        second = _runtime(manager, key="b")
-        first.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        second.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        assert first.binding.coordinator.calls == 1
-        assert second.binding.coordinator.calls == 1
-        assert manager.stats == {"computed": 2, "hits": 0}
-
-    def test_cache_expires_when_clock_advances(self):
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine)
-        runtime = _runtime(manager)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        engine.now = 1.0
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        assert runtime.binding.coordinator.calls == 2
-        assert manager.stats == {"computed": 2, "hits": 0}
-
-    def test_scale_event_invalidates_within_instant(self):
-        listeners = []
-        cluster = SimpleNamespace(add_scale_listener=listeners.append)
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, cluster=cluster)
-        assert listeners, "the manager must register a scale listener"
-        runtime = _runtime(manager)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        listeners[0]("someService", None, True)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        assert runtime.binding.coordinator.calls == 2
-        assert manager.cache.invalidations == 1
-        assert manager.cluster_cache.invalidations == 1
-
-    def test_cluster_scope_shared_across_tenants(self):
-        engine = SimpleNamespace(now=0.0)
-        view = CountingView()
-        manager_a = ControllerManager(engine)
-        manager_b = ControllerManager(engine, cluster_cache=manager_a.cluster_cache)
-        runtime_a = _runtime(manager_a, view=view, key="a")
-        runtime_b = _runtime(manager_b, view=view, key="b")
-        assert runtime_a.pull("service_cpu_utilization", service="svc") is None
-        assert runtime_b.pull("service_cpu_utilization", service="svc") is None
-        assert view.calls == 1
-        assert manager_b.stats["hits"] == 1
+    def test_controller_senses_through_its_tenants_manager(self, composed_harness):
+        for tenant in composed_harness.tenants:
+            assert tenant.controller.stages is tenant.manager
 
 
 # ------------------------------------------------------------- registry

@@ -11,6 +11,7 @@ engine's event order against a reference heap of rich-compared events
 """
 
 import dataclasses
+import hashlib
 import heapq
 import itertools
 import json
@@ -19,7 +20,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.controllers.manager import StageCache
+from repro.experiments.composed import composed_stack_spec
+from repro.experiments.harness import ExperimentHarness
 from repro.experiments.interference import aggressor_victim
 from repro.experiments.scenario import (
     ScenarioSpec,
@@ -48,9 +50,8 @@ def pinned_families():
             campaign_builder=partial(random_campaign_builder, duration_s=6.0),
             warmup_s=1.0,
         ),
-        # Long enough for FIRM to run many control rounds, so its stages
-        # are computed at many instants: a stage cache that never expires
-        # changes this family's fingerprint.
+        # Long enough for FIRM to run many control rounds, so detection
+        # runs at many instants.
         "long_firm_campaign": ScenarioSpec(
             application="hotel_reservation", seed=0, duration_s=12.0, load_rps=40.0,
             controller="firm",
@@ -114,17 +115,32 @@ def test_repeat_runs_are_identical(family):
     assert _fingerprint(run_scenario(spec)) == _fingerprint(run_scenario(spec))
 
 
-def test_long_firm_family_needs_stage_expiry(monkeypatch):
-    """A stage cache that never expires must change ``long_firm_campaign``.
+def test_composed_stack_repeat_runs_identical():
+    spec = composed_stack_spec(duration_s=4.0, seed=2)
+    assert _fingerprint(run_scenario(spec)) == _fingerprint(run_scenario(spec))
 
-    FIRM's control rounds pull detection at a new instant every round;
-    frozen at the first round's verdict, it misses the later violations
-    and never acts on them.
-    """
-    spec = pinned_families()["long_firm_campaign"]
-    expected = _fingerprint(run_scenario(spec))
-    monkeypatch.setattr(StageCache, "sync", lambda cache, now: None)
-    assert _fingerprint(run_scenario(spec)) != expected
+
+#: sha256 of :func:`_fingerprint` and the engine's processed-event count of
+#: ``composed_stack_spec(duration_s=10, seed=1)`` per victim gate mode.
+COMPOSED_PINS = {
+    "svm_gated_rl": ("9ca097a5ac9a9e6f02d0c87a3c43134b956d3d5ea5afad9713d76a19c24ec83e", 8860),
+    "priority_chain": ("3f22093a138a25edaa78c5d45161d6ab73bf1210a16b27ad92581beae55b6419", 9676),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(COMPOSED_PINS))
+def test_composed_stack_matches_pin(mode):
+    """The composed stack's output and event count in both gate modes
+    are pinned: how the gate senses must not move either."""
+    spec = composed_stack_spec(duration_s=10.0, seed=1, mode=mode)
+    harness = ExperimentHarness.from_spec(spec)
+    result = harness.run(
+        duration_s=spec.duration_s,
+        sample_period_s=spec.sample_period_s,
+        warmup_s=spec.warmup_s,
+    )
+    digest = hashlib.sha256(_fingerprint(result).encode()).hexdigest()
+    assert (digest, harness.engine.processed_events) == COMPOSED_PINS[mode]
 
 
 # --------------------------------------------------------------------------

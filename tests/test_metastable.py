@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.admission.config import admission_name
 from repro.cli import main
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.metastable import (
@@ -16,7 +17,6 @@ from repro.experiments.metastable import (
     metastable_campaign_grid,
     run_metastable_campaign,
 )
-from repro.experiments.scenario import _admission_name
 from repro.experiments.sweep import expand_grid, run_sweep
 
 #: A tiny cell: 6 simulated seconds, the trigger at 1 s for 2 s.
@@ -96,7 +96,7 @@ class TestCampaigns:
 
     def test_retry_storm_compares_the_three_presets(self):
         specs = _campaign_specs("retry_storm", seed=1)
-        assert [_admission_name(spec.admission) for spec in specs] == [
+        assert [admission_name(spec.admission) for spec in specs] == [
             "none", "naive_retries", "survival_kit",
         ]
         assert all(spec.seed == 1 for spec in specs)
@@ -139,7 +139,7 @@ class TestCampaigns:
         specs = expand_grid(
             metastable, {"admission": ("none", "survival_kit"), "seed": (0, 1)}, load_rps=25.0
         )
-        assert [(_admission_name(s.admission), s.seed) for s in specs] == [
+        assert [(admission_name(s.admission), s.seed) for s in specs] == [
             ("none", 0), ("none", 1), ("survival_kit", 0), ("survival_kit", 1),
         ]
         with pytest.raises(ValueError, match="unknown admission preset"):

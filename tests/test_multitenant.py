@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.cluster import TenantClusterView
@@ -272,6 +274,31 @@ class TestSingleTenantCompatibility:
         spec = ScenarioSpec(application="hotel_reservation", seed=1, campaign_builder=seen.append)
         harness = ExperimentHarness.from_spec(spec)
         assert seen == [harness.tenants[0]]
+
+    def test_untenanted_tenant_gets_every_shared_field(self, monkeypatch):
+        tenant_fields = {f.name for f in dataclasses.fields(TenantSpec)}
+        per_application = [
+            f for f in dataclasses.fields(ScenarioSpec)
+            if f.name in tenant_fields and f.name not in ("routing", "admission")
+        ]
+        assert {"application", "replicas"} <= {f.name for f in per_application}
+        spec = ScenarioSpec(application="hotel_reservation")
+        # A value no default equals; numbers stay numbers (specs validate them).
+        values = {
+            f.name: f.default + 7 if type(f.default) in (int, float) else object()
+            for f in per_application
+        }
+        for name, value in values.items():
+            setattr(spec, name, value)
+        deployed = []
+        monkeypatch.setattr(ExperimentHarness, "add_tenant", lambda self, t: deployed.append(t))
+        ExperimentHarness.from_spec(spec)
+        [tenant_spec] = deployed
+        assert tenant_spec.name is None
+        for name, value in values.items():
+            assert getattr(tenant_spec, name) is value, name
+        # Run-wide fields stay on the spec (the harness applies them itself).
+        assert tenant_spec.routing is None and tenant_spec.admission is None
 
     def test_untenanted_tenant_must_be_alone(self):
         harness = ExperimentHarness.from_spec(ScenarioSpec(application="hotel_reservation"))

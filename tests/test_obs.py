@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -299,6 +300,12 @@ class TestRunRecord:
         _, result = run_spec(observed_spec(duration_s=2.0, observability=False))
         with pytest.raises(ValueError):
             write_run_record(str(tmp_path), result)
+
+    def test_unobserved_error_names_the_cli_flag(self, tmp_path):
+        unobserved = SimpleNamespace(journal=None, metrics=None)
+        with pytest.raises(ValueError, match=r"\(or --obs-dir\)"):
+            write_run_record(str(tmp_path), unobserved)
+        assert not any(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------- overhead gate
