@@ -14,7 +14,8 @@ user request it walks that tree:
 
 Each node of the tree already holds its span kind, its background children
 and its foreground stages, so a request only walks it: one slotted
-:class:`_Call` per RPC carries the state of that walk.
+:class:`_Call` per RPC carries the state of that walk, and is also the
+callee instance's queued work (:class:`~repro.cluster.instance.Work`).
 
 Every span is reported to the Tracing Coordinator as it completes, so the
 execution history graph is available to FIRM's Extractor in near-real time,
@@ -39,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.graph import CallEdge, CallPattern, RequestType, ServiceGraph
 from repro.cluster.cluster import Cluster
-from repro.cluster.instance import MicroserviceInstance
+from repro.cluster.instance import Work
 from repro.cluster.resources import ResourceLimits
 from repro.sim.engine import SimulationEngine
 from repro.tracing.coordinator import TracingCoordinator
@@ -160,9 +161,9 @@ class ApplicationRuntime:
         request_id = self.next_request_id(request_type_name, label)
         trace = self.coordinator.begin_trace(request_id, request_type_name, self.engine.now)
         instance = self.cluster.route(plan.callee)
-        entry = _EntryCall(self, trace, plan, None, instance)
+        entry = _EntryCall(self, trace, plan, None)
         entry.on_complete = on_complete
-        if not instance.submit(trace.request_id, plan.callee, entry.computed):
+        if not instance.submit(entry):
             self.coordinator.drop_trace(trace)
             self.dropped_requests += 1
         return trace
@@ -185,8 +186,7 @@ class ApplicationRuntime:
             if node.kind is not SpanKind.BACKGROUND:
                 parent.child_done()
             return
-        call = _Call(self, trace, node, parent, instance)
-        if instance.submit(trace.request_id, node.callee, call.computed):
+        if instance.submit(_Call(self, trace, node, parent)):
             return
         # The downstream queue is saturated; record a dropped span and
         # unblock the caller so the request either completes degraded or
@@ -249,17 +249,17 @@ def compile_plan(request_type: RequestType) -> _CallNode:
     return _CallNode(request_type.entry_service, SpanKind.ROOT, request_type.call_plan)
 
 
-class _Call:
+class _Call(Work):
     """One RPC in flight: a compiled node being served for one trace.
 
-    ``computed`` is the callee's completion callback; it opens the span and
-    starts the node's children.  Background children are submitted first,
-    then the foreground stages one at a time; each foreground child reports
-    back through ``child_done``, and the span closes when the last stage
-    has drained.
+    The call is the callee instance's queued work, so ``computed`` is its
+    completion callback; it opens the span and starts the node's children.
+    Background children are submitted first, then the foreground stages one
+    at a time; each foreground child reports back through ``child_done``,
+    and the span closes when the last stage has drained.
     """
 
-    __slots__ = ("runtime", "trace", "node", "parent", "instance", "span", "stage", "pending")
+    __slots__ = ("runtime", "trace", "node", "parent", "span", "stage", "pending")
 
     def __init__(
         self,
@@ -267,13 +267,11 @@ class _Call:
         trace: Trace,
         node: _CallNode,
         parent: Optional["_Call"],
-        instance: MicroserviceInstance,
     ) -> None:
         self.runtime = runtime
         self.trace = trace
         self.node = node
         self.parent = parent
-        self.instance = instance
 
     def computed(self, enqueue_time: float, start_time: float, finish_time: float) -> None:
         parent = self.parent

@@ -14,10 +14,13 @@ This is the substrate equivalent of "a Docker container running one
 DeathStarBench service": it converts resource starvation into latency,
 which is exactly the signal FIRM detects, localizes, and mitigates.
 
-``submit``/``_try_dispatch``/``_finish`` run once per span, making this the
-hottest non-engine code in the simulator: the service-time stream and its
-lognormal parameters are cached per instance, span bookkeeping objects are
-slotted, and listener dispatch avoids per-span list copies.
+Work-item protocol: a span is one slotted :class:`Work` object from
+submission to finish.  ``submit`` writes its ``instance``, ``enqueue_time``
+and ``base_time_ms``; the move into service writes ``start_time`` and
+schedules its bound ``finish`` as the ``span-finish:<instance>`` event,
+which calls ``work.computed(enqueue_time, start_time, finish_time)``.  The
+application runtime's per-RPC call frame is such an object, so a span
+allocates no bookkeeping here; the instance only counts spans in service.
 
 Demand depends on one small integer, the *active* count: spans in service
 plus the queued ones that fit the concurrency.  Each instance keeps a table
@@ -25,10 +28,10 @@ of demand rows keyed by that count; a row holds the raw demand dict, the
 container's capped demand dict and the cap slowdowns of the weighted
 resources.  The three writes that change the queue/in-service population
 (``submit``'s append, ``_try_dispatch``'s move into service, ``_finish``'s
-pop) point the instance and its container at the row for the new count,
-building it only the first time that count is seen (a write that leaves
-the count unchanged keeps the current row), so neither contention nor
-slowdown reads recompute demand.  The container's limit and
+decrement) point the instance and its container at the row for the new
+count, building it only the first time that count is seen (a write that
+leaves the count unchanged keeps the current row), so neither contention
+nor slowdown reads recompute demand.  The container's limit and
 ``threads`` writes recompute the concurrency, empty the table and point at
 a fresh row.  Nothing rebinds the profile or edits its demand or weights
 after construction.
@@ -36,7 +39,6 @@ after construction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -47,8 +49,6 @@ from repro.cluster.node import Node
 from repro.cluster.resources import RESOURCE_TYPES, Resource, ResourceVector
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SeededRNG
-
-_span_work_ids = itertools.count()
 
 #: One demand row: raw demand, the container's capped demand, and the cap
 #: slowdowns of the profile's weighted resources in ``_slowdown_weights``
@@ -100,17 +100,25 @@ class ServiceProfile:
         return max(self.resource_weights, key=lambda r: self.resource_weights[r])
 
 
-@dataclass(slots=True)
-class SpanWork:
-    """One span's worth of work queued at an instance."""
+class Work:
+    """One span's worth of work queued at an instance (see the module docstring).
 
-    work_id: int
-    request_id: str
-    span_name: str
-    enqueue_time: float
-    base_time_ms: float
-    on_complete: Callable[[float, float, float], None]
-    start_time: Optional[float] = None
+    Subclasses add slots and a ``computed(enqueue, start, finish)`` callable.
+    """
+
+    __slots__ = ("instance", "enqueue_time", "start_time", "base_time_ms")
+
+    def finish(self, engine: SimulationEngine) -> None:
+        self.instance._finish(self)
+
+
+class SpanWork(Work):
+    """Work reporting its finish to ``on_complete(enqueue, start, finish)``."""
+
+    __slots__ = ("computed",)
+
+    def __init__(self, on_complete: Callable[[float, float, float], None]) -> None:
+        self.computed = on_complete
 
 
 class MicroserviceInstance:
@@ -140,7 +148,7 @@ class MicroserviceInstance:
         "replica_index",
         "name",
         "_queue",
-        "_in_service",
+        "_busy",
         "_completed_spans",
         "_dropped_spans",
         "max_queue_length",
@@ -171,8 +179,8 @@ class MicroserviceInstance:
         self.replica_index = replica_index
         self.name = f"{profile.name}#{replica_index}"
 
-        self._queue: Deque[SpanWork] = deque()
-        self._in_service: Dict[int, SpanWork] = {}
+        self._queue: Deque[Work] = deque()
+        self._busy = 0
         self._completed_spans = 0
         self._dropped_spans = 0
         #: Maximum queue length before requests are dropped (load shedding).
@@ -230,8 +238,12 @@ class MicroserviceInstance:
         return len(self._queue)
 
     @property
+    def in_service(self) -> int:
+        return self._busy
+
+    @property
     def in_flight(self) -> int:
-        return len(self._in_service) + len(self._queue)
+        return self._busy + len(self._queue)
 
     def concurrency(self) -> int:
         """Parallel spans the instance can process, from its CPU quota."""
@@ -259,7 +271,7 @@ class MicroserviceInstance:
         """
         queued = len(self._queue)
         concurrency = self._concurrency
-        active = len(self._in_service) + (queued if queued < concurrency else concurrency)
+        active = self._busy + (queued if queued < concurrency else concurrency)
         row = self._demand_rows.get(active)
         if row is None:
             row = self._demand_rows[active] = self._build_demand_row(active)
@@ -308,33 +320,20 @@ class MicroserviceInstance:
         return self.container.utilization()
 
     # -------------------------------------------------------------- execution
-    def submit(
-        self,
-        request_id: str,
-        span_name: str,
-        on_complete: Callable[[float, float, float], None],
-        base_time_ms: Optional[float] = None,
-    ) -> bool:
-        """Submit one span of work.
+    def submit(self, work: Work, base_time_ms: Optional[float] = None) -> bool:
+        """Queue one span of work, with a drawn service time unless given.
 
-        ``on_complete(enqueue_time, start_time, finish_time)`` is invoked
-        when the span finishes.  Returns False (and drops the span) when the
-        queue is saturated.
+        ``work.computed(enqueue_time, start_time, finish_time)`` is invoked
+        when the span finishes.  Returns False (and drops the span, leaving
+        ``work`` untouched) when the queue is saturated.
         """
-        if len(self._queue) >= self.max_queue_length:
+        queue = self._queue
+        if len(queue) >= self.max_queue_length:
             self._dropped_spans += 1
             return False
-        if base_time_ms is None:
-            base_time_ms = self._draw_service_time_ms()
-        work = SpanWork(
-            work_id=next(_span_work_ids),
-            request_id=request_id,
-            span_name=span_name,
-            enqueue_time=self.engine.now,
-            base_time_ms=base_time_ms,
-            on_complete=on_complete,
-        )
-        queue = self._queue
+        work.instance = self
+        work.enqueue_time = self.engine._now
+        work.base_time_ms = self._draw_service_time_ms() if base_time_ms is None else base_time_ms
         queue.append(work)
         # The append adds to the active count only while the queued spans
         # fit the concurrency; past that the current row is still right.
@@ -366,35 +365,31 @@ class MicroserviceInstance:
         queue = self._queue
         if not queue:
             return
-        in_service = self._in_service
+        engine = self.engine
         container = self.container
         concurrency = self._concurrency
-        while queue and len(in_service) < concurrency:
+        while queue and self._busy < concurrency:
             # A move into service adds to the active count only when more
             # spans queue than the concurrency; otherwise a queued span that
             # already counted starts, and the current row is still right.
             repoint = len(queue) > concurrency
             work = queue.popleft()
-            work.start_time = self.engine.now
-            in_service[work.work_id] = work
+            now = engine._now
+            work.start_time = now
+            self._busy += 1
             if repoint:
                 self._point_demand()
-            slowdown = container.total_slowdown()
-            duration_s = (work.base_time_ms * slowdown) / 1000.0
-            self.engine.schedule_after(
-                duration_s,
-                lambda eng, w=work: self._finish(w),
-                name=self._finish_event_name,
-            )
+            duration_s = (work.base_time_ms * container.total_slowdown()) / 1000.0
+            engine.schedule(now + duration_s, work.finish, name=self._finish_event_name)
 
-    def _finish(self, work: SpanWork) -> None:
+    def _finish(self, work: Work) -> None:
         """Complete one span: record latency and notify the caller."""
-        self._in_service.pop(work.work_id, None)
+        self._busy -= 1
         self._point_demand()
         self._completed_spans += 1
-        finish_time = self.engine.now
+        finish_time = self.engine._now
         latency_ms = (finish_time - work.enqueue_time) * 1000.0
-        work.on_complete(work.enqueue_time, work.start_time or work.enqueue_time, finish_time)
+        work.computed(work.enqueue_time, work.start_time, finish_time)
         self._try_dispatch()
         for listener in self.completion_listeners:
             listener(self, latency_ms)
@@ -402,5 +397,5 @@ class MicroserviceInstance:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MicroserviceInstance(name={self.name!r}, queue={self.queue_length}, "
-            f"in_service={len(self._in_service)})"
+            f"in_service={self._busy})"
         )

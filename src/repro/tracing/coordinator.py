@@ -193,7 +193,9 @@ class TracingCoordinator:
         sketches = self._instance_sketch
         per_instance_ms: Dict[str, float] = {}
         for span in trace._spans.values():  # unordered walk; sums only
-            sojourn_ms = span.sojourn_time_ms
+            # ``span.sojourn_time_ms``, inlined: clamped at 0, in ms.
+            sojourn = span.end_time - span.enqueue_time
+            sojourn_ms = (sojourn if sojourn > 0.0 else 0.0) * 1000.0
             instance = span.instance
             sketch = sketches.get(instance)
             if sketch is None:

@@ -55,7 +55,11 @@ class Trace:
                 f"span belongs to request {span.request_id!r}, trace is {self.request_id!r}"
             )
         self._spans[span.span_id] = span
-        self._children.setdefault(span.parent_id, []).append(span.span_id)
+        siblings = self._children.get(span.parent_id)
+        if siblings is None:
+            self._children[span.parent_id] = [span.span_id]
+        else:
+            siblings.append(span.span_id)
         return span
 
     def mark_complete(self, completion_time: float) -> None:

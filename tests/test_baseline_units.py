@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.aimd import AIMDConfig, AIMDController
 from repro.baselines.kubernetes_hpa import HPAConfig, KubernetesAutoscaler
+from repro.cluster.instance import SpanWork
 from repro.cluster.orchestrator import Orchestrator
 from repro.cluster.resources import RESOURCE_TYPES, Resource
 from repro.tracing.coordinator import TracingCoordinator
@@ -56,7 +57,7 @@ class TestHPAConfig:
         instances = cluster.replicas_of("cpu-service")
         for instance in instances:
             for index in range(50):
-                instance.submit(f"r{index}", "cpu-service", lambda *a: None)
+                instance.submit(SpanWork(lambda *a: None))
         hpa = KubernetesAutoscaler(
             cluster, coordinator, orchestrator, engine,
             config=HPAConfig(target_cpu_utilization=0.01, max_step=1),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.instance import SpanWork
 from repro.cluster.node import NodeSpec
 from repro.cluster.resources import Resource, ResourceLimits
 
@@ -100,8 +101,8 @@ class TestLoadBalancing:
 
     def test_pick_replica_prefers_least_loaded(self, cluster, cpu_profile):
         instances = cluster.deploy_service(cpu_profile, replicas=2)
-        instances[0].submit("r1", "cpu-service", lambda *a: None)
-        instances[0].submit("r2", "cpu-service", lambda *a: None)
+        instances[0].submit(SpanWork(lambda *a: None))
+        instances[0].submit(SpanWork(lambda *a: None))
         assert cluster.route("cpu-service") is instances[1]
 
     def test_pick_replica_breaks_ties_by_lowest_replica_index(self, cluster, cpu_profile):
@@ -111,12 +112,12 @@ class TestLoadBalancing:
         # Perturb the bookkeeping order: the tie-break must not follow it.
         cluster._replicas["cpu-service"].reverse()
         assert cluster.route("cpu-service") is instances[0]
-        instances[0].submit("r1", "cpu-service", lambda *a: None)
+        instances[0].submit(SpanWork(lambda *a: None))
         assert cluster.route("cpu-service") is instances[1]
 
     def test_route_counts_decision_under_resolved_policy(self, cluster, cpu_profile):
         instances = cluster.deploy_service(cpu_profile, replicas=2)
-        instances[0].submit("r1", "cpu-service", lambda *a: None)
+        instances[0].submit(SpanWork(lambda *a: None))
         assert cluster.route("cpu-service") is instances[1]
         assert cluster.router.policy_name_for("cpu-service") == "least_in_flight"
         assert cluster.router.decision_counts["cpu-service"] == {"cpu-service#1": 1}
@@ -136,6 +137,6 @@ class TestAggregateMetrics:
         instances = cluster.deploy_service(cpu_profile, replicas=2)
         for instance in instances:
             for index in range(10):
-                instance.submit(f"r{index}", "cpu-service", lambda *a: None)
+                instance.submit(SpanWork(lambda *a: None))
         utilization = cluster.cluster_cpu_utilization()
         assert 0.0 <= utilization <= 1.0

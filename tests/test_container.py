@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.container import Container
-from repro.cluster.instance import MicroserviceInstance, ServiceProfile
+from repro.cluster.instance import MicroserviceInstance, ServiceProfile, SpanWork
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.resources import RESOURCE_TYPES, Resource, ResourceLimits, ResourceVector
 from repro.sim.engine import SimulationEngine
@@ -77,23 +77,23 @@ class TestDemandAndUtilization:
 
     def test_demand_grows_with_in_flight_work(self, cpu_instance):
         idle_demand = cpu_instance.container.current_demand()[Resource.CPU]
-        cpu_instance.submit("r1", "svc", lambda *a: None)
+        cpu_instance.submit(SpanWork(lambda *a: None))
         busy_demand = cpu_instance.container.current_demand()[Resource.CPU]
         assert busy_demand > idle_demand
 
     def test_demand_capped_by_limit(self, cpu_instance):
         for index in range(100):
-            cpu_instance.submit(f"r{index}", "svc", lambda *a: None)
+            cpu_instance.submit(SpanWork(lambda *a: None))
         demand = cpu_instance.container.current_demand()[Resource.CPU]
         assert demand <= cpu_instance.container.effective_cpu_limit() + 1e-9
 
     def test_utilization_between_zero_and_demand_ratio(self, cpu_instance):
-        cpu_instance.submit("r1", "svc", lambda *a: None)
+        cpu_instance.submit(SpanWork(lambda *a: None))
         utilization = cpu_instance.container.utilization()[Resource.CPU]
         assert 0.0 < utilization <= 1.0
 
     def test_usage_matches_demand_shape(self, cpu_instance):
-        cpu_instance.submit("r1", "svc", lambda *a: None)
+        cpu_instance.submit(SpanWork(lambda *a: None))
         usage = cpu_instance.container.usage()
         demand = cpu_instance.container.current_demand()
         assert usage[Resource.CPU] == pytest.approx(demand[Resource.CPU])
@@ -115,19 +115,19 @@ class TestSlowdown:
         node.add_container(container)
         instance = MicroserviceInstance(profile, container, engine, rng)
         for index in range(4):
-            instance.submit(f"r{index}", "tight", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         assert container.throttle_factor() > 1.5
 
     def test_node_pressure_slows_unprotected_container(self, cpu_instance):
         node = cpu_instance.container.node
         node.inject_pressure(ResourceVector.from_kwargs(cpu=0.9 * node.capacity[Resource.CPU]))
-        cpu_instance.submit("r1", "svc", lambda *a: None)
+        cpu_instance.submit(SpanWork(lambda *a: None))
         assert cpu_instance.container.node_contention_factor() > 2.0
 
     def test_enforced_partition_isolates_from_pressure(self, cpu_instance):
         node = cpu_instance.container.node
         node.inject_pressure(ResourceVector.from_kwargs(cpu=0.9 * node.capacity[Resource.CPU]))
-        cpu_instance.submit("r1", "svc", lambda *a: None)
+        cpu_instance.submit(SpanWork(lambda *a: None))
         before = cpu_instance.container.total_slowdown()
         cpu_instance.container.partition_enforced = True
         after = cpu_instance.container.total_slowdown()
@@ -138,7 +138,7 @@ class TestSlowdown:
         node.inject_pressure(
             ResourceVector.from_kwargs(disk_io=0.95 * node.capacity[Resource.DISK_IO])
         )
-        cpu_instance.submit("r1", "svc", lambda *a: None)
+        cpu_instance.submit(SpanWork(lambda *a: None))
         # The service has no disk-I/O weight, so disk pressure must not slow it.
         assert cpu_instance.container.total_slowdown() == pytest.approx(
             cpu_instance.container.throttle_factor(), rel=0.01
@@ -159,7 +159,7 @@ class TestSlowdown:
         node.add_container(container)
         instance = MicroserviceInstance(profile, container, engine, rng)
         for index in range(4):
-            instance.submit(f"r{index}", "svc", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         total = container.total_slowdown()
         throttle = container.throttle_factor()
         contention = container.node_contention_factor()
@@ -238,7 +238,7 @@ def _build_slowdown_node(draws, pressure):
             )
             instance = MicroserviceInstance(profile, container, engine, rng)
             for span in range(draw["spans"]):
-                instance.submit(f"r{span}", "svc", lambda *a: None)
+                instance.submit(SpanWork(lambda *a: None))
         container.partition_enforced = draw["enforced"]
         containers.append(container)
     node.inject_pressure(
@@ -290,7 +290,7 @@ class TestSlowdownDemandReads:
             container = Container(f"svc{index}")
             node.add_container(container)
             instance = MicroserviceInstance(profile, container, engine, rng)
-            instance.submit(f"r{index}", "svc", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
             container.partition_enforced = index % 2 == 1
         return node
 
@@ -318,7 +318,7 @@ class TestSlowdownDemandReads:
         # Every instance has been at 0 and 1 active since its last limit write.
         engine.run()
         for container in mixed_node.containers:
-            container.instance.submit("again", "svc", lambda *a: None)
+            container.instance.submit(SpanWork(lambda *a: None))
             container.total_slowdown()
         engine.run()
         assert row_builds == []
@@ -327,14 +327,14 @@ class TestSlowdownDemandReads:
         instance = self._two_core_instance(engine, rng)
         row_builds.clear()
         for span in range(5):
-            instance.submit(f"r{span}", "svc", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         # Each append to an idle slot moves straight into service at the same
         # count; the last append's count (2 in service + 2 queued) was seen.
         assert [active for _, active in row_builds] == [1, 2, 3, 4]
-        assert (len(instance._in_service), instance.queue_length) == (2, 3)
+        assert (instance.in_service, instance.queue_length) == (2, 3)
         # A finish pops to 1 + 2 = 3 and its dispatch moves back to 2 + 2 = 4.
         engine.step()
-        assert (len(instance._in_service), instance.queue_length) == (2, 2)
+        assert (instance.in_service, instance.queue_length) == (2, 2)
         assert len(row_builds) == 4
 
     def test_set_limit_makes_next_transition_build_one_row(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.instance import SpanWork
 from repro.cluster.resources import Resource, ResourceVector
 from repro.core.deployment import DeploymentModule
 
@@ -34,7 +35,7 @@ class TestValidation:
         module, instance, _, engine, _ = setup
         # Put work in flight so demand is nonzero, then request a tiny limit.
         for index in range(8):
-            instance.submit(f"r{index}", "cpu-service", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         demand = instance.resource_demand()[Resource.CPU]
         decision = module.apply_limits(instance, ResourceVector.from_kwargs(cpu=0.01))
         assert decision.applied_limits[Resource.CPU] >= demand / module.demand_headroom - 1e-9
@@ -43,7 +44,7 @@ class TestValidation:
         module, instance, _, engine, orchestrator = setup
         module_no_floor = DeploymentModule(orchestrator, demand_headroom=0.0)
         for index in range(8):
-            instance.submit(f"r{index}", "cpu-service", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         decision = module_no_floor.apply_limits(instance, ResourceVector.from_kwargs(cpu=0.01))
         assert decision.applied_limits[Resource.CPU] == pytest.approx(0.01)
 

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.cluster.instance import SpanWork
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
 from repro.experiments.sweep import run_sweep
@@ -198,8 +199,8 @@ class TestDispatcherViews:
         policy.select(replicas)
         view = policy._views[0]
         # True load changes, but the view must not see it until refresh.
-        replicas[2].submit("r", "cpu-service", _noop)
-        replicas[2].submit("r", "cpu-service", _noop)
+        replicas[2].submit(SpanWork(_noop))
+        replicas[2].submit(SpanWork(_noop))
         assert view.in_flight.get(replicas[2], 0) == 0
         assert policy.select(replicas) is not replicas[0]  # own increment seen
 
@@ -227,7 +228,7 @@ class TestDispatcherViews:
     def test_jiq_refresh_evicts_busy_enrollee(self, rng, replicas):
         policy = create_policy("jiq", "cpu-service", rng, dispatchers=1, staleness_s=0.0)
         policy.observe_completion(replicas[1], 5.0)
-        replicas[1].submit("r", "cpu-service", _noop)
+        replicas[1].submit(SpanWork(_noop))
         # Replica 1 heads the I-queue, but the arrival's refresh sees it busy.
         assert policy.select(replicas) is replicas[0]
         assert replicas[1] not in policy._views[0].idle
@@ -241,17 +242,17 @@ class TestDispatcherViews:
             policy.select(replicas)
             twin.select(replicas)
         for instance in replicas:
-            instance.submit("r", "cpu-service", _noop)
+            instance.submit(SpanWork(_noop))
         picks = [policy.select(replicas).replica_index for _ in range(10)]
         assert set(picks) <= {0, 1, 2}
         assert picks == [twin.select(replicas).replica_index for _ in range(10)]
 
     def test_p2c_prefers_less_loaded_stale_probe(self, rng, replicas):
         policy = create_policy("p2c", "cpu-service", rng, dispatchers=1, staleness_s=0.0)
-        replicas[0].submit("r", "cpu-service", _noop)
-        replicas[0].submit("r", "cpu-service", _noop)
-        replicas[1].submit("r", "cpu-service", _noop)
-        replicas[1].submit("r", "cpu-service", _noop)
+        replicas[0].submit(SpanWork(_noop))
+        replicas[0].submit(SpanWork(_noop))
+        replicas[1].submit(SpanWork(_noop))
+        replicas[1].submit(SpanWork(_noop))
         for _ in range(20):
             choice = policy.select(replicas)
             assert choice in replicas

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.instance import SpanWork
 from repro.cluster.resources import Resource, ResourceVector
 from repro.core.firm import FIRMConfig
 from repro.experiments.fig9_localization import DEFAULT_SWEEP_TARGETS
@@ -74,7 +75,7 @@ class TestSaturationRelief:
         ))
         container.partition_enforced = True
         for index in range(8):
-            instance.submit(f"r{index}", "composePost", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         assert max(instance.utilization()[r] for r in Resource) >= firm.config.saturation_threshold
         relieved = firm._relieve_saturated_partitions(set())
         assert relieved >= 1
@@ -86,7 +87,7 @@ class TestSaturationRelief:
         harness.run(duration_s=10.0)
         instance = harness.cluster.replicas_of("text")[0]
         for index in range(8):
-            instance.submit(f"r{index}", "text", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         before = instance.container.limits[Resource.CPU]
         firm._relieve_saturated_partitions(set())
         harness.engine.run_until(harness.engine.now + 1.0)
@@ -99,7 +100,7 @@ class TestSaturationRelief:
         instance.container.partition_enforced = True
         instance.container.set_limits(ResourceVector.from_kwargs(cpu=0.5))
         for index in range(8):
-            instance.submit(f"r{index}", "composePost", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         relieved = firm._relieve_saturated_partitions({instance.name})
         assert relieved == 0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.container import Container
-from repro.cluster.instance import MicroserviceInstance, ServiceProfile
+from repro.cluster.instance import MicroserviceInstance, ServiceProfile, SpanWork
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.resources import Resource, ResourceLimits, ResourceVector
 
@@ -31,7 +31,7 @@ class TestSubmission:
     def test_submit_completes_after_service_time(self, engine, rng):
         instance = _make_instance(engine, rng)
         completions = []
-        instance.submit("r1", "svc", lambda eq, st, ft: completions.append((eq, st, ft)))
+        instance.submit(SpanWork(lambda eq, st, ft: completions.append((eq, st, ft))))
         engine.run_until(1.0)
         assert len(completions) == 1
         enqueue, start, finish = completions[0]
@@ -41,7 +41,7 @@ class TestSubmission:
     def test_completed_spans_counter(self, engine, rng):
         instance = _make_instance(engine, rng)
         for index in range(5):
-            instance.submit(f"r{index}", "svc", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         engine.run_until(1.0)
         assert instance.completed_spans == 5
 
@@ -50,7 +50,7 @@ class TestSubmission:
         spans = []
         seen = []
         instance.completion_listeners.append(lambda inst, ms: seen.append((inst, ms)))
-        instance.submit("r1", "svc", lambda eq, st, ft: spans.append((ft - eq) * 1000.0))
+        instance.submit(SpanWork(lambda eq, st, ft: spans.append((ft - eq) * 1000.0)))
         engine.run_until(1.0)
         assert seen == [(instance, spans[0])]
         assert spans[0] > 0
@@ -60,7 +60,7 @@ class TestSubmission:
         seen = []
         instance.completion_listeners.append(lambda inst, ms: seen.append(ms))
         for index in range(3):
-            instance.submit(f"r{index}", "svc", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         engine.run_until(1.0)
         assert len(seen) == instance.completed_spans == 3
         # One core: each span waits for the previous one, so latencies grow.
@@ -69,35 +69,35 @@ class TestSubmission:
     def test_raising_cpu_limit_starts_queued_spans(self, engine, rng):
         instance = _make_instance(engine, rng, cpu_limit=1.0)
         for index in range(4):
-            instance.submit(f"r{index}", "svc", lambda *a: None)
-        assert (len(instance._in_service), instance.queue_length) == (1, 3)
+            instance.submit(SpanWork(lambda *a: None))
+        assert (instance.in_service, instance.queue_length) == (1, 3)
         instance.container.set_limit(Resource.CPU, 3.0)
         assert instance.concurrency() == 3
-        assert (len(instance._in_service), instance.queue_length) == (3, 1)
+        assert (instance.in_service, instance.queue_length) == (3, 1)
         # Demand counted 1 + min(3, 3) active before the write and still does.
         assert instance.resource_demand()[Resource.CPU] == 4 * 0.5
 
     def test_raising_threads_starts_queued_spans(self, engine, rng):
         instance = _make_instance(engine, rng, cpu_limit=4.0, threads=1)
         for index in range(3):
-            instance.submit(f"r{index}", "svc", lambda *a: None)
-        assert (len(instance._in_service), instance.queue_length) == (1, 2)
+            instance.submit(SpanWork(lambda *a: None))
+        assert (instance.in_service, instance.queue_length) == (1, 2)
         instance.container.threads = 4
-        assert (len(instance._in_service), instance.queue_length) == (3, 0)
+        assert (instance.in_service, instance.queue_length) == (3, 0)
         engine.run_until(1.0)
         assert instance.completed_spans == 3
 
     def test_queue_overflow_drops(self, engine, rng):
         instance = _make_instance(engine, rng)
         instance.max_queue_length = 3
-        accepted = [instance.submit(f"r{i}", "svc", lambda *a: None) for i in range(10)]
+        accepted = [instance.submit(SpanWork(lambda *a: None)) for i in range(10)]
         assert not all(accepted)
         assert instance.dropped_spans > 0
 
     def test_explicit_base_time_is_used(self, engine, rng):
         instance = _make_instance(engine, rng)
         finish_times = []
-        instance.submit("r1", "svc", lambda eq, st, ft: finish_times.append(ft), base_time_ms=100.0)
+        instance.submit(SpanWork(lambda eq, st, ft: finish_times.append(ft)), base_time_ms=100.0)
         engine.run_until(1.0)
         assert finish_times[0] == pytest.approx(0.1, rel=0.05)
 
@@ -116,7 +116,7 @@ class TestConcurrencyAndQueueing:
         instance = _make_instance(engine, rng, cpu_limit=1.0, cv=0.01)
         finishes = []
         for index in range(4):
-            instance.submit(f"r{index}", "svc", lambda eq, st, ft: finishes.append(ft - eq))
+            instance.submit(SpanWork(lambda eq, st, ft: finishes.append(ft - eq)))
         engine.run_until(5.0)
         assert len(finishes) == 4
         assert finishes[-1] > finishes[0] * 2.5
@@ -125,7 +125,7 @@ class TestConcurrencyAndQueueing:
         instance = _make_instance(engine, rng, cpu_limit=8.0, cv=0.01)
         finishes = []
         for index in range(4):
-            instance.submit(f"r{index}", "svc", lambda eq, st, ft: finishes.append(ft - eq))
+            instance.submit(SpanWork(lambda eq, st, ft: finishes.append(ft - eq)))
         engine.run_until(5.0)
         # All four ran concurrently, so sojourn times are close to each other.
         assert max(finishes) < min(finishes) * 1.5
@@ -133,7 +133,7 @@ class TestConcurrencyAndQueueing:
     def test_in_flight_counts_queue_and_service(self, engine, rng):
         instance = _make_instance(engine, rng, cpu_limit=1.0)
         for index in range(3):
-            instance.submit(f"r{index}", "svc", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         assert instance.in_flight == 3
         assert instance.queue_length == 2
 
@@ -154,7 +154,7 @@ class TestServiceTimes:
         node = instance.container.node
         node.inject_pressure(ResourceVector.from_kwargs(cpu=0.95 * node.capacity[Resource.CPU]))
         finishes = []
-        instance.submit("r1", "svc", lambda eq, st, ft: finishes.append(ft - eq), base_time_ms=10.0)
+        instance.submit(SpanWork(lambda eq, st, ft: finishes.append(ft - eq)), base_time_ms=10.0)
         engine.run_until(10.0)
         assert finishes[0] > 0.05  # 10 ms base stretched by > 5x
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster.container import Container
-from repro.cluster.instance import MicroserviceInstance, ServiceProfile
+from repro.cluster.instance import MicroserviceInstance, ServiceProfile, SpanWork
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.resources import RESOURCE_TYPES, Resource, ResourceLimits, ResourceVector
 from repro.sim.engine import SimulationEngine
@@ -155,7 +155,7 @@ class TestContention:
         full_pool = node.best_effort_pool(Resource.CPU)
         container.partition_enforced = True
         # Give the instance some in-flight work so it has demand.
-        instance.submit("r1", "svc", lambda *a: None)
+        instance.submit(SpanWork(lambda *a: None))
         shrunk_pool = node.best_effort_pool(Resource.CPU)
         assert shrunk_pool <= full_pool
 
@@ -165,7 +165,7 @@ class TestContention:
         )
         instance.container.partition_enforced = True
         for index in range(50):
-            instance.submit(f"r{index}", "svc", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         pool = node.best_effort_pool(Resource.CPU)
         assert pool >= 0.05 * node.capacity[Resource.CPU] - 1e-9
 
@@ -195,7 +195,7 @@ class TestContention:
 
     def test_demand_sums_hosted_instances(self, node, engine, rng):
         instance = _instance_on(node, engine, rng)
-        instance.submit("r1", "svc", lambda *a: None)
+        instance.submit(SpanWork(lambda *a: None))
         assert node.demand()[Resource.CPU] > 0.0
 
 
@@ -220,7 +220,7 @@ def _reference_limit(container, resource):
 def _reference_raw_demand(instance):
     queued = len(instance._queue)
     concurrency = max(1, int(_reference_cpu_limit(instance.container)))
-    active = len(instance._in_service) + (queued if queued < concurrency else concurrency)
+    active = instance.in_service + (queued if queued < concurrency else concurrency)
     return {
         resource: value * float(active)
         for resource, value in instance.profile.demand_per_request.values.items()
@@ -343,7 +343,7 @@ def _build_node(hosted, pressure):
         if draw["spans"] is not None:
             instance = MicroserviceInstance(_EQUIVALENCE_PROFILE, container, engine, rng)
             for span in range(draw["spans"]):
-                instance.submit(f"r{span}", "svc", lambda *a: None)
+                instance.submit(SpanWork(lambda *a: None))
         # Enforce after submitting so dispatch ran without partitions; the
         # contention below is read with the drawn enforcement in place.
         container.partition_enforced = draw["enforced"]
@@ -500,7 +500,7 @@ class _OracleCluster:
         kind = op[0]
         if kind == "submit":
             for _ in range(op[2]):
-                self.containers[op[1]].instance.submit("r", "svc", lambda *a: None)
+                self.containers[op[1]].instance.submit(SpanWork(lambda *a: None))
         elif kind == "step":
             for _ in range(op[1]):
                 self.engine.step()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.instance import SpanWork
 from repro.cluster.resources import RESOURCE_TYPES, Resource
 from repro.core.rl.env import MicroserviceEnvironment, ResourceBounds
 from repro.tracing.coordinator import TracingCoordinator
@@ -73,7 +74,7 @@ class TestState:
 
     def test_utilization_in_state(self, environment):
         env, _, instance, _ = environment
-        instance.submit("r1", "cpu-service", lambda *a: None)
+        instance.submit(SpanWork(lambda *a: None))
         state = env.observe()
         assert state.utilization[Resource.CPU] > 0.0
 

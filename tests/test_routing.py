@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cluster.cluster import TenantClusterView
-from repro.cluster.instance import ServiceProfile
+from repro.cluster.instance import ServiceProfile, SpanWork
 from repro.cluster.orchestrator import Orchestrator
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.routing import (
@@ -106,10 +106,10 @@ class TestPolicies:
 
     def test_p2c_prefers_less_loaded_probe(self, rng, replicas):
         policy = create_policy("p2c", "cpu-service", rng)
-        replicas[0].submit("r", "cpu-service", _noop)
-        replicas[0].submit("r", "cpu-service", _noop)
-        replicas[1].submit("r", "cpu-service", _noop)
-        replicas[1].submit("r", "cpu-service", _noop)
+        replicas[0].submit(SpanWork(_noop))
+        replicas[0].submit(SpanWork(_noop))
+        replicas[1].submit(SpanWork(_noop))
+        replicas[1].submit(SpanWork(_noop))
         # Replica 2 is strictly less loaded: any probe pair containing it
         # must select it, and no pick may fall outside the replica set.
         for _ in range(30):
@@ -136,7 +136,7 @@ class TestPolicies:
         policy = create_policy("ewma", "cpu-service", rng)
         for instance in replicas:
             policy.observe_completion(instance, 10.0)
-        replicas[0].submit("r", "cpu-service", _noop)
+        replicas[0].submit(SpanWork(_noop))
         assert policy.select(replicas) is replicas[1]
 
     def test_ewma_alpha_validated(self, rng):
@@ -159,13 +159,13 @@ class TestPolicies:
         policy = create_policy("jiq", "cpu-service", rng)
         policy.observe_completion(replicas[0], 4.0)
         policy.select(replicas)  # seeds 1, 2 as idle too; pops 0
-        replicas[1].submit("r", "cpu-service", _noop)
+        replicas[1].submit(SpanWork(_noop))
         assert policy.select(replicas) is replicas[2]
 
     def test_jiq_saturated_falls_back_to_seeded_random(self, rng, replicas):
         policy = create_policy("jiq", "cpu-service", rng)
         for instance in replicas:
-            instance.submit("r", "cpu-service", _noop)
+            instance.submit(SpanWork(_noop))
         picks = [policy.select(replicas).replica_index for _ in range(10)]
         assert set(picks) <= {0, 1, 2}
         # Same seed, same saturation -> identical fallback draws.
@@ -180,7 +180,7 @@ class TestPolicies:
 class TestRequestRouter:
     def test_default_policy_routes_least_in_flight(self, cluster, cpu_profile):
         instances = cluster.deploy_service(cpu_profile, replicas=2)
-        instances[0].submit("r", "cpu-service", _noop)
+        instances[0].submit(SpanWork(_noop))
         assert cluster.router.default_policy == "least_in_flight"
         assert cluster.route("cpu-service") is instances[1]
 
@@ -228,7 +228,7 @@ class TestRequestRouter:
         cluster.set_routing_policy("ewma")
         cluster.route("cpu-service")  # instantiates the policy
         instance = cluster.replicas_of("cpu-service")[0]
-        instance.submit("r", "cpu-service", _noop)
+        instance.submit(SpanWork(_noop))
         engine.run_until(5.0)
         # Replica 0's observed latency now loses to replica 1's cold prior;
         # without the feedback the idle tie would go to replica 0.
@@ -321,7 +321,7 @@ class TestRouterScaleEvents:
         orchestrator = Orchestrator(cluster, engine, rng)
         # In-flight traffic on every replica (and listener installation).
         for _ in range(4):
-            cluster.route("cpu-service").submit("r", "cpu-service", _noop)
+            cluster.route("cpu-service").submit(SpanWork(_noop))
         removed = cluster.instance_by_name("cpu-service#2")
         orchestrator.scale_in("cpu-service")
         assert removed not in cluster.replicas_of("cpu-service")
@@ -422,7 +422,7 @@ class TestCachedPolicyInvalidation:
         cluster.set_routing_policy("ewma", service="pinned")
         cluster.set_routing_policy("ewma", tenant="alpha")
         for service in cluster.services():
-            cluster.route(service).submit("r", service, _noop)  # the idle tie: #0
+            cluster.route(service).submit(SpanWork(_noop))  # the idle tie: #0
         engine.run_until(1.0)
         policies = {s: cluster.router.policy_for(s) for s in cluster.services()}
         for service in policies:

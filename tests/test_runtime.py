@@ -290,3 +290,59 @@ class TestCompileOnce:
         for runtime in runtimes:
             runtime.deploy()  # idempotent: compiles nothing
         assert compiled == expected
+
+
+class TestSpanPathEntryPoints:
+    """The per-span path keeps the entry points outside-in layer tracing wraps.
+
+    A tracer that times ``MicroserviceInstance.submit``,
+    ``Node.contention_factors`` and the ``span-finish:*`` event callbacks
+    passed to ``SimulationEngine.schedule`` sees every span only if each
+    span goes through each of them exactly once.
+    """
+
+    def test_each_span_passes_every_traced_entry_point_once(self, monkeypatch):
+        from repro.cluster.instance import MicroserviceInstance, Work
+        from repro.cluster.node import Node
+        from repro.experiments.harness import ExperimentHarness
+        from repro.experiments.scenario import ScenarioSpec
+
+        counts = {"submit": 0, "contention": 0}
+        finishes = []
+        submit = MicroserviceInstance.submit
+        contention_factors = Node.contention_factors
+        schedule = SimulationEngine.schedule
+
+        def counted_submit(self, *args, **kwargs):
+            counts["submit"] += 1
+            return submit(self, *args, **kwargs)
+
+        def counted_contention(self, *args, **kwargs):
+            counts["contention"] += 1
+            return contention_factors(self, *args, **kwargs)
+
+        def recorded_schedule(self, time, callback, **kwargs):
+            if kwargs.get("name", "").startswith("span-finish:"):
+                finishes.append((kwargs["name"], callback))
+            return schedule(self, time, callback, **kwargs)
+
+        monkeypatch.setattr(MicroserviceInstance, "submit", counted_submit)
+        monkeypatch.setattr(Node, "contention_factors", counted_contention)
+        monkeypatch.setattr(SimulationEngine, "schedule", recorded_schedule)
+        spec = ScenarioSpec(application="social_network", seed=0, duration_s=4.0, load_rps=60.0)
+        harness = ExperimentHarness.from_spec(spec)
+        harness.run(duration_s=spec.duration_s)
+
+        instances = [container.instance for container in harness.cluster.all_containers()]
+        completed = sum(instance.completed_spans for instance in instances)
+        dispatched = completed + sum(instance.in_service for instance in instances)
+        spans = dispatched + sum(
+            instance.dropped_spans + instance.queue_length for instance in instances
+        )
+        assert completed > 1000
+        assert counts["submit"] == spans
+        assert counts["contention"] == dispatched
+        assert len(finishes) == dispatched
+        for name, callback in finishes:
+            assert callback.__func__ is Work.finish
+            assert name == f"span-finish:{callback.__self__.instance.name}"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.instance import SpanWork
 from repro.cluster.resources import Resource
 from repro.cluster.telemetry import TelemetryCollector
 
@@ -78,7 +79,7 @@ class TestSampling:
 
     def test_service_utilization_averages_replicas(self, telemetry_setup):
         collector, instances, _ = telemetry_setup
-        instances[0].submit("r1", "cpu-service", lambda *a: None)
+        instances[0].submit(SpanWork(lambda *a: None))
         collector.sample_all()
         utilization = collector.service_utilization("cpu-service")
         assert utilization[Resource.CPU] >= 0.0
@@ -100,6 +101,6 @@ class TestSampling:
         instance = instances[0]
         instance.container.set_limit(Resource.CPU, 1.0)
         for index in range(5):
-            instance.submit(f"r{index}", "cpu-service", lambda *a: None)
+            instance.submit(SpanWork(lambda *a: None))
         sample = collector.sample_container(instance.container)
         assert sample.queue_length > 0
