@@ -61,6 +61,9 @@ class Extractor:
         detection_percentile: float = 99.0,
     ) -> None:
         self.coordinator = coordinator
+        #: The tenant's per-instance localization sketches; asking for them
+        #: here starts their fold before the run does.
+        self.sketches = coordinator.instance_sketches()
         self.window_s = float(window_s)
         self.detection_percentile = float(detection_percentile)
         self.path_extractor = CriticalPathExtractor()
@@ -70,12 +73,13 @@ class Extractor:
     def _sketch_features(self, paths: Sequence[CriticalPath]) -> List[InstanceFeatures]:
         """Windowed (RI, CI) features for every instance on the given CPs.
 
-        The coordinator's per-instance co-moments and sojourn histograms
-        answer in O(instances × buckets), independent of how many traces
-        the window saw — no per-request alignment scans.
+        The tenant's per-instance co-moments and sojourn histograms answer
+        in O(instances × buckets), independent of how many traces the
+        window saw — no per-request alignment scans.
         """
         instances = sorted({span.instance for path in paths for span in path.spans})
-        return self.coordinator.instance_features(
+        return self.sketches.features(
+            self.coordinator.engine.now,
             self.window_s,
             instances=instances,
             min_samples=self.component_extractor.min_samples,
@@ -96,7 +100,7 @@ class Extractor:
 
         Critical paths come from the retained traces (the reservoir
         sample); the per-instance features feeding the SVM come from the
-        coordinator's windowed sketches.
+        tenant's windowed per-instance sketches.
         """
         violated = self.detect()
         result = ExtractionResult(time_s=self.coordinator.engine.now, slo_violated=violated)

@@ -263,6 +263,8 @@ class LocalizationScorer:
         self.harness = harness
         self.tenant = tenant
         self.window_s = float(window_s)
+        #: Shared with the tenant's FIRM Extractor, if it has one.
+        self.sketches = tenant.coordinator.instance_sketches()
         self.component_extractor = CriticalComponentExtractor(
             svm=IncrementalSVM(input_dim=2)
         )
@@ -284,7 +286,6 @@ class LocalizationScorer:
         anomalies that ended mid-window too.
         """
         injector = self.tenant.injector
-        coordinator = self.tenant.coordinator
         component_extractor = self.component_extractor
         targets, node_names = injector.ground_truth_window(
             engine.now - self.window_s,
@@ -293,14 +294,15 @@ class LocalizationScorer:
         )
         truth_targets = set(targets)
         injected_nodes = set(node_names)
-        traces = coordinator.recent_traces(self.window_s)
+        traces = self.tenant.coordinator.recent_traces(self.window_s)
         if not traces:
             return
         paths = self.path_extractor.extract_all(traces)
-        # Windowed (RI, CI) from the coordinator's per-instance sketches,
+        # Windowed (RI, CI) from the tenant's per-instance sketches,
         # restricted to instances on the window's CPs.
         instances = sorted({span.instance for path in paths for span in path.spans})
-        features = coordinator.instance_features(
+        features = self.sketches.features(
+            engine.now,
             self.window_s,
             instances=instances,
             min_samples=component_extractor.min_samples,

@@ -9,12 +9,16 @@ latency distributions, SLO-violation status, and workload statistics.
 Statistics are constant-memory: windowed latency quantiles come from
 per-request-type ring-buffer log-histograms keyed on completion time,
 arrival rates and request composition from ring-buffer counters keyed on
-arrival time, and the Extractor's per-instance features (relative
-importance, congestion intensity) from per-instance windowed co-moments
-and sojourn histograms, all fed incrementally as traces finish.  The trace
-store keeps a deterministic reservoir sample of finished traces for
-structural queries (critical paths), and a run-level latency digest is
-folded across tenants into the run result.
+arrival time, all fed incrementally as traces finish.  The trace store
+keeps a deterministic reservoir sample of finished traces for structural
+queries (critical paths), and a run-level latency digest is folded across
+tenants into the run result.
+
+The per-instance localization sketches (sojourn histograms and co-moments
+behind the Extractor's relative importance and congestion intensity) are
+not the coordinator's: they exist only on a tenant whose FIRM Extractor or
+localization scorer asked for them through :meth:`instance_sketches`, so a
+tenant that never localizes never walks a completed trace's spans.
 """
 
 from __future__ import annotations
@@ -27,11 +31,8 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SeededRNG
 from repro.telemetry.digest import TelemetryDigest
 from repro.telemetry.reservoir import ReservoirSampler
-from repro.telemetry.window import (
-    WindowedCoMoments,
-    WindowedCounter,
-    WindowedHistogram,
-)
+from repro.telemetry.window import WindowedCounter, WindowedHistogram
+from repro.tracing.instance_sketch import InstanceSketches
 from repro.tracing.span import Span
 from repro.tracing.store import DEFAULT_RESERVOIR_CAPACITY, TraceStore
 from repro.tracing.trace import Trace
@@ -40,33 +41,6 @@ from repro.tracing.trace import Trace
 #: 256 slots = 128 s of history, covering every windowed query in the tree.
 _LATENCY_BUCKET_S = 0.5
 _LATENCY_BUCKETS = 256
-
-#: Per-instance feature sketches use coarser buckets (windows are >= 5 s)
-#: and a shorter 32 s horizon: localization windows are 8-10 s, and the
-#: per-instance rings are the sketch layer's largest fixed cost (one
-#: histogram per live slot per instance), so their horizon is the knob
-#: that keeps the fleet-wide constant footprint small.
-_INSTANCE_BUCKET_S = 1.0
-_INSTANCE_BUCKETS = 32
-
-
-class _InstanceSketch:
-    """Windowed per-instance feature state."""
-
-    __slots__ = ("service", "sojourn", "comoments")
-
-    def __init__(self, service: str) -> None:
-        self.service = service
-        #: Per-span sojourn times (ms) — congestion intensity (q99/q50).
-        self.sojourn = WindowedHistogram(
-            bucket_s=_INSTANCE_BUCKET_S, buckets=_INSTANCE_BUCKETS
-        )
-        #: (per-trace instance total sojourn, trace e2e latency) pairs —
-        #: relative importance via incremental Pearson correlation.
-        self.comoments = WindowedCoMoments(
-            bucket_s=_INSTANCE_BUCKET_S, buckets=_INSTANCE_BUCKETS
-        )
-
 
 class TracingCoordinator:
     """Collects traces + telemetry and answers the Extractor's queries.
@@ -110,7 +84,9 @@ class TracingCoordinator:
             bucket_s=_LATENCY_BUCKET_S, buckets=_LATENCY_BUCKETS
         )
         self._arrival_sketch: Dict[str, WindowedCounter] = {}
-        self._instance_sketch: Dict[str, _InstanceSketch] = {}
+        #: Per-instance localization sketches; built on a reader's first
+        #: :meth:`instance_sketches` call, never for a tenant without one.
+        self._instance_sketches: Optional[InstanceSketches] = None
         self._digest = TelemetryDigest()
         #: SLO latency per request type (ms); registered by the runtime.
         self.slo_latency_ms: Dict[str, float] = {}
@@ -179,7 +155,12 @@ class TracingCoordinator:
         self._fire_completion(trace)
 
     def _sketch_completion(self, trace: Trace, completion_time: float) -> None:
-        """Fold one completed trace into the windowed sketches and digest."""
+        """Fold one completed trace into the windowed sketches and digest.
+
+        Every ``complete_trace`` call folds, including a trace dropped
+        earlier whose entry span still completes; no ``drop_trace`` call
+        does.
+        """
         latency_ms = trace.end_to_end_latency_ms
         request_type = trace.request_type
         histogram = self._latency_sketch.get(request_type)
@@ -190,20 +171,8 @@ class TracingCoordinator:
         histogram.add(completion_time, latency_ms)
         self._latency_all.add(completion_time, latency_ms)
         self._digest.observe_completion(request_type, latency_ms)
-        sketches = self._instance_sketch
-        per_instance_ms: Dict[str, float] = {}
-        for span in trace._spans.values():  # unordered walk; sums only
-            # ``span.sojourn_time_ms``, inlined: clamped at 0, in ms.
-            sojourn = span.end_time - span.enqueue_time
-            sojourn_ms = (sojourn if sojourn > 0.0 else 0.0) * 1000.0
-            instance = span.instance
-            sketch = sketches.get(instance)
-            if sketch is None:
-                sketch = sketches[instance] = _InstanceSketch(span.service)
-            sketch.sojourn.add(completion_time, sojourn_ms)
-            per_instance_ms[instance] = per_instance_ms.get(instance, 0.0) + sojourn_ms
-        for instance, total_ms in per_instance_ms.items():
-            sketches[instance].comoments.add(completion_time, total_ms, latency_ms)
+        if self._instance_sketches is not None:
+            self._instance_sketches.fold(trace, completion_time, latency_ms)
 
     # ------------------------------------------------------ completion hooks
     def add_completion_hook(self, hook: Callable[[Trace], None]) -> None:
@@ -287,22 +256,6 @@ class TracingCoordinator:
         return {rtype: count / total for rtype, count in sorted(counts.items())}
 
     # ------------------------------------------------------- SLO accounting
-    def slo_violations(self, window_s: float) -> List[Trace]:
-        """Completed traces in the window whose latency exceeds their SLO."""
-        violations: List[Trace] = []
-        for trace in self.recent_traces(window_s):
-            slo = self.slo_latency_ms.get(trace.request_type)
-            if slo is not None and trace.end_to_end_latency_ms > slo:
-                violations.append(trace)
-        return violations
-
-    def slo_violation_ratio(self, window_s: float) -> float:
-        """Fraction of recent completed requests that violated their SLO."""
-        traces = self.recent_traces(window_s)
-        if not traces:
-            return 0.0
-        return len(self.slo_violations(window_s)) / len(traces)
-
     def has_slo_violation(self, window_s: float, percentile: float = 99.0) -> bool:
         """Detection check: does the windowed tail latency exceed any SLO?
 
@@ -325,46 +278,19 @@ class TracingCoordinator:
                 result[span.service].append(span.sojourn_time_ms)
         return dict(result)
 
-    # ------------------------------------------------------ feature queries
-    def instance_features(
-        self,
-        window_s: float,
-        instances: Optional[List[str]] = None,
-        min_samples: int = 5,
-    ):
-        """Per-instance SVM features from the windowed sketches.
+    # ------------------------------------------------- localization sketches
+    def instance_sketches(self) -> InstanceSketches:
+        """This tenant's per-instance localization sketches.
 
-        Returns a list of
-        :class:`~repro.core.critical_component.InstanceFeatures` — relative
-        importance from the windowed co-moments' Pearson correlation and
-        congestion intensity as the windowed sojourn q99/q50 — for every
-        instance (or the given subset) with at least ``min_samples`` traces
-        in the window.
+        The first call builds them, and every later completion is folded
+        into them; readers (the FIRM Extractor, the localization scorer)
+        call this when they are built, so every reader on one tenant shares
+        one sketch and each completion is folded once.
         """
-        from repro.core.critical_component import InstanceFeatures
-
-        now = self.engine.now
-        names = instances if instances is not None else sorted(self._instance_sketch)
-        features: List[InstanceFeatures] = []
-        for instance in names:
-            sketch = self._instance_sketch.get(instance)
-            if sketch is None:
-                continue
-            samples = sketch.comoments.window_count(now, window_s)
-            if samples < min_samples:
-                continue
-            median, tail = sketch.sojourn.quantiles((50.0, 99.0), now, window_s)
-            intensity = tail / median if median > 0.0 else 0.0
-            features.append(
-                InstanceFeatures(
-                    instance=instance,
-                    service=sketch.service,
-                    relative_importance=sketch.comoments.pearson(now, window_s),
-                    congestion_intensity=intensity,
-                    sample_count=samples,
-                )
-            )
-        return features
+        sketches = self._instance_sketches
+        if sketches is None:
+            sketches = self._instance_sketches = InstanceSketches()
+        return sketches
 
     def telemetry_digest(self) -> TelemetryDigest:
         """The run-level mergeable latency digest."""
@@ -379,7 +305,7 @@ class TracingCoordinator:
             self._latency_sketch,
             self._latency_all,
             self._arrival_sketch,
-            self._instance_sketch,
+            self._instance_sketches,
             self._digest,
         )
         return self.store.memory_bytes() + deep_sizeof(roots)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import partial
+
+import pytest
 
 from repro.anomaly.anomalies import AnomalySpec, AnomalyType
 from repro.anomaly.campaigns import AnomalyCampaign
@@ -11,7 +14,10 @@ from repro.cluster.resources import Resource
 from repro.core.extractor import Extractor
 from repro.core.firm import FIRMConfig
 from repro.experiments.harness import ExperimentHarness
-from repro.experiments.scenario import ScenarioSpec
+from repro.experiments.resilience import LocalizationScorer
+from repro.experiments.scenario import ScenarioSpec, TenantSpec, random_campaign_builder
+from repro.tracing.coordinator import TracingCoordinator
+from repro.tracing.instance_sketch import InstanceSketches
 
 
 def _social_network(seed, load_rps, **fields):
@@ -70,6 +76,127 @@ class TestExtractor:
         # services should include a service hosted there (often the target
         # itself or a co-located memory-sensitive service).
         assert result.candidates, "expected at least one candidate under heavy contention"
+
+
+#: FIRM's windowed (instance, service, RI, CI, samples) features on the
+#: 40 s ``_harness_with_anomaly(controller="firm")`` run, pinned from the
+#: coordinator-owned sketches that preceded ``InstanceSketches``.
+_PINNED_FIRM_FEATURES = [
+    ("composePost#0", "composePost", 0.5247998522366234, 1.5868743229440005, 105),
+    ("followUser#0", "followUser", 0.7574492969347224, 1.8509302102818823, 17),
+    ("image#0", "image", -0.06888808023357307, 2.51817011681898, 105),
+    ("media-memcached#0", "media-memcached", 0.25007893053784197, 1.8509302102818823, 105),
+    ("media-mongodb#0", "media-mongodb", 0.1747605538547012, 2.158924997272788, 105),
+    ("nginx#0", "nginx", 1.0, 1.36048896, 216),
+    ("nginx#1", "nginx", 1.0, 1.1664, 17),
+    ("post-storage-memcached#0", "post-storage-memcached", 0.23736979107495418,
+     1.9990046271044333, 216),
+    ("post-storage-mongodb#0", "post-storage-mongodb", 0.2040139529193553,
+     2.331638997054611, 216),
+    ("readTimeline#0", "readTimeline", 0.7584028354446604, 1.4693280768000005, 111),
+    ("recommender#0", "recommender", 0.5163227892229245, 1.5868743229440008, 111),
+    ("search#0", "search", 0.709734911076187, 1.3604889600000003, 17),
+    ("social-graph-memcached#0", "social-graph-memcached", 0.11802820273317606,
+     2.331638997054611, 128),
+    ("social-graph-mongodb#0", "social-graph-mongodb", 0.12890696235960658,
+     2.7196237261644987, 128),
+    ("text#0", "text", -0.04113471891453104, 2.158924997272788, 105),
+    ("urlShorten#0", "urlShorten", 0.06016282772827064, 1.8509302102818828, 105),
+    ("user-memcached#0", "user-memcached", 0.09136254769819208, 2.331638997054611, 233),
+    ("user-mongodb#0", "user-mongodb", 0.09508509430809407, 2.51817011681898, 233),
+    ("user-timeline-memcached#0", "user-timeline-memcached", 0.5051038513165617,
+     1.999004627104433, 111),
+    ("user-timeline-mongodb#0", "user-timeline-mongodb", 0.47226667521049837,
+     2.51817011681898, 111),
+    ("userInfo#0", "userInfo", 0.3367465839718437, 1.713824268779521, 111),
+    ("userTag#0", "userTag", -0.026626684800467548, 1.9990046271044333, 105),
+    ("video#0", "video", 0.8935047591123196, 1.9990046271044335, 105),
+]
+
+
+def _count_folds(monkeypatch):
+    """Count ``complete_trace`` calls and per-instance folds, run-wide."""
+    counts = {"complete": 0, "fold": 0}
+    complete_trace, fold = TracingCoordinator.complete_trace, InstanceSketches.fold
+
+    def counting_complete(self, trace, completion_time):
+        counts["complete"] += 1
+        complete_trace(self, trace, completion_time)
+
+    def counting_fold(self, trace, completion_time, latency_ms):
+        counts["fold"] += 1
+        fold(self, trace, completion_time, latency_ms)
+
+    monkeypatch.setattr(TracingCoordinator, "complete_trace", counting_complete)
+    monkeypatch.setattr(InstanceSketches, "fold", counting_fold)
+    return counts
+
+
+class TestLocalizationSketchReaders:
+    """Per-instance sketches exist only where a localization reader asked."""
+
+    def test_uncontrolled_tenant_folds_no_instance_sketch(self, monkeypatch):
+        counts = _count_folds(monkeypatch)
+        harness = ExperimentHarness.from_spec(
+            ScenarioSpec(application="hotel_reservation", seed=0, load_rps=15.0)
+        )
+        harness.run(duration_s=8.0)
+        assert harness.tenants[0].coordinator._instance_sketches is None
+        assert counts["complete"] > 0
+        assert counts["fold"] == 0
+
+    def test_only_the_firm_tenant_folds(self):
+        harness = ExperimentHarness.from_spec(ScenarioSpec(
+            seed=0,
+            tenants=[
+                TenantSpec(name="firm", application="hotel_reservation",
+                           load_rps=15.0, controller="firm"),
+                TenantSpec(name="aimd", application="hotel_reservation",
+                           load_rps=15.0, controller="aimd"),
+            ],
+        ))
+        firm, aimd = harness.tenants
+        harness.run(duration_s=8.0)
+        assert firm.coordinator._instance_sketches is firm.controller.extractor.sketches
+        assert aimd.coordinator._instance_sketches is None
+
+    def test_firm_and_scorer_fold_each_completion_once(self, monkeypatch):
+        counts = _count_folds(monkeypatch)
+        spec = ScenarioSpec(
+            application="hotel_reservation",
+            controller="firm",
+            seed=2,
+            duration_s=12.0,
+            load_rps=20.0,
+            campaign_builder=partial(
+                random_campaign_builder, duration_s=12.0, rate_per_s=0.5, resource_only=True
+            ),
+        )
+        harness = ExperimentHarness.from_spec(spec)
+        tenant = harness.tenants[0]
+        scorer = LocalizationScorer(harness, tenant, window_s=3.0)
+        scorer.attach(until_s=spec.duration_s)
+        assert scorer.sketches is tenant.controller.extractor.sketches
+        harness.run(duration_s=spec.duration_s)
+        assert scorer.windows, "the scorer must have read the shared sketch"
+        assert counts["complete"] > 0
+        assert counts["fold"] == counts["complete"]
+
+    def test_firm_sketch_features_are_pinned(self):
+        harness = _harness_with_anomaly(controller="firm")
+        extractor = harness.tenants[0].controller.extractor
+        harness.run(duration_s=40.0)
+        traces = extractor.coordinator.recent_traces(extractor.window_s)
+        features = extractor._sketch_features(extractor.path_extractor.extract_all(traces))
+        got = [
+            (f.instance, f.service, f.relative_importance, f.congestion_intensity, f.sample_count)
+            for f in features
+        ]
+        assert [(row[0], row[1], row[4]) for row in got] == [
+            (row[0], row[1], row[4]) for row in _PINNED_FIRM_FEATURES
+        ]
+        for row, pinned in zip(got, _PINNED_FIRM_FEATURES):
+            assert row[2:4] == pytest.approx(pinned[2:4], rel=1e-9), row[0]
 
 
 class TestFIRMController:

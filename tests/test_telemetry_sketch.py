@@ -244,3 +244,44 @@ class TestFleetConstantMemory:
             footprints.append(_telemetry_memory_mb(harness))
         short_mb, long_mb = footprints
         assert long_mb <= 1.25 * short_mb
+
+
+def _instance_sketch_bytes(duration_s: float, rate_per_s: int = 30) -> int:
+    """Retained size of :class:`InstanceSketches` after ``duration_s`` of
+    synthetic traces, each with one span on every replica of four
+    two-replica services."""
+    from repro.telemetry.memory import deep_sizeof
+    from repro.tracing.instance_sketch import InstanceSketches
+    from repro.tracing.span import Span
+    from repro.tracing.trace import Trace
+
+    rng = np.random.default_rng(0)
+    sketches = InstanceSketches()
+    for index in range(int(duration_s * rate_per_s)):
+        start = index / rate_per_s
+        request = f"r{index}"
+        trace = Trace(request, "main")
+        for service in ("a", "b", "c", "d"):
+            for replica in range(2):
+                trace.add_span(Span(
+                    request_id=request,
+                    service=service,
+                    instance=f"{service}#{replica}",
+                    enqueue_time=start,
+                    end_time=start + float(rng.lognormal(-5.0, 0.7)),
+                ))
+        sketches.fold(trace, start + 0.05, 50.0 + 10.0 * float(rng.random()))
+    return deep_sizeof(sketches)
+
+
+class TestInstanceSketchConstantMemory:
+    def test_footprint_constant_in_run_length(self):
+        """The per-instance rings' constant-memory guarantee.
+
+        ``TestFleetConstantMemory`` runs no localization reader, so it no
+        longer holds per-instance sketches.  Both durations outlast the
+        rings' 32 s horizon (a shorter run has not filled them yet), so a
+        5x longer run must not grow the footprint past 1.25x.
+        """
+        short, long = _instance_sketch_bytes(40.0), _instance_sketch_bytes(200.0)
+        assert long <= 1.25 * short

