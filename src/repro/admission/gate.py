@@ -343,7 +343,6 @@ class AdmissionGate:
             self.engine.now,
         )
         runtime.coordinator.drop_trace(trace)
-        runtime.dropped_requests += 1
         self._record(
             "admission_decision",
             decision="shed",

@@ -88,8 +88,6 @@ class ApplicationRuntime:
         self.engine = engine
         self.default_limits = default_limits
         self.tenant = tenant
-        self.completed_requests = 0
-        self.dropped_requests = 0
         #: Optional :class:`~repro.admission.gate.AdmissionGate`; when set,
         #: :meth:`submit_request` routes through it.
         self.admission = None
@@ -165,7 +163,6 @@ class ApplicationRuntime:
         entry.on_complete = on_complete
         if not instance.submit(entry):
             self.coordinator.drop_trace(trace)
-            self.dropped_requests += 1
         return trace
 
     def next_request_id(self, request_type_name: str, label: Optional[str] = None) -> str:
@@ -188,9 +185,10 @@ class ApplicationRuntime:
             return
         if instance.submit(_Call(self, trace, node, parent)):
             return
-        # The downstream queue is saturated; record a dropped span and
-        # unblock the caller so the request either completes degraded or
-        # is counted as dropped by the caller's SLO accounting.
+        # The downstream queue is saturated: record a dropped span, drop the
+        # trace (the coordinator ignores the drop of a settled trace), then
+        # unblock a foreground caller.  The entry span still closes, but the
+        # request stays dropped.
         now = self.engine.now
         span = Span(
             request_id=trace.request_id,
@@ -205,9 +203,7 @@ class ApplicationRuntime:
             tenant=self.tenant,
         )
         self.coordinator.record_span(trace, span)
-        if not trace.dropped:
-            self.coordinator.drop_trace(trace)
-            self.dropped_requests += 1
+        self.coordinator.drop_trace(trace)
         if node.kind is not SpanKind.BACKGROUND:
             parent.child_done()
 
@@ -334,6 +330,5 @@ class _EntryCall(_Call):
         self.span.end_time = now
         runtime.coordinator.record_span(trace, self.span)
         runtime.coordinator.complete_trace(trace, now)
-        runtime.completed_requests += 1
         if self.on_complete is not None:
             self.on_complete(trace)

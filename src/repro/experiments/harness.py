@@ -144,9 +144,11 @@ class _Headline:
     def summary(self) -> Dict[str, float]:
         """Headline numbers for reports.
 
-        ``dropped`` comes from the streaming SLO tracker so it covers the
-        same accounting window as ``completed``/``violations``
-        (``dropped_requests`` stays the runtime's cumulative counter).
+        Every count comes from the streaming SLO tracker, which sees each
+        request once, when the tracing coordinator settles it as completed
+        or dropped, and skips requests that arrived during warmup.
+        ``dropped_requests`` is the coordinators' count of every drop,
+        warmup included.
         """
         return {
             "completed": float(self.slo.completed),
@@ -501,11 +503,7 @@ class ExperimentHarness:
         cpu_utilization: List[float] = []
 
         # Per-tenant streaming SLO accounting: observe every trace through
-        # the owning tenant's coordinator the moment it finishes.  A trace
-        # can fire twice in either order (a downstream drop before the
-        # entry span completes, or a background call's rejection after it)
-        # — "dropped" is the final word either way, matching the old
-        # end-of-run scan of the trace store.
+        # the owning tenant's coordinator the moment it settles.
         trackers: List[Tuple[TenantRuntime, SLOTracker, MitigationTracker, List[float]]] = []
         hooks: List[Tuple[TracingCoordinator, object]] = []
         for tenant in self.tenants:
@@ -513,16 +511,16 @@ class ExperimentHarness:
             mitigation = MitigationTracker()
             tenant_cpu: List[float] = []
             trackers.append((tenant, slo_tracker, mitigation, tenant_cpu))
-            latency_hist = completed_counter = dropped_counter = None
+            latency_hist = completed_total = dropped_total = None
             if self.obs is not None:
                 label = tenant.display_name
                 latency_hist = self.obs.registry.histogram(
                     "request_latency_ms", tenant=label
                 )
-                completed_counter = self.obs.registry.counter(
+                completed_total = self.obs.registry.counter(
                     "requests_total", tenant=label, outcome="completed"
                 )
-                dropped_counter = self.obs.registry.counter(
+                dropped_total = self.obs.registry.counter(
                     "requests_total", tenant=label, outcome="dropped"
                 )
             hooks.append(
@@ -532,8 +530,8 @@ class ExperimentHarness:
                         slo_tracker,
                         accounting_start,
                         latency_hist=latency_hist,
-                        completed_counter=completed_counter,
-                        dropped_counter=dropped_counter,
+                        completed_total=completed_total,
+                        dropped_total=dropped_total,
                     ),
                 )
             )
@@ -599,36 +597,26 @@ class ExperimentHarness:
         slo_tracker: SLOTracker,
         accounting_start: float,
         latency_hist=None,
-        completed_counter=None,
-        dropped_counter=None,
+        completed_total=None,
+        dropped_total=None,
     ):
         """A completion hook feeding one tenant's streaming SLO tracker.
 
-        When observability metrics are passed in, each finished request
+        When observability metrics are passed in, each settled request
         also feeds the tenant's ``request_latency_ms`` histogram sketch
         and ``requests_total`` outcome counters.
         """
-        outcomes: Dict[str, str] = {}
 
         def _observe_finished(trace: Trace) -> None:
             if (trace.arrival_time or 0.0) < accounting_start:
                 return
-            prior = outcomes.get(trace.request_id)
-            if prior is None:
-                dropped = trace.dropped
-                outcomes[trace.request_id] = "dropped" if dropped else "completed"
-                slo_tracker.observe(trace)
-                if latency_hist is not None:
-                    if dropped:
-                        dropped_counter.inc()
-                    else:
-                        completed_counter.inc()
-                        latency_hist.observe(trace.end_to_end_latency_ms)
-            elif prior == "completed" and trace.dropped:
-                outcomes[trace.request_id] = "dropped"
-                slo_tracker.reclassify_as_dropped(trace)
-                if dropped_counter is not None:
-                    dropped_counter.inc()
+            slo_tracker.observe(trace)
+            if latency_hist is not None:
+                if trace.dropped:
+                    dropped_total.inc()
+                else:
+                    completed_total.inc()
+                    latency_hist.observe(trace.end_to_end_latency_ms)
 
         return _observe_finished
 
@@ -658,6 +646,7 @@ class ExperimentHarness:
             merged_mitigation = cluster_mitigation
             application = "+".join(t[0].app.name for t in trackers)
             controller = "+".join(t[0].controller_name for t in trackers)
+        digest = merge_telemetry_digests([t[0].coordinator.telemetry_digest() for t in trackers])
 
         result = ExperimentResult(
             application=application,
@@ -668,11 +657,9 @@ class ExperimentHarness:
             mitigation=merged_mitigation,
             requested_cpu_samples=requested_cpu,
             cluster_cpu_utilization_samples=cpu_utilization,
-            dropped_requests=sum(t[0].runtime.dropped_requests for t in trackers),
+            dropped_requests=digest.dropped,
         )
-        result.telemetry_digest = merge_telemetry_digests(
-            [t[0].coordinator.telemetry_digest() for t in trackers]
-        )
+        result.telemetry_digest = digest
         if self.obs is not None:
             result.journal = self.obs.journal.as_dicts()
             result.metrics = self.obs.registry
@@ -689,7 +676,7 @@ class ExperimentHarness:
                 latency=LatencyStats.from_samples(slo_tracker.latencies_ms),
                 mitigation=mitigation,
                 requested_cpu_samples=tenant_cpu,
-                dropped_requests=tenant.runtime.dropped_requests,
+                dropped_requests=tenant.coordinator.telemetry_digest().dropped,
             )
             if gate is not None:
                 result.admission = result.admission or {}

@@ -31,6 +31,7 @@ import inspect
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.admission.config import admission_name

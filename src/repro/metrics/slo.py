@@ -38,11 +38,9 @@ class SLOTracker:
     latencies_ms: List[float] = field(default_factory=list)
 
     def observe(self, trace: Trace) -> None:
-        """Account one finished trace."""
+        """Account one settled trace (completed or dropped)."""
         if trace.dropped:
             self.dropped += 1
-            return
-        if not trace.is_complete:
             return
         self.completed += 1
         latency = trace.end_to_end_latency_ms
@@ -50,25 +48,6 @@ class SLOTracker:
         slo = self.slo_latency_ms.get(trace.request_type)
         if slo is not None and latency > slo:
             self.violations += 1
-
-    def reclassify_as_dropped(self, trace: Trace) -> None:
-        """Convert a trace observed as completed into a dropped one.
-
-        Streaming observers can see a request complete and only later see
-        it dropped (a background call's rejection arrives after the entry
-        span finished); dropped is the final word, so the completion's
-        contribution is retracted.  ``is_complete`` is already False for a
-        dropped trace, so the recorded completion time is checked instead.
-        """
-        if trace.completion_time is not None:
-            self.completed -= 1
-            latency = trace.end_to_end_latency_ms
-            if latency in self.latencies_ms:
-                self.latencies_ms.remove(latency)
-            slo = self.slo_latency_ms.get(trace.request_type)
-            if slo is not None and latency > slo:
-                self.violations -= 1
-        self.dropped += 1
 
     @property
     def violation_rate(self) -> float:

@@ -19,6 +19,16 @@ behind the Extractor's relative importance and congestion intensity) are
 not the coordinator's: they exist only on a tenant whose FIRM Extractor or
 localization scorer asked for them through :meth:`instance_sketches`, so a
 tenant that never localizes never walks a completed trace's spans.
+
+**Each trace settles once, here.**  The first :meth:`complete_trace` or
+:meth:`drop_trace` call on a trace settles it as completed or dropped; a
+later call on a settled trace returns at once, with no mark, sketch,
+digest, store offer or hook.  A request dropped mid-flight (a downstream
+queue was full) whose entry span still closes therefore stays dropped,
+and a background call rejected after the response was sent records its
+dropped span but leaves the request completed.  The digest's
+``completed``/``dropped`` counters are the run's request outcomes, counted
+at settle.
 """
 
 from __future__ import annotations
@@ -94,7 +104,7 @@ class TracingCoordinator:
         #: (when registered), letting controllers resolve per-instance SLOs
         #: from the requests routed through the instance's service.
         self.slo_request_services: Dict[str, Tuple[str, ...]] = {}
-        #: Hooks invoked with each trace as it finishes (completes or drops).
+        #: Hooks invoked with each trace as it settles (completes or drops).
         #: Streaming observers (e.g. the harness's SLO accounting) use these
         #: instead of scanning the bounded store after the fact, so traces
         #: evicted from the store are still accounted.  Dispatch iterates a
@@ -141,26 +151,31 @@ class TracingCoordinator:
         trace.add_span(span)
 
     def complete_trace(self, trace: Trace, completion_time: float) -> None:
-        """Mark the request's response as sent to the client."""
+        """Settle the request as completed: its response reached the client.
+
+        A no-op on a trace already settled (completed or dropped).
+        """
+        if trace.dropped or trace.completion_time is not None:
+            return
         trace.mark_complete(completion_time)
         self._sketch_completion(trace, completion_time)
         self.store.note_finished(trace)
         self._fire_completion(trace)
 
     def drop_trace(self, trace: Trace) -> None:
-        """Mark the request as dropped."""
+        """Settle the request as dropped.
+
+        A no-op on a trace already settled (completed or dropped).
+        """
+        if trace.dropped or trace.completion_time is not None:
+            return
         trace.mark_dropped()
         self._digest.observe_drop()
         self.store.note_finished(trace)
         self._fire_completion(trace)
 
     def _sketch_completion(self, trace: Trace, completion_time: float) -> None:
-        """Fold one completed trace into the windowed sketches and digest.
-
-        Every ``complete_trace`` call folds, including a trace dropped
-        earlier whose entry span still completes; no ``drop_trace`` call
-        does.
-        """
+        """Fold one completed trace into the windowed sketches and digest."""
         latency_ms = trace.end_to_end_latency_ms
         request_type = trace.request_type
         histogram = self._latency_sketch.get(request_type)
@@ -176,12 +191,10 @@ class TracingCoordinator:
 
     # ------------------------------------------------------ completion hooks
     def add_completion_hook(self, hook: Callable[[Trace], None]) -> None:
-        """Register ``hook`` to be called with every finishing trace.
+        """Register ``hook`` to be called with every trace as it settles.
 
-        The hook fires on both completion and drop; a trace that is dropped
-        mid-flight and later completes fires once per event, so observers
-        that must count each request exactly once should de-duplicate by
-        ``trace.request_id``.
+        The hook fires once per trace, when it completes or is dropped,
+        whichever comes first; ``trace.dropped`` tells the two apart.
         """
         self._completion_hooks.append(hook)
         self._completion_hooks_snapshot = tuple(self._completion_hooks)

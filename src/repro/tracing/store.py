@@ -8,20 +8,15 @@ In-flight traces are always retained; *finished* traces (completed or
 dropped) pass through a SeededRNG-driven
 :class:`~repro.telemetry.reservoir.ReservoirSampler`, so the store keeps a
 uniform random sample of the whole run's traces in a small fixed budget.
-Windowed aggregates (latency quantiles, drop rates) come from the
+Windowed aggregates (latency quantiles, arrival rates) come from the
 coordinator's sketches; the reservoir exists for structural queries —
 critical paths, execution-graph inspection — that need whole traces.
-
-Dropped-request accounting is incremental: a sorted index of
-dropped-trace arrival times answers ``dropped_count(since)`` by bisection
-instead of scanning every stored trace per call.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import defaultdict
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.sim.rng import SeededRNG
 from repro.telemetry.reservoir import ReservoirSampler
@@ -61,10 +56,6 @@ class TraceStore:
         self._traces: Dict[str, Trace] = {}
         self._by_type: Dict[str, List[str]] = defaultdict(list)
         self._stale_by_type: Dict[str, int] = defaultdict(int)
-        #: Request ids of stored traces known to be dropped, plus their
-        #: arrival times sorted for bisected windowed counts.
-        self._dropped_ids: Set[str] = set()
-        self._dropped_arrivals: List[float] = []
 
     # --------------------------------------------------------------- mutation
     def add(self, trace: Trace) -> None:
@@ -73,42 +64,23 @@ class TraceStore:
             return
         self._traces[trace.request_id] = trace
         self._by_type[trace.request_type].append(trace.request_id)
-        if trace.dropped:
-            self._record_drop(trace)
 
     def note_finished(self, trace: Trace) -> None:
-        """Tell the store a trace finished (completed or dropped).
+        """Tell the store a trace settled (completed or dropped).
 
-        The coordinator calls this exactly once per trace.  It keeps the
-        dropped-count index current and offers the finished trace to the
-        sampler — discarding whichever trace the reservoir no longer holds.
+        The coordinator calls this exactly once per trace, when it settles.
+        It offers the trace to the sampler, discarding whichever trace the
+        reservoir no longer holds.
         """
-        if trace.dropped:
-            self._record_drop(trace)
         displaced = self.sampler.offer(trace.request_id)
         if displaced is not None:
             self._discard(displaced)
-
-    def _record_drop(self, trace: Trace) -> None:
-        if trace.request_id in self._dropped_ids:
-            return
-        self._dropped_ids.add(trace.request_id)
-        insort(self._dropped_arrivals, trace.arrival_time or 0.0)
-
-    def _forget_drop(self, trace: Trace) -> None:
-        if trace.request_id not in self._dropped_ids:
-            return
-        self._dropped_ids.discard(trace.request_id)
-        arrival = trace.arrival_time or 0.0
-        index = bisect_left(self._dropped_arrivals, arrival)
-        del self._dropped_arrivals[index]
 
     def _discard(self, request_id: str) -> None:
         """Drop one trace from the store, leaving its index id stale."""
         trace = self._traces.pop(request_id, None)
         if trace is None:
             return
-        self._forget_drop(trace)
         self._mark_stale(trace.request_type)
 
     def _mark_stale(self, request_type: str) -> None:
@@ -158,16 +130,6 @@ class TraceStore:
             selected = selected[-limit:]
         return selected
 
-    def dropped_count(self, since: Optional[float] = None) -> int:
-        """Number of stored dropped requests (optionally arrivals >= since).
-
-        Answered from the incrementally maintained drop index — O(1), or
-        O(log drops) with a ``since`` bound — rather than a full scan.
-        """
-        if since is None:
-            return len(self._dropped_ids)
-        return len(self._dropped_arrivals) - bisect_left(self._dropped_arrivals, since)
-
     def request_types(self) -> List[str]:
         """Request types observed so far."""
         return sorted(self._by_type)
@@ -186,12 +148,4 @@ class TraceStore:
         """Retained trace footprint (traces, spans, and indexes)."""
         from repro.telemetry.memory import deep_sizeof
 
-        return deep_sizeof(
-            (
-                self._traces,
-                self._by_type,
-                self._dropped_ids,
-                self._dropped_arrivals,
-                self.sampler,
-            )
-        )
+        return deep_sizeof((self._traces, self._by_type, self.sampler))

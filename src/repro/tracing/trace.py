@@ -115,7 +115,7 @@ class Trace:
     @property
     def is_complete(self) -> bool:
         """Whether the response has been recorded."""
-        return self.completion_time is not None and not self.dropped
+        return self.completion_time is not None
 
     def services(self) -> List[str]:
         """Unique service names appearing in the trace."""

@@ -98,6 +98,15 @@ class TestExecution:
         assert row["campaign"] == "random"
         assert "precision" in row and "recall" in row
 
+    def test_sweep_scenario_with_anomalies(self, capsys):
+        assert main([
+            "sweep", "scenario", "--set", "application=hotel_reservation",
+            "--set", "anomaly_rate_per_s=0.2", "--set", "load_rps=12",
+            "--set", "duration_s=8", "--grid", "seed=0,1",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [row["seed"] for row in payload] == [0, 1]
+
 
 class TestErrorPaths:
     @pytest.mark.parametrize(

@@ -84,13 +84,6 @@ class TestSLOTracker:
         tracker.observe(_trace(latency_ms=10_000.0))
         assert tracker.violations == 0
 
-    def test_incomplete_trace_ignored(self):
-        tracker = SLOTracker({"main": 50.0})
-        trace = Trace("r", "main")
-        trace.arrival_time = 0.0
-        tracker.observe(trace)
-        assert tracker.completed == 0
-
     def test_violation_rate_zero_when_empty(self):
         assert SLOTracker({}).violation_rate == 0.0
 

@@ -80,7 +80,7 @@ class TestExecution:
         trace = runtime.submit_request("main")
         engine.run_until(5.0)
         assert trace.is_complete
-        assert runtime.completed_requests == 1
+        assert runtime.coordinator.telemetry_digest().completed == 1
 
     def test_trace_contains_foreground_spans(self, tiny_runtime):
         runtime, engine, _, _ = tiny_runtime
@@ -140,7 +140,7 @@ class TestExecution:
         traces = [runtime.submit_request("main") for _ in range(50)]
         engine.run_until(30.0)
         assert all(trace.is_complete for trace in traces)
-        assert runtime.completed_requests == 50
+        assert runtime.coordinator.telemetry_digest().completed == 50
 
     def test_unknown_request_type_raises(self, tiny_runtime):
         runtime, _, _, _ = tiny_runtime
@@ -158,10 +158,11 @@ class TestExecution:
         runtime, engine, _, cluster = tiny_runtime
         for instance in cluster.replicas_of("a"):
             instance.max_queue_length = 0
-        before = runtime.dropped_requests
-        runtime.submit_request("main")
+        digest = runtime.coordinator.telemetry_digest()
+        trace = runtime.submit_request("main")
         engine.run_until(5.0)
-        assert runtime.dropped_requests == before + 1
+        assert trace.dropped and not trace.is_complete
+        assert (digest.completed, digest.dropped) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,8 @@ def _span_structure(application: str, seed: int, squeeze: bool) -> str:
             lambda eng, name=name: traces.append(runtime.submit_request(name)),
         )
     engine.run_until(30.0)
-    lines = [f"completed={runtime.completed_requests} dropped={runtime.dropped_requests}"]
+    digest = coordinator.telemetry_digest()
+    lines = [f"completed={digest.completed} dropped={digest.dropped}"]
     for trace in traces:
         recorded = list(trace._spans.values())
         ranks = {span_id: rank for rank, span_id in enumerate(sorted(trace._spans))}
@@ -220,13 +222,13 @@ def _span_structure(application: str, seed: int, squeeze: bool) -> str:
 #: sha256 of :func:`_span_structure` per (application, squeeze).
 _SPAN_STRUCTURE_DIGESTS = {
     ("social_network", False): "d7980fb7ee3964da4107a45aa144e0f48c3222b867db96bb2d42b1c9dc42ed9d",
-    ("social_network", True): "605e2d63d051ae6b45e09833fa81dca4a23c8ea8457078b5fe4671b90d63db42",
+    ("social_network", True): "73fa3ab29edd21db6769f86555f637efa425433eb28f257f0ecad0e752dddb8b",
     ("media_service", False): "2e5b1ae453fb47b467219834a2db95208486ce5c77ee0f7d1826e8268c5b158a",
-    ("media_service", True): "2f3e757ac5349eb18a1aac445d58e96dae5471e4c92c0bd0616178363c5efeff",
+    ("media_service", True): "d87cab88fa3cc2bd3beccfc24f03f23edcf08bd9567b0146ca47ef2b93460c4c",
     ("hotel_reservation", False): "653f12cfbf0ebf955d9e0f3add4ea70898b9ccb2f56039cd24c762be16094530",
-    ("hotel_reservation", True): "e3431fd6c5b39ac945bbe718af4769566e1c103bb9670647d7a003d09778c6ec",
+    ("hotel_reservation", True): "534171f056c126bb80be06a098eeef4c8f792042ff0fdd20e6b67ceadca93c44",
     ("train_ticket", False): "88c044caaffa95bc7678c98d1210584d032101be8a67f437ab670fa8a7ee76ff",
-    ("train_ticket", True): "6680d377675d19af28b1b45ced1c15e309fd65734c00756f6b0b046a3f7e1b8a",
+    ("train_ticket", True): "1b67417e89abee2ab62ce3b660a83f186cf45338d0c67f67bd6271cefff29077",
 }
 
 
@@ -285,7 +287,7 @@ class TestCompileOnce:
         harness.run(duration_s=spec.duration_s)
         runtimes = [tenant.runtime for tenant in harness.tenants]
         expected = [name for runtime in runtimes for name in runtime.app.request_types]
-        assert sum(runtime.completed_requests for runtime in runtimes) > 100
+        assert sum(t.coordinator.telemetry_digest().completed for t in harness.tenants) > 100
         assert compiled == expected
         for runtime in runtimes:
             runtime.deploy()  # idempotent: compiles nothing

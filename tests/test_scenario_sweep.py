@@ -226,22 +226,61 @@ class TestStreamingSLOAccounting:
         assert result.slo.completed >= len(store)
         assert result.slo.completed == coordinator.telemetry_digest().completed
 
-    def test_drop_after_completion_counts_as_dropped(self):
-        """A request that completes and is then dropped by a background call
-        must count as dropped, matching the old end-of-run accounting."""
+    def test_drop_after_completion_stays_completed(self):
+        """A background call rejected after the response was sent leaves the
+        request completed: the coordinator settled it at its completion."""
         from repro.metrics.slo import SLOTracker
-        from repro.tracing.trace import Trace
+        from repro.sim.engine import SimulationEngine
+        from repro.tracing.coordinator import TracingCoordinator
 
+        coordinator = TracingCoordinator(SimulationEngine())
         tracker = SLOTracker({"main": 100.0})
-        trace = Trace("r1", "main")
-        trace.arrival_time = 0.0
-        trace.mark_complete(0.5)  # 500 ms: a violation
-        tracker.observe(trace)
+        coordinator.add_completion_hook(tracker.observe)
+        trace = coordinator.begin_trace("r1", "main", arrival_time=0.0)
+        coordinator.complete_trace(trace, 0.5)  # 500 ms: a violation
+        coordinator.drop_trace(trace)
         assert (tracker.completed, tracker.violations, tracker.dropped) == (1, 1, 0)
-        trace.mark_dropped()
-        tracker.reclassify_as_dropped(trace)
-        assert (tracker.completed, tracker.violations, tracker.dropped) == (0, 0, 1)
-        assert tracker.latencies_ms == []
+        assert tracker.latencies_ms == [500.0]
+
+    def test_aggressor_victim_settles_each_request_once(self, monkeypatch):
+        """The saturated aggressor drops requests whose entry span still
+        closes; each must still reach the hooks, the counts and the trace
+        reservoir exactly once."""
+        from collections import Counter
+
+        from repro.experiments.interference import aggressor_victim
+        from repro.tracing.coordinator import TracingCoordinator
+
+        begun = Counter()
+        begin_trace = TracingCoordinator.begin_trace
+
+        def counting_begin(self, request_id, request_type, arrival_time):
+            begun[self.tenant] += 1
+            return begin_trace(self, request_id, request_type, arrival_time)
+
+        monkeypatch.setattr(TracingCoordinator, "begin_trace", counting_begin)
+        spec = aggressor_victim(duration_s=20.0)
+        harness = ExperimentHarness.from_spec(spec)
+        settled = Counter()
+        for tenant in harness.tenants:
+            tenant.coordinator.add_completion_hook(
+                lambda trace: settled.update([trace.request_id])
+            )
+        result = harness.run(duration_s=spec.duration_s)
+        assert result.tenant_results["aggressor"].dropped_requests > 0
+        assert settled and max(settled.values()) == 1
+        for tenant in harness.tenants:
+            coordinator = tenant.coordinator
+            store = coordinator.store
+            digest = coordinator.telemetry_digest()
+            in_flight = sum(
+                1 for trace in store.all_traces()
+                if not trace.dropped and trace.completion_time is None
+            )
+            assert digest.completed + digest.dropped + in_flight == begun[tenant.tenant_id]
+            ids = store.sampler.items
+            assert len(set(ids)) == len(ids)
+            assert all(store.get(request_id) is not None for request_id in ids)
 
     def test_back_to_back_runs_do_not_double_sample(self):
         """The harness-sample recurrence must not outlive its run."""

@@ -107,9 +107,12 @@ class TestTrace:
         trace.arrival_time = 0.0
         assert not trace.is_complete
 
-    def test_dropped_trace_not_complete(self):
-        trace, *_ = self._build_trace()
-        trace.mark_dropped()
+    def test_dropped_trace_not_complete(self, engine):
+        coordinator = TracingCoordinator(engine)
+        trace = coordinator.begin_trace("r1", "main", arrival_time=0.0)
+        coordinator.drop_trace(trace)
+        coordinator.complete_trace(trace, 5.0)
+        assert trace.dropped
         assert not trace.is_complete
 
     def test_len_counts_spans(self):
@@ -153,14 +156,6 @@ class TestTraceStore:
         store.add(late)
         assert store.completed_traces(request_type="b") == [late]
         assert store.completed_traces(since=5.0) == [late]
-
-    def test_dropped_count(self):
-        store = TraceStore()
-        trace = Trace("r1", "main")
-        trace.arrival_time = 0.0
-        trace.mark_dropped()
-        store.add(trace)
-        assert store.dropped_count() == 1
 
     def test_latencies_ms(self):
         store = TraceStore()
@@ -242,9 +237,9 @@ class TestCoordinator:
 
 
 class TestInstanceSketches:
-    """The per-instance fold runs on every ``complete_trace`` call of a
-    tenant whose localization reader asked for the sketches, and nowhere
-    else."""
+    """The per-instance fold runs on every completion that settles a trace
+    of a tenant whose localization reader asked for the sketches, and
+    nowhere else."""
 
     @staticmethod
     def _traced(coordinator, request_id):
@@ -279,14 +274,14 @@ class TestInstanceSketches:
         engine.run_until(1.0)
         assert self._samples(sketches, engine) == [1]
 
-    def test_drop_then_complete_folds_once(self, engine):
+    def test_drop_then_complete_folds_nothing(self, engine):
         coordinator = TracingCoordinator(engine)
         sketches = coordinator.instance_sketches()
         trace = self._traced(coordinator, "r1")
         coordinator.drop_trace(trace)
         coordinator.complete_trace(trace, 0.05)
         engine.run_until(1.0)
-        assert self._samples(sketches, engine) == [1]
+        assert self._samples(sketches, engine) == []
 
     def test_features_match_the_folded_spans(self, engine):
         coordinator = TracingCoordinator(engine)
@@ -306,3 +301,46 @@ class TestInstanceSketches:
         assert features["b#0"].relative_importance == 0.0
         assert features["a#0"].sample_count == 10
         assert sketches.features(engine.now, 5.0, instances=["b#0", "c#0"])[0].instance == "b#0"
+
+
+class TestSettleOnce:
+    """The first ``complete_trace`` or ``drop_trace`` call settles a trace;
+    a later call on it changes nothing."""
+
+    @staticmethod
+    def _coordinator(engine):
+        coordinator = TracingCoordinator(engine)
+        sketches = coordinator.instance_sketches()
+        seen = []
+        coordinator.add_completion_hook(lambda trace: seen.append(trace.request_id))
+        trace = coordinator.begin_trace("r1", "main", arrival_time=0.0)
+        coordinator.record_span(trace, _span(request="r1", t0=0.0, t2=0.5))
+        return coordinator, sketches, seen, trace
+
+    @staticmethod
+    def _folds(sketches, engine):
+        engine.run_until(1.0)
+        return sum(f.sample_count for f in sketches.features(engine.now, 5.0, min_samples=1))
+
+    def test_drop_then_complete(self, engine):
+        coordinator, sketches, seen, trace = self._coordinator(engine)
+        coordinator.drop_trace(trace)
+        coordinator.complete_trace(trace, 0.5)
+        assert seen == ["r1"]
+        assert trace.dropped and trace.completion_time is None
+        assert self._folds(sketches, engine) == 0
+        digest = coordinator.telemetry_digest()
+        assert (digest.completed, digest.dropped) == (0, 1)
+        assert coordinator.store.sampler.offered == 1
+        assert coordinator.latency_percentile_ms(99.0, window_s=5.0) == 0.0
+
+    def test_complete_then_drop(self, engine):
+        coordinator, sketches, seen, trace = self._coordinator(engine)
+        coordinator.complete_trace(trace, 0.5)
+        coordinator.drop_trace(trace)
+        assert seen == ["r1"]
+        assert not trace.dropped and trace.is_complete
+        assert self._folds(sketches, engine) == 1
+        digest = coordinator.telemetry_digest()
+        assert (digest.completed, digest.dropped) == (1, 0)
+        assert coordinator.store.sampler.offered == 1
