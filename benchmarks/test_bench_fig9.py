@@ -11,10 +11,15 @@ Regenerates:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from conftest import save_result
 
 from repro.anomaly.anomalies import AnomalyType
 from repro.experiments.fig9_localization import run_fig9a, run_fig9b, run_fig9c
+
+#: All three panels run in seconds, so CI's smoke job also checks their
+#: scoreboards byte for byte.
+pytestmark = [pytest.mark.smoke]
 
 
 def test_bench_fig9a_single_anomaly_roc(benchmark, results_dir):

@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Study FIRM's SLO-violation localization pipeline on a single anomaly.
 
-Walks the Extractor's two stages explicitly (a miniature Fig. 9 study):
+Walks the FIRM Extractor's two stages explicitly (a miniature Fig. 9
+study):
 
 1. inject CPU contention into one service of the Hotel Reservation
    application;
-2. extract critical paths from the recent traces and show how often each
-   service appears on them;
-3. compute the (relative importance, congestion intensity) features and the
-   SVM's candidate set, comparing against the injection ground truth.
+2. extract critical paths from the last 30 s of traces and show how often
+   each service appears on them;
+3. read the (relative importance, congestion intensity) features of the
+   instances on those paths and the SVM's candidate set, comparing against
+   the injection ground truth.
+
+The Extractor is built before the run: its per-instance sketches fold
+only the completions that follow their request.
 
 Usage::
 
@@ -22,8 +27,7 @@ from collections import Counter
 
 from repro.anomaly.anomalies import AnomalySpec, AnomalyType
 from repro.anomaly.campaigns import AnomalyCampaign
-from repro.core.critical_component import CriticalComponentExtractor
-from repro.core.critical_path import CriticalPathExtractor
+from repro.core.extractor import Extractor
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.scenario import ScenarioSpec
 
@@ -54,14 +58,12 @@ def main() -> None:
             campaign=campaign,
         )
     )
+    extractor = Extractor(harness.tenants[0].coordinator, window_s=30.0)
     print(f"Injecting CPU contention into {args.target!r} and collecting traces ...")
     harness.run(duration_s=55.0)
 
-    traces = harness.tenants[0].coordinator.recent_traces(window_s=45.0)
-    path_extractor = CriticalPathExtractor()
-    paths = path_extractor.extract_all(traces)
-
-    print(f"\ncollected {len(traces)} traces, extracted {len(paths)} critical paths")
+    paths, features = extractor.window_features()
+    print(f"\nextracted {len(paths)} critical paths from the last {extractor.window_s:.0f} s")
     appearance = Counter()
     for path in paths:
         appearance.update(path.services)
@@ -69,14 +71,12 @@ def main() -> None:
     for service, count in appearance.most_common(8):
         print(f"  {service:>28}: {count}")
 
-    component_extractor = CriticalComponentExtractor()
-    features = component_extractor.compute_features(paths, traces)
     features.sort(key=lambda f: (f.relative_importance, f.congestion_intensity), reverse=True)
     print(f"\n{'instance':>30} {'RI':>6} {'CI':>7}")
     for feature in features[:10]:
         print(f"{feature.instance:>30} {feature.relative_importance:>6.2f} {feature.congestion_intensity:>7.2f}")
 
-    candidates = component_extractor.extract(paths, traces)
+    candidates = extractor.analyse(force=True).candidates
     flagged_services = sorted({feature.service for feature in candidates})
     ground_truth = harness.tenants[0].injector.log[0].spec.target_service
     print(f"\nSVM candidates: {flagged_services or '(none)'}")

@@ -10,17 +10,14 @@ estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.critical_component import (
-    CriticalComponentExtractor,
-    InstanceFeatures,
-)
 from repro.core.critical_path import CriticalPath, CriticalPathExtractor
 from repro.core.svm import IncrementalSVM
 from repro.tracing.coordinator import TracingCoordinator
+from repro.tracing.instance_sketch import InstanceFeatures
 
 
 @dataclass
@@ -46,7 +43,8 @@ class Extractor:
     coordinator:
         Tracing coordinator to query.
     svm:
-        Shared incremental SVM (so online training persists across rounds).
+        Shared incremental SVM (so online training persists across rounds);
+        a fresh (cold-start) classifier is created when omitted.
     window_s:
         Analysis window for traces and latency statistics.
     detection_percentile:
@@ -64,26 +62,29 @@ class Extractor:
         #: The tenant's per-instance localization sketches; asking for them
         #: here starts their fold before the run does.
         self.sketches = coordinator.instance_sketches()
+        self.svm = svm if svm is not None else IncrementalSVM(input_dim=2)
         self.window_s = float(window_s)
         self.detection_percentile = float(detection_percentile)
         self.path_extractor = CriticalPathExtractor()
-        self.component_extractor = CriticalComponentExtractor(svm=svm)
 
     # -------------------------------------------------------------- analysis
-    def _sketch_features(self, paths: Sequence[CriticalPath]) -> List[InstanceFeatures]:
-        """Windowed (RI, CI) features for every instance on the given CPs.
+    def window_features(self) -> Tuple[List[CriticalPath], List[InstanceFeatures]]:
+        """The window's critical paths and the (RI, CI) of the instances on them.
 
-        The tenant's per-instance co-moments and sojourn histograms answer
-        in O(instances × buckets), independent of how many traces the
-        window saw — no per-request alignment scans.
+        Critical paths come from the retained traces (the reservoir
+        sample).  The features come from the tenant's windowed
+        per-instance co-moments and sojourn histograms, which answer in
+        O(instances × buckets) however many traces the window saw.
         """
+        traces = self.coordinator.recent_traces(self.window_s)
+        if not traces:
+            return [], []
+        paths = self.path_extractor.extract_all(traces)
         instances = sorted({span.instance for path in paths for span in path.spans})
-        return self.sketches.features(
-            self.coordinator.engine.now,
-            self.window_s,
-            instances=instances,
-            min_samples=self.component_extractor.min_samples,
+        features = self.sketches.features(
+            self.coordinator.engine.now, self.window_s, instances=instances
         )
+        return paths, features
 
     def detect(self) -> bool:
         """True when any request type's tail latency currently violates its SLO."""
@@ -96,33 +97,32 @@ class Extractor:
 
         When no SLO violation is detected (and ``force`` is False) the
         result carries no candidates so the controller can skip mitigation
-        and consider scaling down instead.
-
-        Critical paths come from the retained traces (the reservoir
-        sample); the per-instance features feeding the SVM come from the
-        tenant's windowed per-instance sketches.
+        and consider scaling down instead.  Otherwise the candidates are
+        the instances whose features the SVM flags, in one vectorized
+        classification.
         """
         violated = self.detect()
         result = ExtractionResult(time_s=self.coordinator.engine.now, slo_violated=violated)
         if not violated and not force:
             return result
-        traces = self.coordinator.recent_traces(self.window_s)
-        if not traces:
-            return result
-        result.critical_paths = self.path_extractor.extract_all(traces)
-        features = self._sketch_features(result.critical_paths)
-        result.candidates = self.component_extractor.select(features)
+        result.critical_paths, features = self.window_features()
+        if features:
+            matrix = np.vstack([feature.as_vector() for feature in features])
+            decisions = self.svm.classify(matrix)
+            result.candidates = [f for f, flag in zip(features, decisions) if flag]
         return result
 
     # -------------------------------------------------------------- training
     def train_svm(self, culprit_services: Sequence[str]) -> float:
-        """Online SVM update using injector ground truth for the current window."""
-        traces = self.coordinator.recent_traces(self.window_s)
-        if not traces:
-            return 0.0
-        features = self._sketch_features(self.path_extractor.extract_all(traces))
+        """Online SVM update using injector ground truth for the current window.
+
+        An instance is labelled positive when its service is among
+        ``culprit_services``.  Returns the post-update hinge loss (0.0 when
+        the window had nothing to train on).
+        """
+        _, features = self.window_features()
         if not features:
             return 0.0
         labels = [1 if feature.service in culprit_services else 0 for feature in features]
         matrix = np.vstack([feature.as_vector() for feature in features])
-        return self.component_extractor.svm.partial_fit(matrix, labels)
+        return self.svm.partial_fit(matrix, labels)

@@ -1,5 +1,12 @@
 """Fig. 9 — critical component localization performance.
 
+Every panel scores the features FIRM classifies: each run builds a FIRM
+:class:`~repro.core.extractor.Extractor` on the tenant's coordinator
+right after the harness (its windowed per-instance sketches fold only
+completions after they are requested), and reads the window's critical
+paths and instance (RI, CI) features from it.  Online SVM training uses
+:meth:`~repro.core.extractor.Extractor.train_svm` alone.
+
 Three panels:
 
 * **(a)** ROC curves of single-anomaly localization per anomaly type
@@ -25,8 +32,7 @@ import numpy as np
 from repro.anomaly.anomalies import ANOMALY_TYPES, AnomalyType
 from repro.anomaly.campaigns import multi_anomaly_campaign, single_anomaly_sweep
 from repro.apps.catalog import build_application
-from repro.core.critical_path import CriticalPathExtractor
-from repro.core.critical_component import CriticalComponentExtractor
+from repro.core.extractor import Extractor
 from repro.core.svm import IncrementalSVM
 from repro.experiments.harness import ExperimentHarness
 from repro.experiments.scenario import ScenarioSpec
@@ -106,24 +112,24 @@ def _injected_nodes(harness: ExperimentHarness, min_intensity: float = 0.0) -> L
 
 def _collect_scored_samples(
     harness: ExperimentHarness,
-    component_extractor: CriticalComponentExtractor,
-    window_s: float,
+    extractor: Extractor,
     culprit_services: Sequence[str],
 ) -> List[Tuple[float, int]]:
-    """Score every instance on recent CPs against the injection ground truth.
+    """Score every instance on the window's CPs against the injection ground truth.
 
+    The score is the SVM's decision function over the instance's features.
     An instance counts as a true culprit when its service is the injection
     target or when it is co-located on an injected node (node-level
     interference makes such neighbours genuine victims).
     """
-    traces = harness.tenants[0].coordinator.recent_traces(window_s)
-    if not traces:
+    _, features = extractor.window_features()
+    if not features:
         return []
-    paths = CriticalPathExtractor().extract_all(traces)
-    ranked = component_extractor.rank(paths, traces)
+    matrix = np.vstack([feature.as_vector() for feature in features])
+    scores = extractor.svm.decision_function(matrix)
     injected_nodes = set(_injected_nodes(harness))
     samples: List[Tuple[float, int]] = []
-    for feature, score in ranked:
+    for feature, score in zip(features, scores):
         on_injected_node = False
         try:
             instance = harness.cluster.instance_by_name(feature.instance)
@@ -132,7 +138,7 @@ def _collect_scored_samples(
         except KeyError:
             pass
         is_culprit = feature.service in culprit_services or on_injected_node
-        samples.append((score, 1 if is_culprit else 0))
+        samples.append((float(score), 1 if is_culprit else 0))
     return samples
 
 
@@ -147,15 +153,17 @@ def run_fig9a(
 ) -> Dict[AnomalyType, SingleAnomalyROC]:
     """Reproduce Fig. 9(a): per-anomaly-type localization ROC curves.
 
-    When ``train`` is True the SVM receives one online update per sweep
-    window from the injector's ground truth before being scored on the next
-    window, mirroring the paper's online training procedure.  When no
-    explicit targets are given, each anomaly type is injected against
-    services sensitive to it (the paper injects at intensities that
-    actually trigger SLO violations).
+    Each injection is scored over its own window (the sweep's step
+    duration).  When ``train`` is True the SVM receives one online update
+    per sweep window from the injector's ground truth before being scored
+    on the next window, mirroring the paper's online training procedure.
+    When no explicit targets are given, each anomaly type is injected
+    against services sensitive to it (the paper injects at intensities
+    that actually trigger SLO violations).
     """
     if anomaly_types is None:
         anomaly_types = [a for a in ANOMALY_TYPES if a is not AnomalyType.WORKLOAD_VARIATION]
+    step_duration_s = 15.0
     results: Dict[AnomalyType, SingleAnomalyROC] = {}
     svm = IncrementalSVM(input_dim=2)
     for anomaly_type in anomaly_types:
@@ -167,7 +175,7 @@ def run_fig9a(
         )
         for service_index, target in enumerate(type_targets):
             campaign = single_anomaly_sweep(
-                anomaly_type, target, intensities, step_duration_s=15.0, gap_s=5.0
+                anomaly_type, target, intensities, step_duration_s=step_duration_s, gap_s=5.0
             )
             spec = ScenarioSpec(
                 application=application,
@@ -178,11 +186,13 @@ def run_fig9a(
                 campaign=campaign,
             )
             harness = ExperimentHarness.from_spec(spec)
-            component_extractor = CriticalComponentExtractor(svm=svm)
+            extractor = Extractor(
+                harness.tenants[0].coordinator, svm=svm, window_s=step_duration_s
+            )
 
             scored_accumulator: List[Tuple[float, int]] = []
 
-            def _evaluate_injection(engine, spec, extractor=component_extractor, h=harness):
+            def _evaluate_injection(engine, spec, extractor=extractor, h=harness):
                 """Score instances over exactly the injection's window.
 
                 Evaluating aligned with each injection (rather than on a
@@ -190,12 +200,9 @@ def run_fig9a(
                 features with anomaly-free traffic.
                 """
                 culprits = [spec.target_service]
-                batch = _collect_scored_samples(h, extractor, spec.duration_s, culprits)
-                scored_accumulator.extend(batch)
+                scored_accumulator.extend(_collect_scored_samples(h, extractor, culprits))
                 if train:
-                    traces = h.tenants[0].coordinator.recent_traces(spec.duration_s)
-                    paths = CriticalPathExtractor().extract_all(traces)
-                    extractor.train_from_ground_truth(paths, traces, culprits)
+                    extractor.train_svm(culprits)
 
             for injection in campaign.specs:
                 harness.engine.schedule(
@@ -267,10 +274,7 @@ def run_fig9b_for_application(
         campaign=campaign,
     )
     harness = ExperimentHarness.from_spec(spec)
-
-    svm = IncrementalSVM(input_dim=2)
-    component_extractor = CriticalComponentExtractor(svm=svm)
-    path_extractor = CriticalPathExtractor()
+    extractor = Extractor(harness.tenants[0].coordinator, window_s=window_s)
 
     correct = 0
     total = 0
@@ -290,17 +294,12 @@ def run_fig9b_for_application(
             if record.spec.intensity >= significant_intensity
         }
         injected_nodes = set(_injected_nodes(harness, min_intensity=significant_intensity))
-        traces = harness.tenants[0].coordinator.recent_traces(window_s)
-        if not traces:
-            return
-        paths = path_extractor.extract_all(traces)
-        features = component_extractor.compute_features(paths, traces)
+        _, features = extractor.window_features()
         if not features:
             return
-        flagged = {
-            feature.service
-            for feature in component_extractor.extract(paths, traces)
-        }
+        matrix = np.vstack([feature.as_vector() for feature in features])
+        decisions = extractor.svm.classify(matrix)
+        flagged = {feature.service for feature, flag in zip(features, decisions) if flag}
         for feature in features:
             service = feature.service
             instance = None
@@ -326,7 +325,7 @@ def run_fig9b_for_application(
                 per_arch_correct[arch] = per_arch_correct.get(arch, 0) + 1
             total += 1
         # Online SVM training from ground truth, as in the paper.
-        component_extractor.train_from_ground_truth(paths, traces, sorted(culprits))
+        extractor.train_svm(sorted(culprits))
 
     harness.engine.schedule_recurring(window_s, _evaluate, name="fig9b-evaluate")
     harness.run(duration_s=spec.duration_s)

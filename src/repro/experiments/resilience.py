@@ -12,7 +12,8 @@ them like any other scenario:
   scope, seed — as a :class:`~repro.experiments.scenario.ScenarioSpec`
   whose ``score_window_s`` turns on scoring;
 * :class:`LocalizationScorer` scores **localization**: per-window
-  precision/recall of the critical-component extractor's flags against
+  precision/recall of the FIRM :class:`~repro.core.extractor.Extractor`'s
+  flags against
   the injector's ``[start_s, end_s)`` ground truth, co-located services
   on injected nodes counting as genuine victims.  The sweep outcome adds
   **mitigation** (SLO-violation-seconds and time-to-mitigate from the
@@ -44,9 +45,7 @@ from repro.anomaly.campaigns import (
 )
 from repro.apps.catalog import build_application
 from repro.baselines.base import resolve_controller_name
-from repro.core.critical_component import CriticalComponentExtractor
-from repro.core.critical_path import CriticalPathExtractor
-from repro.core.svm import IncrementalSVM
+from repro.core.extractor import Extractor
 from repro.experiments.scenario import ScenarioSpec, TenantSpec
 from repro.sim.rng import SeededRNG
 
@@ -247,8 +246,9 @@ class LocalizationScorer:
     """Windowed localization scoring against the injector's ground truth.
 
     The recurring evaluation loop the sweep worker attaches to a scored
-    run's harness: every ``window_s`` simulated seconds the
-    critical-component extractor's flags are compared with the injector's
+    run's harness: every ``window_s`` simulated seconds the flags of a
+    cold-start FIRM :class:`~repro.core.extractor.Extractor` over the
+    tenant's shared sketches are compared with the injector's
     ground truth over the same window, and the resulting
     :class:`WindowScore` list accumulates on :attr:`windows`.  A service
     counts as a true culprit when a significant injection targeting it
@@ -263,12 +263,9 @@ class LocalizationScorer:
         self.harness = harness
         self.tenant = tenant
         self.window_s = float(window_s)
-        #: Shared with the tenant's FIRM Extractor, if it has one.
-        self.sketches = tenant.coordinator.instance_sketches()
-        self.component_extractor = CriticalComponentExtractor(
-            svm=IncrementalSVM(input_dim=2)
-        )
-        self.path_extractor = CriticalPathExtractor()
+        #: Reads the sketches shared with the tenant's FIRM Extractor, if
+        #: it has one, through its own untrained SVM.
+        self.extractor = Extractor(tenant.coordinator, window_s=self.window_s)
         self.windows: List[WindowScore] = []
 
     def attach(self, until_s: float) -> None:
@@ -286,7 +283,6 @@ class LocalizationScorer:
         anomalies that ended mid-window too.
         """
         injector = self.tenant.injector
-        component_extractor = self.component_extractor
         targets, node_names = injector.ground_truth_window(
             engine.now - self.window_s,
             engine.now,
@@ -294,28 +290,13 @@ class LocalizationScorer:
         )
         truth_targets = set(targets)
         injected_nodes = set(node_names)
-        traces = self.tenant.coordinator.recent_traces(self.window_s)
-        if not traces:
-            return
-        paths = self.path_extractor.extract_all(traces)
-        # Windowed (RI, CI) from the tenant's per-instance sketches,
-        # restricted to instances on the window's CPs.
-        instances = sorted({span.instance for path in paths for span in path.spans})
-        features = self.sketches.features(
-            engine.now,
-            self.window_s,
-            instances=instances,
-            min_samples=component_extractor.min_samples,
-        )
+        _, features = self.extractor.window_features()
         if not features:
             return
         truth = set()
         flagged = set()
-        # Classify the already-computed features directly instead of
-        # extract(), which would recompute RI/CI over every path — and as
-        # one vectorized SVM call rather than per-instance classify_one.
         matrix = np.vstack([feature.as_vector() for feature in features])
-        decisions = component_extractor.svm.classify(matrix)
+        decisions = self.extractor.svm.classify(matrix)
         for feature, flag in zip(features, decisions):
             service = feature.service
             on_injected_node = False

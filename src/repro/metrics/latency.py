@@ -57,13 +57,6 @@ class LatencyStats:
             std=float(data.std()),
         )
 
-    @property
-    def congestion_intensity(self) -> float:
-        """p99 / median (the paper's per-instance congestion-intensity feature)."""
-        if self.median <= 0:
-            return 0.0
-        return self.p99 / self.median
-
     def as_dict(self) -> dict:
         """Plain-dict form for reports."""
         return {

@@ -17,7 +17,10 @@ when they are built, before the run starts.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.telemetry.window import WindowedCoMoments, WindowedHistogram
 from repro.tracing.trace import Trace
@@ -28,6 +31,25 @@ from repro.tracing.trace import Trace
 #: the knob that keeps a fleet's constant footprint small.
 _INSTANCE_BUCKET_S = 1.0
 _INSTANCE_BUCKETS = 32
+
+#: Fewest traces an instance needs in the window before its features are
+#: trusted.
+MIN_SAMPLES = 5
+
+
+@dataclass
+class InstanceFeatures:
+    """Windowed SVM features of one microservice instance."""
+
+    instance: str
+    service: str
+    relative_importance: float
+    congestion_intensity: float
+    sample_count: int
+
+    def as_vector(self) -> np.ndarray:
+        """Feature vector in the order expected by the SVM."""
+        return np.array([self.relative_importance, self.congestion_intensity], dtype=float)
 
 
 class _InstanceSketch:
@@ -78,19 +100,15 @@ class InstanceSketches:
         now: float,
         window_s: float,
         instances: Optional[List[str]] = None,
-        min_samples: int = 5,
-    ):
+        min_samples: int = MIN_SAMPLES,
+    ) -> List[InstanceFeatures]:
         """Per-instance SVM features over ``[now - window_s, now]``.
 
-        Returns a list of
-        :class:`~repro.core.critical_component.InstanceFeatures` — relative
-        importance from the windowed co-moments' Pearson correlation and
-        congestion intensity as the windowed sojourn q99/q50 — for every
-        instance (or the given subset) with at least ``min_samples`` traces
-        in the window.
+        Relative importance is the windowed co-moments' Pearson
+        correlation and congestion intensity the windowed sojourn q99/q50,
+        for every instance (or the given subset) with at least
+        ``min_samples`` traces in the window.
         """
-        from repro.core.critical_component import InstanceFeatures
-
         names = instances if instances is not None else sorted(self._sketches)
         features: List[InstanceFeatures] = []
         for instance in names:

@@ -1,15 +1,27 @@
-"""Unit tests for critical component extraction (Algorithm 2)."""
+"""Unit tests for critical component localization (Algorithm 2).
+
+The features are the ones FIRM classifies: the windowed per-instance
+sketches (:class:`~repro.tracing.instance_sketch.InstanceSketches`), read
+for the instances on the window's critical paths by the
+:class:`~repro.core.extractor.Extractor`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.critical_component import CriticalComponentExtractor, InstanceFeatures
-from repro.core.critical_path import CriticalPathExtractor
+from repro.core.extractor import Extractor
 from repro.core.svm import IncrementalSVM
+from repro.sim.engine import SimulationEngine
+from repro.tracing.coordinator import TracingCoordinator
+from repro.tracing.instance_sketch import MIN_SAMPLES, InstanceFeatures, InstanceSketches
 from repro.tracing.span import Span, SpanKind
 from repro.tracing.trace import Trace
+
+#: Every synthetic trace completes before ``NOW``, inside ``WINDOW_S``.
+NOW = 1.0
+WINDOW_S = 5.0
 
 
 def _make_traces(n=40, culprit="b", seed=0):
@@ -51,38 +63,55 @@ def _make_traces(n=40, culprit="b", seed=0):
     return traces
 
 
+def _fold(traces):
+    """The traces' per-instance sketches, folded as the coordinator does."""
+    sketches = InstanceSketches()
+    for trace in traces:
+        sketches.fold(trace, trace.completion_time, trace.end_to_end_latency_ms)
+    return sketches
+
+
+def _features(traces, **kwargs):
+    return {f.instance: f for f in _fold(traces).features(NOW, WINDOW_S, **kwargs)}
+
+
+def _extractor(traces, svm=None):
+    """An Extractor built before ``traces`` settle through its coordinator."""
+    engine = SimulationEngine()
+    coordinator = TracingCoordinator(engine)
+    extractor = Extractor(coordinator, svm=svm, window_s=WINDOW_S)
+    for trace in traces:
+        replayed = coordinator.begin_trace(trace.request_id, trace.request_type, trace.arrival_time)
+        for span in trace.spans:
+            coordinator.record_span(replayed, span)
+        coordinator.complete_trace(replayed, trace.completion_time)
+    engine.run_until(NOW)
+    return extractor
+
+
 @pytest.fixture
-def traces_and_paths():
-    traces = _make_traces()
-    paths = CriticalPathExtractor().extract_all(traces)
-    return traces, paths
+def traces():
+    return _make_traces()
 
 
 class TestFeatures:
-    def test_features_computed_for_cp_instances(self, traces_and_paths):
-        traces, paths = traces_and_paths
-        extractor = CriticalComponentExtractor()
-        features = extractor.compute_features(paths, traces)
-        instances = {feature.instance for feature in features}
-        assert {"fe#0", "a#0", "b#0"} <= instances
+    def test_features_computed_for_cp_instances(self, traces):
+        paths, features = _extractor(traces).window_features()
+        assert len(paths) == len(traces)
+        assert {feature.instance for feature in features} == {"fe#0", "a#0", "b#0"}
 
-    def test_culprit_has_higher_relative_importance(self, traces_and_paths):
-        traces, paths = traces_and_paths
-        extractor = CriticalComponentExtractor()
-        features = {f.instance: f for f in extractor.compute_features(paths, traces)}
+    def test_culprit_has_higher_relative_importance(self, traces):
+        features = _features(traces)
         assert features["b#0"].relative_importance > features["a#0"].relative_importance
 
-    def test_culprit_has_higher_congestion_intensity(self, traces_and_paths):
-        traces, paths = traces_and_paths
-        extractor = CriticalComponentExtractor()
-        features = {f.instance: f for f in extractor.compute_features(paths, traces)}
+    def test_culprit_has_higher_congestion_intensity(self, traces):
+        features = _features(traces)
         assert features["b#0"].congestion_intensity > features["a#0"].congestion_intensity
 
     def test_min_samples_filter(self):
-        traces = _make_traces(n=3)
-        paths = CriticalPathExtractor().extract_all(traces)
-        extractor = CriticalComponentExtractor(min_samples=10)
-        assert extractor.compute_features(paths, traces) == []
+        assert MIN_SAMPLES == 5
+        assert _features(_make_traces(n=MIN_SAMPLES - 1)) == {}
+        assert set(_features(_make_traces(n=MIN_SAMPLES))) == {"fe#0", "a#0", "b#0"}
 
     def test_feature_vector_order(self):
         feature = InstanceFeatures(
@@ -92,52 +121,50 @@ class TestFeatures:
         np.testing.assert_allclose(feature.as_vector(), [0.5, 2.0])
 
     def test_pearson_degenerate_is_zero(self):
-        assert CriticalComponentExtractor._pearson(np.ones(5), np.arange(5)) == 0.0
-        assert CriticalComponentExtractor._pearson(np.arange(1), np.arange(1)) == 0.0
+        features = _features(_make_traces(n=1), min_samples=1)
+        assert [f.relative_importance for f in features.values()] == [0.0, 0.0, 0.0]
 
-    def test_congestion_intensity_empty_is_zero(self):
-        assert CriticalComponentExtractor._congestion_intensity([]) == 0.0
+    def test_congestion_intensity_empty_is_zero(self, traces):
+        # Every fold has aged out of the window: no sojourns, so no ratio.
+        later = _fold(traces).features(NOW + 100.0, WINDOW_S, min_samples=0)
+        assert [f.congestion_intensity for f in later] == [0.0, 0.0, 0.0]
 
     def test_empty_paths_no_features(self):
-        extractor = CriticalComponentExtractor()
-        assert extractor.compute_features([], []) == []
+        assert InstanceSketches().features(NOW, WINDOW_S) == []
+        assert _extractor([]).window_features() == ([], [])
 
 
 class TestLocalization:
-    def test_culprit_flagged_by_cold_start(self, traces_and_paths):
-        traces, paths = traces_and_paths
-        extractor = CriticalComponentExtractor()
-        candidates = {f.instance for f in extractor.extract(paths, traces)}
+    def test_culprit_flagged_by_cold_start(self, traces):
+        candidates = set(_extractor(traces).analyse(force=True).candidate_instances)
         assert "b#0" in candidates
         assert "a#0" not in candidates
 
-    def test_rank_orders_culprit_first(self, traces_and_paths):
-        traces, paths = traces_and_paths
-        extractor = CriticalComponentExtractor()
-        ranked = extractor.rank(paths, traces)
-        assert ranked[0][0].instance == "b#0"
+    def test_rank_orders_culprit_first(self, traces):
+        extractor = _extractor(traces)
+        _, features = extractor.window_features()
+        scores = extractor.svm.decision_function(np.vstack([f.as_vector() for f in features]))
+        assert features[int(np.argmax(scores))].instance == "b#0"
 
     def test_rank_empty_traces(self):
-        extractor = CriticalComponentExtractor()
-        assert extractor.rank([], []) == []
+        result = _extractor([]).analyse(force=True)
+        assert result.critical_paths == []
+        assert result.candidates == []
 
-    def test_training_from_ground_truth_improves_svm(self, traces_and_paths):
-        traces, paths = traces_and_paths
+    def test_training_from_ground_truth_improves_svm(self, traces):
         svm = IncrementalSVM(input_dim=2)
-        extractor = CriticalComponentExtractor(svm=svm)
-        loss = extractor.train_from_ground_truth(paths, traces, ["b"])
+        loss = _extractor(traces, svm=svm).train_svm(["b"])
         assert svm.is_trained
         assert loss >= 0.0
 
-    def test_trained_svm_still_flags_culprit(self, traces_and_paths):
-        traces, paths = traces_and_paths
-        svm = IncrementalSVM(input_dim=2)
-        extractor = CriticalComponentExtractor(svm=svm)
+    def test_trained_svm_still_flags_culprit(self, traces):
+        extractor = _extractor(traces)
         for _ in range(20):
-            extractor.train_from_ground_truth(paths, traces, ["b"])
-        candidates = {f.service for f in extractor.extract(paths, traces)}
+            extractor.train_svm(["b"])
+        candidates = {f.service for f in extractor.analyse(force=True).candidates}
         assert "b" in candidates
 
     def test_training_with_no_traces_is_noop(self):
-        extractor = CriticalComponentExtractor()
-        assert extractor.train_from_ground_truth([], [], ["b"]) == 0.0
+        extractor = _extractor([])
+        assert extractor.train_svm(["b"]) == 0.0
+        assert not extractor.svm.is_trained

@@ -176,18 +176,48 @@ class TestLocalizationSketchReaders:
         tenant = harness.tenants[0]
         scorer = LocalizationScorer(harness, tenant, window_s=3.0)
         scorer.attach(until_s=spec.duration_s)
-        assert scorer.sketches is tenant.controller.extractor.sketches
+        assert scorer.extractor.sketches is tenant.controller.extractor.sketches
         harness.run(duration_s=spec.duration_s)
         assert scorer.windows, "the scorer must have read the shared sketch"
         assert counts["complete"] > 0
         assert counts["fold"] == counts["complete"]
 
+    def test_scorer_and_firm_read_identical_features(self):
+        duration_s = 12.0
+        harness = ExperimentHarness.from_spec(ScenarioSpec(
+            application="hotel_reservation",
+            controller="firm",
+            seed=2,
+            duration_s=duration_s,
+            load_rps=20.0,
+            campaign_builder=partial(
+                random_campaign_builder, duration_s=duration_s, rate_per_s=0.5,
+                resource_only=True,
+            ),
+        ))
+        tenant = harness.tenants[0]
+        firm = tenant.controller.extractor
+        scorer = LocalizationScorer(harness, tenant, window_s=firm.window_s)
+        compared = []
+
+        def compare(engine):
+            scorer_paths, scorer_features = scorer.extractor.window_features()
+            firm_paths, firm_features = firm.window_features()
+            assert [p.request_id for p in scorer_paths] == [p.request_id for p in firm_paths]
+            assert scorer_features == firm_features
+            compared.append(len(firm_features))
+
+        harness.engine.schedule_recurring(
+            firm.window_s, compare, name="compare-features", until=duration_s
+        )
+        harness.run(duration_s=duration_s)
+        assert compared and all(compared), compared
+
     def test_firm_sketch_features_are_pinned(self):
         harness = _harness_with_anomaly(controller="firm")
         extractor = harness.tenants[0].controller.extractor
         harness.run(duration_s=40.0)
-        traces = extractor.coordinator.recent_traces(extractor.window_s)
-        features = extractor._sketch_features(extractor.path_extractor.extract_all(traces))
+        _, features = extractor.window_features()
         got = [
             (f.instance, f.service, f.relative_importance, f.congestion_intensity, f.sample_count)
             for f in features

@@ -31,7 +31,6 @@ class TestLatencyHelpers:
         stats = LatencyStats.from_samples([])
         assert stats.count == 0
         assert stats.p99 == 0.0
-        assert stats.congestion_intensity == 0.0
 
     def test_stats_basic(self):
         stats = LatencyStats.from_samples([10.0] * 99 + [100.0])
@@ -39,10 +38,6 @@ class TestLatencyHelpers:
         assert stats.median == pytest.approx(10.0)
         assert stats.p99 > 10.0
         assert stats.maximum == 100.0
-
-    def test_congestion_intensity_ratio(self):
-        stats = LatencyStats.from_samples([10.0] * 99 + [100.0])
-        assert stats.congestion_intensity == pytest.approx(stats.p99 / stats.median)
 
     def test_as_dict_keys(self):
         stats = LatencyStats.from_samples([1.0, 2.0])
