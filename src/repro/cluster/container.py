@@ -33,6 +33,14 @@ rebuild the table (nothing is re-checked on read):
   hosting node's partition layout;
 * the ``partition_enforced`` setter clears the hosting node's layout.
 
+The hosting node also keeps its *busy* containers, those with any nonzero
+capped demand, in two lists: best-effort and enforced.  A hosted container
+holds the one its partition belongs on as ``_busy_list``, and its
+``_busy`` flag mirrors its current demand row's nonzero flag; a repoint
+that changes the flag appends the container to, or removes it from, that
+list.  The ``partition_enforced`` setter switches ``_busy_list`` and moves
+a busy container across.
+
 A container with no instance holds one shared all-zero demand dict.
 Writing ``container.limits[...]`` directly, outside :meth:`set_limit`,
 bypasses all of this and is unsupported.
@@ -94,6 +102,9 @@ class Container:
         "_started_cold",
         "_partition_enforced",
         "_capped_demand",
+        "_busy",
+        "_busy_list",
+        "_host_seq",
     )
 
     def __init__(
@@ -115,8 +126,17 @@ class Container:
         self._partition_enforced = False
         # Capped demand: the hosted instance's current demand row points it
         # (see the module docstring); node-level contention reads it for
-        # every container on the node per dispatched span.  Read-only.
+        # every busy container on the node per dispatched span.  Read-only.
         self._capped_demand: Dict[Resource, float] = _NO_DEMAND
+        # Whether any capped demand is nonzero, i.e. whether the container
+        # is on ``_busy_list``; the demand row's flag sets it.
+        self._busy = False
+        # The hosting node's busy list for this container's partition, or
+        # None while no node hosts it.
+        self._busy_list: Optional[list] = None
+        # Hosting sequence: stamped by ``Node.add_container``, it orders
+        # the node's busy lists as the node's ``containers`` are ordered.
+        self._host_seq = 0
         # Sets the thread-capped CPU limit too.
         self.threads = int(threads)
 
@@ -138,15 +158,23 @@ class Container:
         Partitioning means cgroups CFS quota, Intel MBA/CAT, blkio and
         tc/HTB guarantees.  Until then the container runs best-effort and
         its limits are only caps.  Setting it clears the hosting node's
-        partition layout.
+        partition layout and moves a busy container to the node's other
+        busy list.
         """
         return self._partition_enforced
 
     @partition_enforced.setter
     def partition_enforced(self, value: bool) -> None:
         self._partition_enforced = value
-        if self.node is not None:
-            self.node._layout = None
+        node = self.node
+        if node is not None:
+            node._layout = None
+            busy_list = node._busy_list_for(self)
+            if busy_list is not self._busy_list:
+                if self._busy:
+                    self._busy_list.remove(self)
+                    busy_list.append(self)
+                self._busy_list = busy_list
 
     def effective_cpu_limit(self) -> float:
         """CPU limit capped by the thread count (paper §3.4 footnote)."""

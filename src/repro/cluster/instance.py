@@ -35,6 +35,11 @@ nor slowdown reads recompute demand.  The container's limit and
 ``threads`` writes recompute the concurrency, empty the table and point at
 a fresh row.  Nothing rebinds the profile or edits its demand or weights
 after construction.
+
+Each row also records whether any of its capped demand is nonzero.  Only
+when a repoint changes that flag does the container join or leave its
+node's busy list (see :mod:`repro.cluster.node`), so node contention folds
+just the containers that demand anything; most repoints write no list.
 """
 
 from __future__ import annotations
@@ -50,10 +55,11 @@ from repro.cluster.resources import RESOURCE_TYPES, Resource, ResourceVector
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SeededRNG
 
-#: One demand row: raw demand, the container's capped demand, and the cap
+#: One demand row: raw demand, the container's capped demand, the cap
 #: slowdowns of the profile's weighted resources in ``_slowdown_weights``
-#: order.  Shared by every read at the row's active count; read-only.
-_DemandRow = Tuple[Dict[Resource, float], Dict[Resource, float], Tuple[float, ...]]
+#: order, and whether any capped demand is nonzero.  Shared by every read
+#: at the row's active count; read-only.
+_DemandRow = Tuple[Dict[Resource, float], Dict[Resource, float], Tuple[float, ...], bool]
 
 
 @dataclass
@@ -267,7 +273,9 @@ class MicroserviceInstance:
 
         Called by every population write that changes the active count and
         by every limit write; builds the row the first time its count is
-        seen.
+        seen.  When the row's nonzero flag differs from the container's,
+        the container joins or leaves its node's busy list, a plain append
+        or remove.
         """
         queued = len(self._queue)
         concurrency = self._concurrency
@@ -275,15 +283,26 @@ class MicroserviceInstance:
         row = self._demand_rows.get(active)
         if row is None:
             row = self._demand_rows[active] = self._build_demand_row(active)
-        self._raw_demand, self.container._capped_demand, self._caps = row
+        container = self.container
+        self._raw_demand, container._capped_demand, self._caps, busy = row
+        if busy is not container._busy:
+            container._busy = busy
+            busy_list = container._busy_list
+            if busy_list is not None:
+                if busy:
+                    busy_list.append(container)
+                else:
+                    busy_list.remove(container)
 
     def _build_demand_row(self, active: int) -> _DemandRow:
-        """Raw demand, capped demand and weighted cap slowdowns at ``active``.
+        """Raw demand, capped demand, weighted cap slowdowns and nonzero flag.
 
         Raw demand is ``active x demand_per_request``; the container's
         limits (CPU thread-capped) cap how much of the node it can pull;
         each weighted resource's cap slowdown follows the node's
-        queueing-delay curve of demand over limit.
+        queueing-delay curve of demand over limit.  The flag is True when
+        any capped demand is nonzero: only then does the container add
+        anything to its node's contention folds.
         """
         scale = float(active)
         raw = {
@@ -309,7 +328,8 @@ class MicroserviceInstance:
                 caps.append(Node._queueing_factor(Node.MAX_UTILIZATION))
             else:
                 caps.append(Node._queueing_factor(want / limit))
-        return raw, capped, tuple(caps)
+        busy = any(value != 0.0 for value in capped.values())
+        return raw, capped, tuple(caps), busy
 
     def resource_demand(self) -> ResourceVector:
         """Instantaneous resource demand driven by in-flight work."""

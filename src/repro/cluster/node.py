@@ -8,17 +8,32 @@ container demand plus injected pressure exceeds capacity for a resource,
 every container on the node experiences a slowdown proportional to the
 oversubscription of the resources it actually uses.
 
-How the hosted containers split into best-effort and enforced partitions
-changes only on orchestrator actions, so the node keeps that split as a
-cached partition layout (see :meth:`Node.contention_factors`) that the
-writes changing it clear.  Each hosted container's capped demand is a
-plain attribute that its instance's demand row points at (see
-:mod:`repro.cluster.instance`), so contention reads it without a call.
+The enforced containers' limits change only on orchestrator actions, so
+the node keeps their reservation as a cached partition layout (see
+:meth:`Node.contention_factors`) that the writes changing it clear.  Each
+hosted container's capped demand is a plain attribute that its instance's
+demand row points at (see :mod:`repro.cluster.instance`), so contention
+reads it without a call.
+
+A node FIRM has scaled out hosts dozens of containers, almost all idle
+at any instant, and an idle container adds exactly nothing to a
+contention fold.  So the node keeps its *busy* containers, those with any
+nonzero capped demand, in two lists, best-effort and enforced, and the
+per-span folds walk only those: O(R_w·B) for B busy containers, not
+O(R_w·C) for C hosted ones.  Four writers keep the lists in step:
+``add_container`` (which also stamps the container's hosting sequence),
+``remove_container``, the ``partition_enforced`` setter, and the demand
+repoint that changes a container's nonzero flag.  A transition is a plain
+append or remove, so a list is in transition order; a read sorts it in
+place by hosting sequence when it holds more than two containers (with
+two or fewer the fold's sum does not depend on order).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.cluster.resources import (
@@ -32,15 +47,28 @@ from repro.cluster.resources import (
 _Values = Dict[Resource, float]
 
 
-class _PartitionLayout(NamedTuple):
-    """The hosted containers split by partition enforcement, in hosting order."""
+#: Sort key putting a busy list in hosting order.
+_HOSTING_ORDER = attrgetter("_host_seq")
 
-    best_effort: List["Container"]  # noqa: F821 - forward ref
-    enforced: List["Container"]  # noqa: F821
-    #: The enforced containers' limit dicts, parallel to ``enforced``.
+
+class _PartitionLayout(NamedTuple):
+    """The enforced containers' reservation, idle ones included."""
+
+    #: Every hosted enforced container's limit dict, in hosting order.
     enforced_limits: List[_Values]
     #: Per-resource scale applied to every enforced guarantee.
     scales: _Values
+
+
+def _in_hosting_order(busy: List["Container"]) -> List["Container"]:  # noqa: F821
+    """Sort a busy list in place by hosting sequence, if order can matter.
+
+    Float addition is commutative, so a fold over at most two nonzero
+    terms (after the exact ``0.0``) gives the same sum in either order.
+    """
+    if len(busy) > 2:
+        busy.sort(key=_HOSTING_ORDER)
+    return busy
 
 
 @dataclass
@@ -76,6 +104,11 @@ class Node:
         # Partition layout, or None once a write that changes it has
         # cleared it (see contention_factors).
         self._layout: Optional[_PartitionLayout] = None
+        # Hosted containers with nonzero capped demand, by partition (see
+        # the module docstring), and the hosting sequence stamped on each.
+        self._busy_best_effort: List["Container"] = []  # noqa: F821
+        self._busy_enforced: List["Container"] = []  # noqa: F821
+        self._host_seq = itertools.count()
 
     # ------------------------------------------------------------ properties
     @property
@@ -105,14 +138,25 @@ class Node:
             )
         self.containers.append(container)
         container.node = self
+        container._host_seq = next(self._host_seq)
+        busy_list = container._busy_list = self._busy_list_for(container)
+        if container._busy:
+            busy_list.append(container)
         self._layout = None
 
     def remove_container(self, container: "Container") -> None:  # noqa: F821
         """Evict a container from this node."""
         if container in self.containers:
             self.containers.remove(container)
+            if container._busy:
+                container._busy_list.remove(container)
+            container._busy_list = None
             container.node = None
             self._layout = None
+
+    def _busy_list_for(self, container: "Container") -> List["Container"]:  # noqa: F821
+        """The busy list ``container`` belongs on, by its partition enforcement."""
+        return self._busy_enforced if container._partition_enforced else self._busy_best_effort
 
     def allocated_limits(self) -> ResourceVector:
         """Sum of resource limits across all hosted containers."""
@@ -202,15 +246,18 @@ class Node:
         resource: Resource,
         capacity: float,
         scale: float,
-        enforced_limits: List[_Values],
-        enforced_demands: List[_Values],
+        busy_enforced: List["Container"],  # noqa: F821
     ) -> float:
-        """:meth:`best_effort_pool` from the enforced limits and demands."""
+        """:meth:`best_effort_pool` from the busy enforced containers.
+
+        ``busy_enforced`` must be in hosting order; an idle enforced
+        container's protected usage, ``min(guarantee, 0.0)``, is ``0.0``.
+        """
         protected_usage = 0.0
-        for limit_values, demand_values in zip(enforced_limits, enforced_demands):
+        for hosted in busy_enforced:
             # ``min(demand, guarantee)``, spelled out for the per-span path.
-            demand = demand_values[resource]
-            guarantee = limit_values[resource] * scale
+            demand = hosted._capped_demand[resource]
+            guarantee = hosted.limits.values[resource] * scale
             protected_usage += guarantee if guarantee < demand else demand
         reserved = min(protected_usage, capacity)
         return max(capacity - reserved, 0.05 * capacity)
@@ -220,17 +267,15 @@ class Node:
         layout = self._layout
         if layout is not None:
             return layout
-        best_effort = []
-        enforced = []
-        for hosted in self.containers:
-            (enforced if hosted._partition_enforced else best_effort).append(hosted)
-        enforced_limits = [hosted.limits.values for hosted in enforced]
+        enforced_limits = [
+            hosted.limits.values for hosted in self.containers if hosted._partition_enforced
+        ]
         capacity_values = self.capacity.values
         scales = {
             resource: self._dilution_scale(enforced_limits, resource, capacity_values[resource])
             for resource in RESOURCE_TYPES
         }
-        layout = self._layout = _PartitionLayout(best_effort, enforced, enforced_limits, scales)
+        layout = self._layout = _PartitionLayout(enforced_limits, scales)
         return layout
 
     def enforced_reservation(self, resource: Resource) -> float:
@@ -245,12 +290,11 @@ class Node:
         available to best-effort consumers.  The pool therefore subtracts
         the enforced containers' *usage* (capped at their diluted
         guarantee), not their nominal limits, and never drops below 5% of
-        capacity.  Costs O(C_enf) over the enforced containers.
+        capacity.  Costs O(B_enf) over the busy enforced containers.
         """
-        _, enforced, enforced_limits, scales = self._partition_layout()
+        scale = self._partition_layout().scales[resource]
         capacity = self.capacity.values[resource]
-        enforced_demands = [hosted._capped_demand for hosted in enforced]
-        return self._pool(resource, capacity, scales[resource], enforced_limits, enforced_demands)
+        return self._pool(resource, capacity, scale, _in_hosting_order(self._busy_enforced))
 
     def contention_factors(
         self,
@@ -280,37 +324,46 @@ class Node:
         This runs once per dispatched span, so nothing it reads is
         recomputed on read:
 
-        * the partition layout — best-effort and enforced containers in
-          hosting order, the enforced limits and the per-resource dilution
-          scales — is cleared by ``add_container``, ``remove_container``,
-          ``Container.set_limit`` (and ``set_limits``, ``threads``) on a
-          hosted container, and the ``partition_enforced`` setter;
+        * the partition layout — every enforced container's limits, idle
+          ones included, and the per-resource dilution scales — is cleared
+          by ``add_container``, ``remove_container``, ``Container.set_limit``
+          (and ``set_limits``, ``threads``) on a hosted container, and the
+          ``partition_enforced`` setter;
+        * the busy lists — hosted containers with any nonzero capped
+          demand, best-effort and enforced — are appended to or removed
+          from by ``add_container``, ``remove_container``, the
+          ``partition_enforced`` setter, and a demand repoint that changes
+          the container's nonzero flag;
         * each hosted container's capped demand is a dict its instance's
           demand row holds, repointed by the instance's queue/in-service
           transitions and the container's own limit writes (see
           :mod:`repro.cluster.instance`).
 
         An enforced container's call is O(R_w) for the R_w requested
-        resources and never walks the node.  A best-effort call reads the
-        capped demand of each hosted container once and folds it per
-        resource, O(R_w·C); with no enforced container on the node the
-        pool is the raw capacity.  Writing ``container.limits[...]``
-        directly bypasses all of this and is unsupported.
+        resources and never walks the node.  A best-effort call folds, per
+        resource, the capped demand of the B busy containers, O(R_w·B):
+        the pool demand over the busy best-effort list and the protected
+        usage over the busy enforced list; with no busy enforced container
+        the pool is the raw capacity.  An idle container would add exactly
+        ``0.0`` to either fold, so skipping it changes no result.  Writing
+        ``container.limits[...]`` directly bypasses all of this and is
+        unsupported.
 
-        The reservation stays one ``sum()`` over the enforced containers in
-        hosting order, and the protected usage one ``+=`` per container in
-        the same order.  CPython 3.12's ``sum()`` compensates float
-        rounding where 3.10/3.11 add left to right, so a hand-written loop
-        would change results on 3.12; this shape keeps pinned outputs (the
-        determinism goldens, ``bench/expected.json``) byte-identical on
-        every supported Python (3.10-3.12).
+        Each fold runs in hosting order, the order of ``containers``: a
+        busy list holding more than two containers is sorted in place by
+        hosting sequence first.  The reservation stays one ``sum()`` over all
+        enforced limits in hosting order.  CPython 3.12's ``sum()``
+        compensates float rounding where 3.10/3.11 add left to right, so a
+        hand-written loop would change results on 3.12; this shape keeps
+        pinned outputs (the determinism goldens, ``bench/expected.json``)
+        byte-identical on every supported Python (3.10-3.12).
         """
         factors: Dict[Resource, float] = {}
         capacity_values = self.capacity.values
         layout = self._layout
         if layout is None:
             layout = self._partition_layout()
-        best_effort, enforced, enforced_limits, scales = layout
+        scales = layout.scales
 
         if container is not None and container._partition_enforced:
             demand_values = container._capped_demand
@@ -333,25 +386,28 @@ class Node:
                 factors[resource] = 1.0 + (rho * rho) / (1.0 - rho)
             return factors
 
-        pool_demands = [hosted._capped_demand for hosted in best_effort]
-        if enforced:
-            enforced_demands = [hosted._capped_demand for hosted in enforced]
+        # _in_hosting_order(...) on both busy lists, inlined.
+        busy = self._busy_best_effort
+        if len(busy) > 2:
+            busy.sort(key=_HOSTING_ORDER)
+        busy_enforced = self._busy_enforced
+        if len(busy_enforced) > 2:
+            busy_enforced.sort(key=_HOSTING_ORDER)
         pressure_values = self._injected_pressure.values
         for resource in resources:
             capacity = capacity_values[resource]
             if capacity <= 0:
                 factors[resource] = 1.0
                 continue
-            # Left fold over the best-effort containers in hosting order,
-            # then the pressure; reordering these additions changes results.
+            # Left fold over the busy best-effort containers in hosting
+            # order, then the pressure; reordering these additions changes
+            # results.
             pool_demand = 0.0
-            for hosted_demand in pool_demands:
-                pool_demand = pool_demand + hosted_demand[resource]
+            for hosted in busy:
+                pool_demand = pool_demand + hosted._capped_demand[resource]
             pool_demand = pool_demand + pressure_values[resource]
-            if enforced:
-                pool = self._pool(
-                    resource, capacity, scales[resource], enforced_limits, enforced_demands
-                )
+            if busy_enforced:
+                pool = self._pool(resource, capacity, scales[resource], busy_enforced)
             else:
                 pool = capacity
             # _queueing_factor(pool_demand / pool), inlined.

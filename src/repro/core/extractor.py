@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.critical_path import CriticalPath, CriticalPathExtractor
 from repro.core.svm import IncrementalSVM
 from repro.tracing.coordinator import TracingCoordinator
-from repro.tracing.instance_sketch import InstanceFeatures
+from repro.tracing.instance_sketch import HORIZON_S, InstanceFeatures
 
 
 @dataclass
@@ -46,7 +46,10 @@ class Extractor:
         Shared incremental SVM (so online training persists across rounds);
         a fresh (cold-start) classifier is created when omitted.
     window_s:
-        Analysis window for traces and latency statistics.
+        Analysis window for traces and latency statistics; at most the
+        localization sketches' horizon
+        (:data:`~repro.tracing.instance_sketch.HORIZON_S`, 32 s), else
+        ``ValueError``.
     detection_percentile:
         Latency percentile compared against the SLO for detection.
     """
@@ -58,6 +61,11 @@ class Extractor:
         window_s: float = 10.0,
         detection_percentile: float = 99.0,
     ) -> None:
+        if window_s > HORIZON_S:
+            raise ValueError(
+                f"Extractor window_s={window_s:g} s exceeds the localization "
+                f"sketches' {HORIZON_S:g} s horizon"
+            )
         self.coordinator = coordinator
         #: The tenant's per-instance localization sketches; asking for them
         #: here starts their fold before the run does.

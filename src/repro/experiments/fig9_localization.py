@@ -44,12 +44,17 @@ from repro.sim.rng import SeededRNG
 # --------------------------------------------------------------------------
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> Tuple[List[float], List[float]]:
-    """Compute (false positive rates, true positive rates) by threshold sweep."""
+    """Compute (false positive rates, true positive rates) by threshold sweep.
+
+    One point per distinct score: tied scores share a threshold, so the
+    curve (and its AUC) does not depend on the order of the input.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if scores.size == 0:
         return [0.0, 1.0], [0.0, 1.0]
     order = np.argsort(-scores)
+    scores = scores[order]
     labels = labels[order]
     positives = labels.sum()
     negatives = len(labels) - positives
@@ -57,11 +62,13 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> Tuple[List[floa
     fpr = [0.0]
     tp = 0
     fp = 0
-    for label in labels:
+    for index, label in enumerate(labels):
         if label:
             tp += 1
         else:
             fp += 1
+        if index + 1 < len(scores) and scores[index + 1] == scores[index]:
+            continue
         tpr.append(tp / positives if positives else 0.0)
         fpr.append(fp / negatives if negatives else 0.0)
     return fpr, tpr

@@ -32,6 +32,10 @@ from repro.tracing.trace import Trace
 _INSTANCE_BUCKET_S = 1.0
 _INSTANCE_BUCKETS = 32
 
+#: Longest window the sketches can answer, in seconds: ``features`` over a
+#: longer one reads only this much, so the Extractor rejects one.
+HORIZON_S = _INSTANCE_BUCKETS * _INSTANCE_BUCKET_S
+
 #: Fewest traces an instance needs in the window before its features are
 #: trusted.
 MIN_SAMPLES = 5

@@ -15,7 +15,12 @@ from repro.core.extractor import Extractor
 from repro.core.svm import IncrementalSVM
 from repro.sim.engine import SimulationEngine
 from repro.tracing.coordinator import TracingCoordinator
-from repro.tracing.instance_sketch import MIN_SAMPLES, InstanceFeatures, InstanceSketches
+from repro.tracing.instance_sketch import (
+    HORIZON_S,
+    MIN_SAMPLES,
+    InstanceFeatures,
+    InstanceSketches,
+)
 from repro.tracing.span import Span, SpanKind
 from repro.tracing.trace import Trace
 
@@ -168,3 +173,9 @@ class TestLocalization:
         extractor = _extractor([])
         assert extractor.train_svm(["b"]) == 0.0
         assert not extractor.svm.is_trained
+
+    def test_window_beyond_sketch_horizon_rejected(self):
+        coordinator = TracingCoordinator(SimulationEngine())
+        assert Extractor(coordinator, window_s=HORIZON_S).window_s == HORIZON_S
+        with pytest.raises(ValueError, match=r"window_s=45 s exceeds .* 32 s horizon"):
+            Extractor(coordinator, window_s=45.0)

@@ -6,6 +6,8 @@ miniature versions so that CI catches interface breakage quickly.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.experiments.fig3_cp_distributions import run_fig3_for_application
@@ -77,6 +79,23 @@ class TestFigureModules:
         assert auc(fpr, tpr) == pytest.approx(1.0)
         fpr_bad, tpr_bad = roc_curve([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0])
         assert auc(fpr_bad, tpr_bad) == pytest.approx(0.0)
+
+    def test_roc_ties_do_not_depend_on_input_order(self):
+        # Tied scores across labels: a positive and two negatives at 0.5.
+        scores = [0.9, 0.5, 0.5, 0.5, 0.2, 0.2, 0.1]
+        labels = [1, 0, 1, 0, 1, 0, 0]
+        fpr, tpr = roc_curve(scores, labels)
+        # One point per distinct score: the origin plus four thresholds.
+        assert len(fpr) == len(tpr) == 5
+        assert auc(fpr, tpr) == pytest.approx(17 / 24)
+        for permutation in itertools.permutations(range(len(scores))):
+            shuffled = roc_curve([scores[i] for i in permutation], [labels[i] for i in permutation])
+            assert shuffled == (fpr, tpr)
+
+    def test_roc_all_tied_is_the_diagonal(self):
+        fpr, tpr = roc_curve([0.3] * 4, [1, 0, 0, 1])
+        assert (fpr, tpr) == ([0.0, 1.0], [0.0, 1.0])
+        assert auc(fpr, tpr) == pytest.approx(0.5)
 
     def test_roc_empty_scores(self):
         fpr, tpr = roc_curve([], [])

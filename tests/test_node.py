@@ -199,6 +199,50 @@ class TestContention:
         assert node.demand()[Resource.CPU] > 0.0
 
 
+class _UnreadDemand:
+    """A capped-demand stand-in that fails any read."""
+
+    def __getitem__(self, resource):
+        raise AssertionError(f"an idle container's {resource} demand was read")
+
+
+class TestBusyOnlyFold:
+    """Contention walks the busy containers, never the idle ones FIRM scaled out."""
+
+    def test_idle_containers_are_never_read(self, engine, rng):
+        node = Node(NodeSpec(name="fleet-node"))
+        idle = []
+        for index in range(100):
+            container = Container(f"idle{index}")
+            node.add_container(container)
+            if index % 2:
+                # Half host an instance with no spans, half are bare.
+                MicroserviceInstance(ServiceProfile(name="idle"), container, engine, rng)
+            container.partition_enforced = index % 3 == 0
+            idle.append(container)
+        busy = []
+        for index in range(3):
+            instance = _instance_on(node, engine, rng)
+            instance.container.partition_enforced = index == 2
+            instance.submit(SpanWork(lambda *a: None))
+            busy.append(instance.container)
+        node.inject_pressure(ResourceVector.from_kwargs(cpu=10.0))
+        assert len(node._busy_best_effort) == 2 and len(node._busy_enforced) == 1
+
+        def reads():
+            return (
+                node.contention_factors(),
+                [node.contention_factors(container) for container in busy],
+                [container.total_slowdown() for container in busy],
+                [node.best_effort_pool(resource) for resource in RESOURCE_TYPES],
+            )
+
+        expected = reads()
+        for container in idle:
+            container._capped_demand = _UnreadDemand()
+        assert reads() == expected
+
+
 # ----------------------------------------------------------------------------
 # Reference copy of the quadratic contention formulas the linear-time
 # ``Node.contention_factors`` replaced: every enforced container re-sums the
@@ -464,6 +508,11 @@ _oracle_op = st.one_of(
 )
 
 
+def _unsort_busy_lists(node):
+    for busy_list in (node._busy_best_effort, node._busy_enforced):
+        busy_list.sort(key=lambda container: container._host_seq, reverse=True)
+
+
 class _OracleCluster:
     """Two nodes, four instances and one bare container, driven op by op."""
 
@@ -542,6 +591,28 @@ class _OracleCluster:
 
     def check(self, subset):
         for node in self.nodes:
+            # Each busy list holds exactly the hosted containers of its
+            # partition with nonzero capped demand, once each; contention
+            # reads sort it into hosting order, so compare it sorted.
+            busy = [
+                container
+                for container in node.containers
+                if any(value != 0.0 for value in _reference_demand(container).values())
+            ]
+            for busy_list, enforced in (
+                (node._busy_best_effort, False),
+                (node._busy_enforced, True),
+            ):
+                assert sorted(busy_list, key=lambda container: container._host_seq) == [
+                    container for container in busy if container.partition_enforced == enforced
+                ]
+            # A busy list is in transition order, which no read may depend
+            # on: put both against hosting order before each kind of read.
+            _unsort_busy_lists(node)
+            for resource in RESOURCE_TYPES:
+                expected_pool = _reference_best_effort_pool(node, resource)
+                assert node.best_effort_pool(resource) == expected_pool
+            _unsort_busy_lists(node)
             assert node.contention_factors() == _reference_contention_factors(node)
             for container in node.containers:
                 expected = _reference_contention_factors(node, container)
@@ -595,6 +666,34 @@ class TestInvalidationOracle:
     # A ``threads`` write on an instance whose table already holds rows: the
     # active count stays 2, but the row at 2 was built against the old cap.
     @example(ops=[("submit", 0, 3), ("step", 1), ("threads", 0, 1)], subset=[])
+    # Three best-effort containers on node 0 turn busy against hosting order
+    # (3, then 2, then 0); their LLC demands 9.6, 16.0 and 4.8 sum to
+    # different floats in the two orders, and the pool runs near saturation,
+    # so the pool demand must fold in hosting order.
+    @example(
+        ops=[
+            ("place", 3, 0),
+            ("enforce", 2, False),
+            ("submit", 3, 4),
+            ("submit", 2, 4),
+            ("submit", 0, 4),
+        ],
+        subset=[],
+    )
+    # The same three enforced, under network pressure: the protected usage
+    # that shrinks the pool must fold in hosting order too.
+    @example(
+        ops=[
+            ("place", 3, 0),
+            ("enforce", 0, True),
+            ("enforce", 3, True),
+            ("pressure", 0, True, [0.0, 0.0, 0.0, 0.0, 0.5]),
+            ("submit", 3, 2),
+            ("submit", 2, 3),
+            ("submit", 0, 1),
+        ],
+        subset=[],
+    )
     def test_cached_reads_match_stateless_reference(self, ops, subset):
         cluster = _OracleCluster()
         cluster.check(subset)
