@@ -1,4 +1,4 @@
-"""Benchmark: ablations of FIRM's design choices (DESIGN.md §5).
+"""Benchmark: ablations of FIRM's design choices.
 
 Three ablations called out by the paper's discussion section:
 

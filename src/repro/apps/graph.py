@@ -12,11 +12,10 @@ critical-path extractor must handle.
 from __future__ import annotations
 
 import enum
+import graphlib
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
-
-import networkx as nx
 
 from repro.cluster.instance import ServiceProfile
 from repro.cluster.resources import Resource, ResourceVector
@@ -162,19 +161,12 @@ class ServiceGraph:
             for name in sorted(self._request_types)
         ]
 
-    def dependency_graph(self) -> nx.DiGraph:
-        """Caller -> callee dependency graph aggregated over request types."""
-        graph = nx.DiGraph()
-        for service in self._services:
-            graph.add_node(service)
+    def dependency_graph(self) -> Dict[str, List[str]]:
+        """Caller -> callees (each once) over all request types; every service is a key."""
+        graph: Dict[str, List[str]] = {service: [] for service in self._services}
         for request_type in self._request_types.values():
-            self._add_edges(graph, request_type.entry_service, request_type.call_plan)
+            _add_edges(graph, request_type.entry_service, request_type.call_plan)
         return graph
-
-    def _add_edges(self, graph: nx.DiGraph, caller: str, calls: Sequence[CallEdge]) -> None:
-        for edge in calls:
-            graph.add_edge(caller, edge.callee, pattern=edge.pattern.value)
-            self._add_edges(graph, edge.callee, edge.children)
 
     # ------------------------------------------------------------ namespacing
     def namespaced(self, prefix: str) -> "ServiceGraph":
@@ -223,16 +215,24 @@ class ServiceGraph:
         """Sanity checks: at least one request type, acyclic dependencies."""
         if not self._request_types:
             raise ValueError(f"application {self.name!r} defines no request types")
-        graph = self.dependency_graph()
-        if not nx.is_directed_acyclic_graph(graph):
-            cycles = list(nx.simple_cycles(graph))
-            raise ValueError(f"application {self.name!r} has cyclic dependencies: {cycles}")
+        try:
+            graphlib.TopologicalSorter(self.dependency_graph()).prepare()
+        except graphlib.CycleError as error:  # values read as predecessors: callee -> caller
+            cycle = " -> ".join(reversed(error.args[1]))
+            raise ValueError(f"application {self.name!r} has a cyclic dependency: {cycle}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ServiceGraph(name={self.name!r}, services={len(self._services)}, "
             f"request_types={len(self._request_types)})"
         )
+
+
+def _add_edges(graph: Dict[str, List[str]], caller: str, calls: Sequence[CallEdge]) -> None:
+    for edge in calls:
+        if edge.callee not in graph[caller]:
+            graph[caller].append(edge.callee)
+        _add_edges(graph, edge.callee, edge.children)
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Experiment harnesses reproducing the paper's tables and figures.
 
-Each module regenerates one table or figure from the evaluation; the
-per-experiment index in ``DESIGN.md`` maps paper artefacts to modules and
-benchmark targets.  Scenarios are described by
-:class:`~repro.experiments.scenario.ScenarioSpec`; the named spec builders
-live in :data:`~repro.experiments.sweep.PRESETS`, and grids of specs run —
-serially or across worker processes, scored — through
-:func:`~repro.experiments.sweep.expand_grid` and
-:func:`~repro.experiments.sweep.run_sweep`.
+Each ``fig*``/``table*`` module regenerates one of them (README's CLI
+section and ``python -m repro.cli list`` name them all).  Scenarios are
+:class:`~repro.experiments.scenario.ScenarioSpec` runs of
+:class:`~repro.experiments.harness.ExperimentHarness`, and
+:mod:`repro.experiments.sweep` holds the named presets and the grid runner.
+
+The package re-exports the harness and scenario names but not the sweep:
+importing the harness must not load the sweep's process-pool machinery
+(``multiprocessing``, ``concurrent.futures``) or its preset modules.
 """
 
 from repro.experiments.harness import (
@@ -17,18 +18,13 @@ from repro.experiments.harness import (
     TenantRuntime,
 )
 from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
-from repro.experiments.sweep import PRESETS, SweepOutcome, expand_grid, run_sweep
 
 __all__ = [
     "ExperimentHarness",
     "ExperimentResult",
-    "PRESETS",
-    "SweepOutcome",
     "TenantResult",
     "TenantRuntime",
     "ScenarioSpec",
     "TenantSpec",
-    "expand_grid",
     "run_scenario",
-    "run_sweep",
 ]

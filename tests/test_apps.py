@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-import networkx as nx
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.catalog import (
     APPLICATIONS,
@@ -24,6 +26,57 @@ from repro.apps.graph import (
     logic_profile,
 )
 from repro.cluster.resources import Resource
+
+
+def _app(*request_types):
+    """An application of exactly the services its request types name."""
+    graph = ServiceGraph("app")
+    for service in dict.fromkeys(s for rt in request_types for s in rt.services()):
+        graph.add_service(logic_profile(service))
+    for request_type in request_types:
+        graph.add_request_type(request_type)
+    return graph
+
+
+def _plan_edges(request_types):
+    """Every (caller, callee) pair the call plans contain."""
+    edges = set()
+
+    def visit(caller, calls):
+        for edge in calls:
+            edges.add((caller, edge.callee))
+            visit(edge.callee, edge.children)
+
+    for request_type in request_types:
+        visit(request_type.entry_service, request_type.call_plan)
+    return edges
+
+
+def _has_cycle(edges):
+    """Brute-force oracle: drop services with no callees left until none is."""
+    edges = set(edges)
+    while edges:
+        callers = {caller for caller, _ in edges}
+        into_sinks = {(caller, callee) for caller, callee in edges if callee not in callers}
+        if not into_sinks:
+            return True
+        edges -= into_sinks
+    return False
+
+
+_SERVICES = [f"s{i}" for i in range(6)]
+_call_edges = st.recursive(
+    st.builds(CallEdge, st.sampled_from(_SERVICES)),
+    lambda children: st.builds(
+        CallEdge, st.sampled_from(_SERVICES), children=st.lists(children, max_size=3)
+    ),
+    max_leaves=6,
+)
+_request_types = st.lists(
+    st.tuples(st.sampled_from(_SERVICES), st.lists(_call_edges, max_size=3)),
+    min_size=1,
+    max_size=4,
+).map(lambda plans: [RequestType(f"r{i}", entry, plan) for i, (entry, plan) in enumerate(plans)])
 
 
 class TestServiceGraph:
@@ -95,12 +148,57 @@ class TestServiceGraph:
         graph.add_request_type(
             RequestType(name="r", entry_service="fe", call_plan=[CallEdge("logic")])
         )
-        dependency = graph.dependency_graph()
-        assert dependency.has_edge("fe", "logic")
+        assert graph.dependency_graph() == {"fe": ["logic"], "logic": []}
 
     def test_call_edge_walk_is_depth_first(self):
         edge = CallEdge("a", children=[CallEdge("b", children=[CallEdge("c")]), CallEdge("d")])
         assert [e.callee for e in edge.walk()] == ["a", "b", "c", "d"]
+
+
+class TestCycleCheck:
+    def _assert_cycle(self, graph, cycle):
+        message = f"application 'app' has a cyclic dependency: {cycle}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph.validate()
+
+    def test_cycle_across_request_types(self):
+        graph = _app(
+            RequestType("r1", "A", [CallEdge("B")]),
+            RequestType("r2", "B", [CallEdge("A")]),
+        )
+        self._assert_cycle(graph, "A -> B -> A")
+
+    def test_cycle_nested_in_one_plan(self):
+        plan = [CallEdge("B", children=[CallEdge("C", children=[CallEdge("A")])])]
+        self._assert_cycle(_app(RequestType("r", "A", plan)), "A -> B -> C -> A")
+
+    def test_self_call_is_a_cycle(self):
+        self._assert_cycle(_app(RequestType("r", "fe", [CallEdge("fe")])), "fe -> fe")
+
+    def test_diamond_is_acyclic(self):
+        plan = [
+            CallEdge("B", children=[CallEdge("D")]),
+            CallEdge("C", children=[CallEdge("D")]),
+        ]
+        _app(RequestType("r", "A", plan)).validate()
+
+    @given(_request_types)
+    @settings(max_examples=200, deadline=None)
+    def test_validate_raises_exactly_on_a_cycle(self, request_types):
+        graph = _app(*request_types)
+        edges = _plan_edges(request_types)
+        dependency = graph.dependency_graph()
+        assert {(a, b) for a, callees in dependency.items() for b in callees} == edges
+        try:
+            graph.validate()
+        except ValueError as error:
+            assert _has_cycle(edges)
+            cycle = str(error).split(": ", 1)[1].split(" -> ")
+            assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+            assert len(set(cycle)) == len(cycle) - 1
+            assert set(zip(cycle, cycle[1:])) <= edges
+        else:
+            assert not _has_cycle(edges)
 
 
 class TestProfiles:
@@ -129,7 +227,7 @@ class TestCatalog:
     @pytest.mark.parametrize("name", sorted(APPLICATIONS))
     def test_applications_are_acyclic(self, name):
         app = build_application(name)
-        assert nx.is_directed_acyclic_graph(app.dependency_graph())
+        assert not _has_cycle(_plan_edges(app.request_types.values()))
 
     @pytest.mark.parametrize("name", sorted(APPLICATIONS))
     def test_applications_have_three_request_types(self, name):
