@@ -7,6 +7,15 @@ child whose completion determines when the parent can return ("last
 returned child"), while also descending into any sibling whose execution
 happens-before that child (a sequential predecessor also lies on the CP).
 Background spans never participate.
+
+A completed trace's critical path is fixed, which lets the Extractor carry
+a path over from one control round to the next rather than re-extracting
+it (:meth:`repro.core.extractor.Extractor.window_features`, keyed by the
+``Trace`` object, kept for one window).  Every foreground span closes, and
+is recorded, before its parent does, and the trace completes when the root
+closes; what a trace can still gain afterwards is a background span or a
+span beneath one (including a dropped one), and the walk never enters a
+background span.  Spans are not changed once recorded.
 """
 
 from __future__ import annotations
@@ -97,7 +106,7 @@ class CriticalPathExtractor:
         path = CriticalPath(request_id=trace.request_id)
         if root is None:
             return path
-        path.spans = self._longest_path(trace, root)
+        self._walk(trace, root, path.spans)
         return path
 
     def extract_all(self, traces: Sequence[Trace]) -> List[CriticalPath]:
@@ -110,8 +119,8 @@ class CriticalPathExtractor:
         return paths
 
     # ------------------------------------------------------------- internals
-    def _longest_path(self, trace: Trace, current: Span) -> List[Span]:
-        """Recursive longest-path walk from ``current`` (paper Algorithm 1).
+    def _walk(self, trace: Trace, current: Span, path: List[Span]) -> None:
+        """Append the critical path from ``current`` to ``path`` (paper Algorithm 1).
 
         Starting from the last-returned foreground child (the child whose
         completion releases the parent), the walk chains backwards through
@@ -119,28 +128,39 @@ class CriticalPathExtractor:
         before the cursor, the one finishing latest is the stage's critical
         child.  Parallel siblings that finish earlier than the stage's
         critical child are, by definition, off the critical path.  Each
-        critical child is then expanded recursively.
+        critical child is then expanded, earliest first.  Ties on
+        ``end_time`` go to the first child in ``(enqueue_time, span_id)``
+        order.  A leaf costs one lookup, and a span with one foreground
+        child hands the walk straight to it.
         """
-        path: List[Span] = [current]
+        path.append(current)
         children = trace.foreground_children_of(current)
         if not children:
-            return path
+            return
+        if len(children) == 1:
+            self._walk(trace, children[0], path)
+            return
 
-        chain: List[Span] = []
-        cursor = max(children, key=lambda span: span.end_time)
-        chain.append(cursor)
+        cursor = children[0]
+        for child in children:
+            if child.end_time > cursor.end_time:
+                cursor = child
+        chain = [cursor]
         while True:
-            predecessors = [
-                child for child in children if child.happens_before(cursor)
-            ]
-            if not predecessors:
+            bound = cursor.enqueue_time
+            latest = None
+            for child in children:
+                if child.end_time <= bound and (
+                    latest is None or child.end_time > latest.end_time
+                ):
+                    latest = child
+            if latest is None:
                 break
-            cursor = max(predecessors, key=lambda span: span.end_time)
+            cursor = latest
             chain.append(cursor)
 
         for span in reversed(chain):
-            path.extend(self._longest_path(trace, span))
-        return path
+            self._walk(trace, span, path)
 
     # ------------------------------------------------------------ utilities
     def group_by_signature(

@@ -84,7 +84,7 @@ class DeploymentModule:
                 applied[resource] = requested
                 continue
             other_reserved = sum(
-                container.limits[resource]
+                container.limits.values[resource]
                 for container in node.containers
                 if container is not instance.container
             )

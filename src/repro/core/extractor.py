@@ -4,13 +4,15 @@ The Extractor (modules 2-3 in the paper's architecture) detects SLO
 violations from the tracing coordinator's recent latency statistics,
 extracts critical paths from the recent traces, and localizes the critical
 microservice instances that should be handed to the RL-based resource
-estimator.
+estimator.  A retained trace's critical path is extracted once and carried
+over between rounds while the trace stays in the analysis window (see
+:mod:`repro.core.critical_path` for why a completed trace's path is fixed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from repro.core.critical_path import CriticalPath, CriticalPathExtractor
 from repro.core.svm import IncrementalSVM
 from repro.tracing.coordinator import TracingCoordinator
 from repro.tracing.instance_sketch import HORIZON_S, InstanceFeatures
+from repro.tracing.trace import Trace
 
 
 @dataclass
@@ -26,6 +29,8 @@ class ExtractionResult:
 
     time_s: float
     slo_violated: bool
+    #: Read-only: a path can be the same object in several rounds' results
+    #: (see :meth:`Extractor.window_features`).
     critical_paths: List[CriticalPath] = field(default_factory=list)
     candidates: List[InstanceFeatures] = field(default_factory=list)
 
@@ -74,20 +79,41 @@ class Extractor:
         self.window_s = float(window_s)
         self.detection_percentile = float(detection_percentile)
         self.path_extractor = CriticalPathExtractor()
+        #: The last :meth:`window_features` call's critical paths, keyed by
+        #: trace object (an ``id`` can be reused once the reservoir evicts
+        #: a trace), so a trace is extracted once while it stays in the window.
+        self._window_paths: Dict[Trace, CriticalPath] = {}
 
     # -------------------------------------------------------------- analysis
     def window_features(self) -> Tuple[List[CriticalPath], List[InstanceFeatures]]:
         """The window's critical paths and the (RI, CI) of the instances on them.
 
         Critical paths come from the retained traces (the reservoir
-        sample).  The features come from the tenant's windowed
+        sample), in the coordinator's order.  Paths carry over between
+        calls: the previous call's paths are kept, keyed by the ``Trace``
+        object, and only traces new to the window are extracted.  The map
+        is rebuilt from each call's traces, so it never holds more than
+        one window, and a trace the reservoir evicted or the window left
+        behind drops out of it.  A kept path is returned again by later
+        calls, and so shared between rounds' results; treat it as
+        read-only.  The features come from the tenant's windowed
         per-instance co-moments and sojourn histograms, which answer in
         O(instances × buckets) however many traces the window saw.
         """
         traces = self.coordinator.recent_traces(self.window_s)
+        kept = self._window_paths
+        self._window_paths = window_paths = {}
         if not traces:
             return [], []
-        paths = self.path_extractor.extract_all(traces)
+        extract = self.path_extractor.extract
+        for trace in traces:
+            path = kept.get(trace)
+            if path is None:
+                if trace.root is None:
+                    continue
+                path = extract(trace)
+            window_paths[trace] = path
+        paths = list(window_paths.values())
         instances = sorted({span.instance for path in paths for span in path.spans})
         features = self.sketches.features(
             self.coordinator.engine.now, self.window_s, instances=instances

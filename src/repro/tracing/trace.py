@@ -8,9 +8,14 @@ structure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.tracing.span import Span, SpanKind
+
+
+def _enqueue_order(span: Span) -> tuple:
+    """Sort key of sibling spans: enqueue time, then span id."""
+    return (span.enqueue_time, span.span_id)
 
 
 class Trace:
@@ -74,7 +79,7 @@ class Trace:
     @property
     def spans(self) -> List[Span]:
         """All spans, ordered by enqueue time then id."""
-        return sorted(self._spans.values(), key=lambda s: (s.enqueue_time, s.span_id))
+        return sorted(self._spans.values(), key=_enqueue_order)
 
     def span(self, span_id: int) -> Span:
         return self._spans[span_id]
@@ -91,11 +96,27 @@ class Trace:
         """Child spans of ``span``, ordered by enqueue time."""
         child_ids = self._children.get(span.span_id, [])
         children = [self._spans[cid] for cid in child_ids]
-        return sorted(children, key=lambda s: (s.enqueue_time, s.span_id))
+        return sorted(children, key=_enqueue_order)
 
-    def foreground_children_of(self, span: Span) -> List[Span]:
-        """Children excluding background workflows (not part of any CP)."""
-        return [child for child in self.children_of(span) if child.kind is not SpanKind.BACKGROUND]
+    def foreground_children_of(self, span: Span) -> Sequence[Span]:
+        """Children excluding background workflows (not part of any CP).
+
+        Ordered by enqueue time, like :meth:`children_of`.  The critical-path
+        walk calls this once per span it visits, so a leaf gets a shared
+        empty tuple and only a list of two or more is sorted.
+        """
+        child_ids = self._children.get(span.span_id)
+        if child_ids is None:
+            return ()
+        spans = self._spans
+        children = [
+            child
+            for child in map(spans.__getitem__, child_ids)
+            if child.kind is not SpanKind.BACKGROUND
+        ]
+        if len(children) > 1:
+            children.sort(key=_enqueue_order)
+        return children
 
     @property
     def end_to_end_latency(self) -> float:
