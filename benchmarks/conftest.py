@@ -35,7 +35,12 @@ def results_dir() -> Path:
 
 
 def save_result(results_dir: Path, name: str, payload: dict) -> None:
-    """Persist one experiment's summary next to the benchmark output."""
+    """Persist one experiment's summary next to the benchmark output.
+
+    A non-finite number raises rather than writing ``Infinity`` or ``NaN``,
+    which no JSON parser has to accept: a measurement that can be undefined
+    is written as ``null``.
+    """
     path = results_dir / f"{name}.json"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, default=str)
+        json.dump(payload, handle, indent=2, default=str, allow_nan=False)

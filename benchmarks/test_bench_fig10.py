@@ -12,6 +12,9 @@ from __future__ import annotations
 from conftest import save_result
 
 from repro.experiments.fig10_end_to_end import run_fig10
+from repro.experiments.summary import improvement_over
+
+SEED = 31
 
 
 def test_bench_fig10_end_to_end(benchmark, results_dir):
@@ -21,6 +24,7 @@ def test_bench_fig10_end_to_end(benchmark, results_dir):
             duration_s=120.0,
             load_rps=60.0,
             min_intensity=0.7,
+            seed=SEED,
             include_multi_rl=True,
         ),
         rounds=1,
@@ -29,15 +33,15 @@ def test_bench_fig10_end_to_end(benchmark, results_dir):
 
     print("\n=== Fig. 10: end-to-end comparison ===")
     print(f"{'controller':>14} {'violations':>11} {'p50(ms)':>9} {'p99(ms)':>10} {'req CPU':>9} {'dropped':>9}")
-    payload = {}
+    payload = {"seeds": [SEED]}
     for name, res in result.results.items():
         print(
             f"{name:>14} {res.slo.violations_including_drops:>11} {res.latency.median:>9.1f} "
             f"{res.latency.p99:>10.1f} {res.mean_requested_cpu:>9.1f} {res.dropped_requests:>9}"
         )
         payload[name] = res.summary()
-    improvements_k8s = result.improvement_over("k8s")
-    improvements_aimd = result.improvement_over("aimd")
+    improvements_k8s = improvement_over(payload["firm_single"], payload["k8s"])
+    improvements_aimd = improvement_over(payload["firm_single"], payload["aimd"])
     print(f"FIRM vs K8s : {improvements_k8s['violation_factor']:.1f}x fewer violations, "
           f"{improvements_k8s['p99_factor']:.1f}x lower p99, "
           f"{improvements_k8s['requested_cpu_reduction'] * 100:.1f}% less requested CPU "

@@ -50,29 +50,40 @@ def test_bench_fig11a_learning_curves(benchmark, results_dir):
         assert all(np.isfinite(outcome.total_reward) for outcome in curve.episodes)
 
 
+def _seconds(time):
+    """A mitigation time for printing; ``None`` means no violation occurred."""
+    return "none" if time is None else f"{time:.1f}"
+
+
 def test_bench_fig11b_mitigation_time(benchmark, results_dir):
+    seed = 43
     comparison = benchmark.pedantic(
-        lambda: run_fig11b(episodes=3, load_rps=30.0, duration_s=30.0),
+        lambda: run_fig11b(episodes=3, load_rps=30.0, duration_s=30.0, seed=seed),
         rounds=1,
         iterations=1,
     )
 
-    print("\n=== Fig. 11(b): SLO mitigation time (s) ===")
-    series = " ".join(f"{t:6.1f}" for t in comparison.firm_by_episode)
+    print("\n=== Fig. 11(b): SLO mitigation time (s; none = no violation) ===")
+    series = " ".join(f"{_seconds(t):>6}" for t in comparison.firm_by_episode)
     print(f"FIRM by training episode: {series}")
-    print(f"FIRM final:  {comparison.firm_final():.1f} s (paper: ~1.7 s)")
-    print(f"AIMD:        {comparison.aimd_mitigation_s:.1f} s "
-          f"({comparison.speedup_vs_aimd():.1f}x slower than FIRM; paper: up to 9.6x)")
-    print(f"K8s:         {comparison.k8s_mitigation_s:.1f} s "
-          f"({comparison.speedup_vs_k8s():.1f}x slower than FIRM; paper: up to 30.1x)")
-    save_result(results_dir, "fig11b", {
+    print(f"FIRM final:  {_seconds(comparison.firm_final())} (paper: ~1.7 s)")
+    payload = {
+        "seeds": [seed],
         "firm_by_episode_s": comparison.firm_by_episode,
+        "episodes_without_violation": comparison.episodes_without_violation(),
         "firm_final_s": comparison.firm_final(),
-        "aimd_s": comparison.aimd_mitigation_s,
-        "k8s_s": comparison.k8s_mitigation_s,
-        "speedup_vs_aimd": comparison.speedup_vs_aimd(),
-        "speedup_vs_k8s": comparison.speedup_vs_k8s(),
-    })
+    }
+    for name, paper in (("aimd", 9.6), ("k8s", 30.1)):
+        speedup = comparison.speedup(name)
+        factor = "undefined" if speedup is None else f"{speedup:.1f}x"
+        print(f"{name + ':':<12} {_seconds(comparison.baselines_s[name])} "
+              f"(FIRM speedup {factor}; paper: up to {paper}x)")
+        payload[f"{name}_s"] = comparison.baselines_s[name]
+        payload[f"speedup_vs_{name}"] = speedup
+    save_result(results_dir, "fig11b", payload)
 
-    # Shape check: trained FIRM mitigates no slower than the K8s autoscaler.
-    assert comparison.firm_final() <= comparison.k8s_mitigation_s
+    # Shape check: trained FIRM mitigates no slower than the K8s autoscaler,
+    # or its final episode saw no violation to mitigate.
+    final = comparison.firm_final()
+    k8s = comparison.baselines_s["k8s"]
+    assert final is None or (k8s is not None and final <= k8s)

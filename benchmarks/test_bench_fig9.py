@@ -53,19 +53,24 @@ def test_bench_fig9a_single_anomaly_roc(benchmark, results_dir):
 
     # Shape check: localization is clearly better than chance (AUC 0.5) on
     # average and for every anomaly type.  The paper reports 0.978 on real
-    # hardware; see EXPERIMENTS.md for why the simulated substrate scores
-    # lower (pooled-window score calibration and node-level co-location).
+    # hardware.  The simulated substrate scores lower for two reasons: the
+    # ROC pools SVM scores from every sweep window under one threshold,
+    # though scores are not calibrated across windows; and instances
+    # co-located on an injected node count as culprits (node-level
+    # interference), though their own features may look healthy.
     assert average > 0.65
     assert all(roc.auc > 0.5 for roc in results.values())
 
 
 def test_bench_fig9b_multi_anomaly_accuracy(benchmark, results_dir):
+    seed = 23
     results = benchmark.pedantic(
         lambda: run_fig9b(
             applications=("social_network", "hotel_reservation"),
             windows=5,
             window_s=10.0,
             load_rps=40.0,
+            seed=seed,
         ),
         rounds=1,
         iterations=1,
@@ -82,7 +87,9 @@ def test_bench_fig9b_multi_anomaly_accuracy(benchmark, results_dir):
         }
     overall = float(np.mean([a.accuracy for a in results.values()]))
     print(f"{'overall':>20}: {overall:.3f} (paper: 0.938)")
-    save_result(results_dir, "fig9b", {"per_application": payload, "overall": overall})
+    save_result(
+        results_dir, "fig9b", {"per_application": payload, "overall": overall, "seeds": [seed]}
+    )
 
     # Shape check: accuracy well above chance for every application, and the
     # x86 / ppc64 split (when both present) does not differ wildly.

@@ -37,9 +37,12 @@ def main() -> None:
 
     print(f"\n{'episode':>8} {'total reward':>13} {'mitigation (s)':>15} {'violations':>11}")
     for outcome in curve.episodes:
+        # No mitigation time when the episode saw no violation.
+        time = outcome.mitigation_time_s
+        mitigation = "-" if time is None else f"{time:.1f}"
         print(
             f"{outcome.episode:>8} {outcome.total_reward:>13.1f} "
-            f"{outcome.mitigation_time_s:>15.1f} {outcome.violations:>11}"
+            f"{mitigation:>15} {outcome.violations:>11}"
         )
     moving = curve.moving_average_reward()
     print(f"\nmoving-average reward: {' '.join(f'{r:.1f}' for r in moving)}")

@@ -5,6 +5,7 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run table6
     python -m repro.cli run fig10 --set include_multi_rl=False --out fig10.json
+    python -m repro.cli run summary --set results_dir=benchmarks/results
     python -m repro.cli run interference --set preset=identical_tenants --set count=3
     python -m repro.cli run routing --set preset=anomaly --set "policies=['jiq', 'p2c']"
     python -m repro.cli run resilience --set campaign=random --set duration_s=30
@@ -23,7 +24,8 @@ Usage::
 (:data:`repro.experiments.sweep.PRESETS`) and runs it scored.  ``sweep
 <preset>`` crosses the ``--grid`` axes (comma-separated values, first axis
 outermost) with the ``--set`` values fixed, and prints one scored row per
-cell.  Values parse
+cell.  ``run summary`` runs nothing: it folds the scoreboards in
+``results_dir`` into the paper's headline claims.  Values parse
 as Python literals (``12``, ``0.5``, ``False``, ``(2, 0)``) and fall back
 to plain strings.  A key the callable does not accept exits 2 with the
 list of accepted keys.
@@ -126,7 +128,7 @@ EXPERIMENTS: Dict[str, Callable[..., Any]] = {
     "routing": run_routing,
     "table1": run_table1,
     "table6": run_table6,
-    "summary": partial(run_summary, quick=True),
+    "summary": run_summary,
 }
 
 

@@ -38,35 +38,6 @@ class Fig10Result:
             for name, result in self.results.items()
         }
 
-    def requested_cpu(self) -> Dict[str, float]:
-        """Mean requested CPU limit per controller (panel (b))."""
-        return {name: result.mean_requested_cpu for name, result in self.results.items()}
-
-    def dropped(self) -> Dict[str, int]:
-        """Dropped request counts per controller (panel (c))."""
-        return {name: result.dropped_requests for name, result in self.results.items()}
-
-    def improvement_over(self, baseline: str, firm_key: str = "firm_single") -> Dict[str, float]:
-        """FIRM's improvement factors over one baseline (violations, p99, drops)."""
-        firm = self.results[firm_key]
-        other = self.results[baseline]
-
-        def _ratio(a: float, b: float) -> float:
-            return a / b if b > 0 else float("inf") if a > 0 else 1.0
-
-        return {
-            # Laplace-smoothed so that two near-zero counts compare as ~1x
-            # instead of 0x / infinity.
-            "violation_factor": _ratio(
-                other.slo.violations_including_drops + 1,
-                firm.slo.violations_including_drops + 1,
-            ),
-            "p99_factor": _ratio(other.latency.p99, max(firm.latency.p99, 1e-9)),
-            "requested_cpu_reduction": 1.0
-            - _ratio(firm.mean_requested_cpu, max(other.mean_requested_cpu, 1e-9)),
-            "dropped_factor": _ratio(other.dropped_requests, max(firm.dropped_requests, 1)),
-        }
-
 
 def run_fig10(
     application: str = "social_network",

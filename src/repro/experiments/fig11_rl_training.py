@@ -38,7 +38,7 @@ class EpisodeOutcome:
 
     episode: int
     total_reward: float
-    mitigation_time_s: float
+    mitigation_time_s: Optional[float]
     violations: int
 
 
@@ -63,7 +63,7 @@ class TrainingCurve:
             averaged.append(float(np.mean(rewards[start : index + 1])))
         return averaged
 
-    def mitigation_times(self) -> List[float]:
+    def mitigation_times(self) -> List[Optional[float]]:
         return [outcome.mitigation_time_s for outcome in self.episodes]
 
     def improved(self) -> bool:
@@ -73,6 +73,18 @@ class TrainingCurve:
             return False
         half = len(rewards) // 2
         return float(np.mean(rewards[half:])) >= float(np.mean(rewards[:half]))
+
+
+def mitigation_time_s(times: List[float], violated: bool, window_s: float) -> Optional[float]:
+    """One run's SLO mitigation time, the same rule for FIRM and the baselines.
+
+    The mean of the closed violation episodes if any; the whole anomaly
+    window if requests violated the SLO but no episode cleared; ``None`` if
+    nothing violated the SLO, since there was nothing to mitigate.
+    """
+    if times:
+        return float(np.mean(times))
+    return window_s if violated else None
 
 
 def _training_episode(
@@ -134,14 +146,14 @@ def _training_episode(
     # Scale by the number of control rounds so longer successful episodes score higher.
     total_reward *= max(1, len(controller.rounds))
 
-    mitigation_times = result.mitigation.mitigation_times_s()
-    mitigation = float(np.mean(mitigation_times)) if mitigation_times else (
-        episode_duration_s - anomaly_start if result.slo.violations else 0.0
-    )
     return EpisodeOutcome(
         episode=episode_index,
         total_reward=total_reward,
-        mitigation_time_s=mitigation,
+        mitigation_time_s=mitigation_time_s(
+            result.mitigation.mitigation_times_s(),
+            result.slo.violations > 0,
+            episode_duration_s - anomaly_start,
+        ),
         violations=result.slo.violations,
     )
 
@@ -217,23 +229,27 @@ def run_fig11a(
 
 @dataclass
 class MitigationComparison:
-    """Fig. 11(b): mitigation times of FIRM checkpoints vs the baselines."""
+    """Fig. 11(b): mitigation times of FIRM checkpoints vs the baselines.
 
-    firm_by_episode: List[float]
-    aimd_mitigation_s: float
-    k8s_mitigation_s: float
+    Every time is :func:`mitigation_time_s`, so ``None`` means that run saw
+    no violation.  A speedup is ``None`` when either side is (or FIRM's time
+    is 0 s): it is undefined, never infinite.
+    """
 
-    def firm_final(self) -> float:
+    firm_by_episode: List[Optional[float]]
+    #: Mitigation time per baseline controller (``"aimd"``, ``"k8s"``).
+    baselines_s: Dict[str, Optional[float]]
+
+    def firm_final(self) -> Optional[float]:
         """FIRM's converged mitigation time (last checkpoint)."""
-        return self.firm_by_episode[-1] if self.firm_by_episode else 0.0
+        return self.firm_by_episode[-1] if self.firm_by_episode else None
 
-    def speedup_vs_aimd(self) -> float:
-        final = self.firm_final()
-        return self.aimd_mitigation_s / final if final > 0 else float("inf")
+    def episodes_without_violation(self) -> int:
+        return sum(time is None for time in self.firm_by_episode)
 
-    def speedup_vs_k8s(self) -> float:
-        final = self.firm_final()
-        return self.k8s_mitigation_s / final if final > 0 else float("inf")
+    def speedup(self, baseline: str) -> Optional[float]:
+        final, baseline_s = self.firm_final(), self.baselines_s[baseline]
+        return None if baseline_s is None or not final else baseline_s / final
 
 
 def _baseline_mitigation(
@@ -242,7 +258,7 @@ def _baseline_mitigation(
     load_rps: float,
     duration_s: float,
     seed: int,
-) -> float:
+) -> Optional[float]:
     """Measure a baseline's mean SLO mitigation time under a single anomaly."""
     from repro.apps.catalog import build_application
 
@@ -265,12 +281,12 @@ def _baseline_mitigation(
         campaign=campaign,
     )
     result = run_scenario(spec)
-    times = result.mitigation.mitigation_times_s()
-    return float(np.mean(times)) if times else duration_s - 10.0
+    return mitigation_time_s(
+        result.mitigation.mitigation_times_s(), result.slo.violations > 0, duration_s - 10.0
+    )
 
 
 def run_fig11b(
-    curve: Optional[TrainingCurve] = None,
     episodes: int = 6,
     application: str = "train_ticket",
     load_rps: float = 40.0,
@@ -278,19 +294,18 @@ def run_fig11b(
     seed: int = 43,
 ) -> MitigationComparison:
     """Reproduce Fig. 11(b): mitigation time vs training, plus baselines."""
-    if curve is None:
-        curve = train_variant(
-            "one_for_all",
-            episodes=episodes,
-            application=application,
-            load_rps=load_rps,
-            episode_duration_s=duration_s,
-            seed=seed,
-        )
-    aimd = _baseline_mitigation("aimd", application, load_rps, duration_s, seed)
-    k8s = _baseline_mitigation("k8s", application, load_rps, duration_s, seed)
+    curve = train_variant(
+        "one_for_all",
+        episodes=episodes,
+        application=application,
+        load_rps=load_rps,
+        episode_duration_s=duration_s,
+        seed=seed,
+    )
     return MitigationComparison(
         firm_by_episode=curve.mitigation_times(),
-        aimd_mitigation_s=aimd,
-        k8s_mitigation_s=k8s,
+        baselines_s={
+            name: _baseline_mitigation(name, application, load_rps, duration_s, seed)
+            for name in ("aimd", "k8s")
+        },
     )

@@ -1,100 +1,110 @@
-"""Headline-number summary (§1 / §4.4 of the paper).
+"""Headline claims (§1 / §4.4 of the paper), folded over the scoreboards.
 
-Aggregates the Fig. 9/10/11 experiments into the paper's headline claims:
-
-* SLO-violation reduction versus Kubernetes autoscaling and AIMD;
-* requested-CPU reduction;
-* tail-latency (performance predictability) improvement;
-* localization accuracy;
-* mitigation-time speedup.
+:func:`summarize` reads the Fig. 9(b), 10 and 11(b) benches' scoreboards
+(``benchmarks/results/fig9b.json``, ``fig10.json``, ``fig11b.json``) and
+states each claim per FIRM variant with the paper's value, the measured
+value, its scoreboard and seeds, and a :func:`verdict`.  It runs no
+scenario, so it cannot disagree with the figures.  README's "What
+reproduces" table copies its rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+import json
+from pathlib import Path
+from typing import Dict, List, Optional, Union
 
-from repro.experiments.fig9_localization import run_fig9b_for_application
-from repro.experiments.fig10_end_to_end import Fig10Result, run_fig10
-from repro.experiments.fig11_rl_training import MitigationComparison, run_fig11b
+#: The paper's headline numbers (§1, §4.4).
+PAPER = {
+    "slo_violation_factor_vs_k8s": 16.7,
+    "slo_violation_factor_vs_aimd": 9.8,
+    "p99_factor_vs_k8s": 11.5,
+    "requested_cpu_reduction_vs_k8s": 0.623,
+    "localization_accuracy": 0.938,
+    "mitigation_speedup_vs_aimd": 9.6,
+    "mitigation_speedup_vs_k8s": 30.1,
+}
+
+#: Wider than the paper's own spread over its applications (92.8%-94.6%).
+ACCURACY_TOLERANCE = 0.05
 
 
-@dataclass
-class HeadlineNumbers:
-    """The reproduction's headline numbers next to the paper's claims."""
+def improvement_over(firm: Dict[str, float], baseline: Dict[str, float]) -> Dict[str, float]:
+    """FIRM's improvement over one baseline, from two run ``summary()`` dicts.
 
-    slo_violation_factor_vs_k8s: float
-    slo_violation_factor_vs_aimd: float
-    p99_factor_vs_k8s: float
-    requested_cpu_reduction_vs_k8s: float
-    localization_accuracy: float
-    mitigation_speedup_vs_aimd: float
-    mitigation_speedup_vs_k8s: float
-
-    #: Paper-reported values for side-by-side comparison.
-    PAPER = {
-        "slo_violation_factor_vs_k8s": 16.7,
-        "slo_violation_factor_vs_aimd": 9.8,
-        "p99_factor_vs_k8s": 11.5,
-        "requested_cpu_reduction_vs_k8s": 0.623,
-        "localization_accuracy": 0.938,
-        "mitigation_speedup_vs_aimd": 9.6,
-        "mitigation_speedup_vs_k8s": 30.1,
+    A drop counts as a violation (it is worse than a slow reply), and the
+    counts are Laplace-smoothed so two near-zero counts compare as ~1x.
+    """
+    return {
+        "violation_factor": (baseline["violations"] + baseline["dropped"] + 1)
+        / (firm["violations"] + firm["dropped"] + 1),
+        "p99_factor": baseline["p99_ms"] / max(firm["p99_ms"], 1e-9),
+        "requested_cpu_reduction": 1.0
+        - firm["mean_requested_cpu"] / max(baseline["mean_requested_cpu"], 1e-9),
+        "dropped_factor": baseline["dropped"] / max(firm["dropped"], 1),
     }
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "slo_violation_factor_vs_k8s": self.slo_violation_factor_vs_k8s,
-            "slo_violation_factor_vs_aimd": self.slo_violation_factor_vs_aimd,
-            "p99_factor_vs_k8s": self.p99_factor_vs_k8s,
-            "requested_cpu_reduction_vs_k8s": self.requested_cpu_reduction_vs_k8s,
-            "localization_accuracy": self.localization_accuracy,
-            "mitigation_speedup_vs_aimd": self.mitigation_speedup_vs_aimd,
-            "mitigation_speedup_vs_k8s": self.mitigation_speedup_vs_k8s,
-        }
 
-    def comparison_rows(self):
-        """(metric, paper value, measured value) rows for EXPERIMENTS.md."""
-        measured = self.as_dict()
-        return [
-            {"metric": key, "paper": self.PAPER[key], "measured": round(value, 3)}
-            for key, value in measured.items()
-        ]
+def verdict(claim: str, measured: Optional[float]) -> str:
+    """Whether one measured claim reproduces the paper.
 
-
-def run_summary(
-    fig10: Optional[Fig10Result] = None,
-    fig11b: Optional[MitigationComparison] = None,
-    localization_accuracy: Optional[float] = None,
-    quick: bool = True,
-) -> HeadlineNumbers:
-    """Compute the headline numbers (running the experiments when not given).
-
-    ``quick`` shrinks durations so the summary completes in a couple of
-    minutes of wall-clock time; the full-scale run uses the experiment
-    modules' defaults.
+    * ``undefined`` when the measurement is ``None``: there is nothing to
+      judge (a FIRM episode with no violation had nothing to mitigate).
+    * ``localization_accuracy`` is an absolute rate, so it is
+      ``reproduced`` within :data:`ACCURACY_TOLERANCE` of the paper's value.
+    * Every other claim compares FIRM with a baseline.  The simulator is not
+      the paper's testbed, so absolute factors differ and the direction is
+      what carries over: ``reproduced`` when FIRM is better, that is, a
+      factor or speedup above 1, or a requested-CPU reduction above 0.
     """
-    if fig10 is None:
-        fig10 = run_fig10(
-            duration_s=90.0 if quick else 180.0,
-            load_rps=50.0 if quick else 80.0,
-            include_multi_rl=False,
-        )
-    if fig11b is None:
-        fig11b = run_fig11b(episodes=4 if quick else 8)
-    if localization_accuracy is None:
-        localization_accuracy = run_fig9b_for_application(
-            "social_network", windows=5 if quick else 10
-        ).accuracy
+    if measured is None:
+        return "undefined"
+    if claim == "localization_accuracy":
+        better = abs(measured - PAPER[claim]) <= ACCURACY_TOLERANCE
+    else:
+        better = measured > (0.0 if claim == "requested_cpu_reduction_vs_k8s" else 1.0)
+    return "reproduced" if better else "not reproduced"
 
-    vs_k8s = fig10.improvement_over("k8s")
-    vs_aimd = fig10.improvement_over("aimd")
-    return HeadlineNumbers(
-        slo_violation_factor_vs_k8s=vs_k8s["violation_factor"],
-        slo_violation_factor_vs_aimd=vs_aimd["violation_factor"],
-        p99_factor_vs_k8s=vs_k8s["p99_factor"],
-        requested_cpu_reduction_vs_k8s=vs_k8s["requested_cpu_reduction"],
-        localization_accuracy=localization_accuracy,
-        mitigation_speedup_vs_aimd=fig11b.speedup_vs_aimd(),
-        mitigation_speedup_vs_k8s=fig11b.speedup_vs_k8s(),
-    )
+
+def summarize(fig9b: dict, fig10: dict, fig11b: dict) -> List[dict]:
+    """One row per claim and FIRM variant, from the three scoreboard payloads.
+
+    Both Fig. 10 variants share the localization stage Fig. 9(b) scores.
+    Fig. 11(b) trains only the shared agent, so its rows are ``firm_single``.
+    """
+    measured = []
+    for variant in (name for name in ("firm_single", "firm_multi") if name in fig10):
+        vs_k8s = improvement_over(fig10[variant], fig10["k8s"])
+        measured += [
+            ("slo_violation_factor_vs_k8s", variant, vs_k8s["violation_factor"], "fig10"),
+            ("slo_violation_factor_vs_aimd", variant,
+             improvement_over(fig10[variant], fig10["aimd"])["violation_factor"], "fig10"),
+            ("p99_factor_vs_k8s", variant, vs_k8s["p99_factor"], "fig10"),
+            ("requested_cpu_reduction_vs_k8s", variant, vs_k8s["requested_cpu_reduction"], "fig10"),
+            ("localization_accuracy", variant, fig9b["overall"], "fig9b"),
+        ]
+    for baseline in ("aimd", "k8s"):
+        speedup = fig11b[f"speedup_vs_{baseline}"]
+        measured.append((f"mitigation_speedup_vs_{baseline}", "firm_single", speedup, "fig11b"))
+    boards = {"fig9b": fig9b, "fig10": fig10, "fig11b": fig11b}
+    return [
+        {
+            "claim": claim,
+            "variant": variant,
+            "paper": PAPER[claim],
+            "measured": value,
+            "source": f"{board}.json",
+            "seeds": boards[board]["seeds"],
+            "verdict": verdict(claim, value),
+        }
+        for claim, variant, value, board in measured
+    ]
+
+
+def run_summary(results_dir: Union[str, Path] = "benchmarks/results") -> List[dict]:
+    """:func:`summarize` the scoreboards the benches wrote to ``results_dir``."""
+    boards = [
+        json.loads((Path(results_dir) / f"{name}.json").read_text(encoding="utf-8"))
+        for name in ("fig9b", "fig10", "fig11b")
+    ]
+    return summarize(*boards)
